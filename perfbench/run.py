@@ -6,23 +6,27 @@ Run from the root of a checkout; the program is imported from ``src``.
 ``--trace 0`` sets up the inputs, runs operations until ``--seconds`` of
 busy time have passed (ending on a whole cycle of the input mix), checks
 every output outside the timed region and prints the end-to-end metrics.
+Their times are on-CPU times converted to a reference host speed by
+``hostspeed``.
 ``--trace 1`` runs a fixed number of operations twice, untraced and then
 with spans around every layer call, and prints the per-layer metrics.
 The last line of standard output is the result as one JSON object.
 """
-import time
-
-_START = time.perf_counter()
-
 import argparse
 import hashlib
 import json
+import os
 import resource
 import statistics
+import subprocess
 import sys
+import time
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import hostspeed
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -30,7 +34,7 @@ SRC = ROOT / "src"
 WORKDIR = HERE / "_work"
 REFERENCE = HERE / "reference.json"
 DEFAULT_SEED = 1
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 P90_MIN_SAMPLES = 100  # p90 needs at least ten samples beyond it
 
 
@@ -65,9 +69,25 @@ class Pass:
     ops: int = 0
     failed: int = 0
     busy_s: float = 0.0
-    cpu_s: float = 0.0
-    latencies: list = field(default_factory=list)
+    # wall start, wall end and on-CPU seconds of each op, flat and compact so
+    # that the record adds little to the peak RSS however many ops run
+    intervals: array = field(default_factory=lambda: array("d"))
+    peak_rss_mb: float = 0.0
     digest: str | None = None
+
+    def each(self):
+        """(wall start, wall end, on-CPU seconds) per op."""
+        return zip(*[iter(self.intervals)] * 3)
+
+
+def cpu_now() -> float:
+    """CPU seconds used by this process and its waited-for children."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def run_ops(wl, seconds=None, ops=None, tracer=None) -> Pass:
@@ -90,18 +110,18 @@ def run_ops(wl, seconds=None, ops=None, tracer=None) -> Pass:
         if tracer:
             tracer.op, tracer.enabled = i, True
         error = None
-        wall, cpu = time.perf_counter(), time.process_time()
+        wall, cpu = time.perf_counter(), cpu_now()
         try:
             with tracer.span("op") if tracer else nullcontext():
                 wl.op(i)
         except Exception as exc:  # a failed op is counted, not fatal
             error = f"op raised {type(exc).__name__}: {exc}"
-        latency = time.perf_counter() - wall
-        result.cpu_s += time.process_time() - cpu
+        end = time.perf_counter()
+        latency, cpu = end - wall, cpu_now() - cpu
+        result.intervals.extend((wall, end, cpu))
         if tracer:
             tracer.enabled = False
         result.busy_s += latency
-        result.latencies.append(latency)
         data, problems = b"", [error] if error else []
         if not error:
             try:
@@ -117,7 +137,10 @@ def run_ops(wl, seconds=None, ops=None, tracer=None) -> Pass:
         i += 1
         if i == wl.digest_ops:
             result.digest = digest.hexdigest()
+        if i == wl.min_ops:
+            result.peak_rss_mb = peak_rss_mb()
     result.ops = i
+    result.peak_rss_mb = result.peak_rss_mb or peak_rss_mb()
     return result
 
 
@@ -148,27 +171,57 @@ def clear_caches() -> None:
                 obj.cache_clear()
 
 
-def end_to_end(wl, import_s: float) -> dict:
-    setup_times = []
-    for _ in range(SETUP_REPEATS):
-        started = time.perf_counter()
-        wl.setup()
-        setup_times.append(time.perf_counter() - started)
-    p = run_ops(wl, seconds=wl.seconds)
+def timed_cpu(probe, fn) -> float:
+    """On-CPU time of ``fn()`` at reference speed."""
+    started, cpu = time.perf_counter(), cpu_now()
+    fn()
+    return probe.cpu(started, time.perf_counter(), cpu_now() - cpu)
+
+
+def import_in_fresh_process() -> float:
+    """CPU seconds of a fresh interpreter importing the program, as a user's
+    ``rmms`` command does. Not converted to reference speed: host-speed
+    probes cannot follow another process, and import work moves less with
+    the host's speed than the probe kernel does. One BLAS thread: numpy's
+    BLAS workers otherwise spin at start-up for a varying CPU time, and rmms
+    makes no BLAS calls."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    cpu = cpu_now()
+    subprocess.run([sys.executable, "-c",
+                    f"import sys; sys.path.insert(0, {str(SRC)!r}); import rmms.cli"],
+                   env=env, check=True, timeout=60)
+    return cpu_now() - cpu
+
+
+def end_to_end(wl) -> dict:
+    probe = hostspeed.Probe()
+    probe.start()
+    try:
+        import_s = statistics.median(import_in_fresh_process() for _ in range(SETUP_REPEATS))
+        setup_s = statistics.median(timed_cpu(probe, wl.setup) for _ in range(SETUP_REPEATS))
+        p = run_ops(wl, seconds=wl.seconds)
+    finally:
+        probe.stop()
     failed = min(p.ops, p.failed + digest_failures(wl, wl.seed, p))
-    lat = p.latencies
+    lat = array("d", (probe.cpu(a, b, cpu) for a, b, cpu in p.each()))
+    busy_s = sum(lat)
     if len(lat) >= P90_MIN_SAMPLES:
         p90 = f"op_latency_p90_s {statistics.quantiles(lat, n=10)[8]:.6g} s"
     else:
         p90 = f"op_latency_p90_s not reported (needs {P90_MIN_SAMPLES} samples)"
     print(f"{wl.name}: {p.ops} ops, {failed} failed, error_rate {failed / p.ops:.6g}, "
-          f"{p.busy_s:.3f} s busy, {len(lat)} latency samples, {p90}")
+          f"{len(lat)} latency samples, {p90}")
+    cpu_s = sum(cpu for _, _, cpu in p.each())
+    print(f"measured: {p.busy_s:.3f} s busy, {p.ops / p.busy_s:.6g} ops/s wall, "
+          f"p50 {statistics.median(b - a for a, b, _ in p.each()):.6g} s wall, "
+          f"{1 - cpu_s / p.busy_s:.3g} of busy time off-CPU, {len(probe.cpus)} "
+          f"host-speed probes, {busy_s / cpu_s:.4g} reference s per CPU s")
     metrics = {
-        "ops_per_s": (p.ops / p.busy_s, "1/s"),
+        "ops_per_s": (p.ops / busy_s, "1/s"),
         "op_latency_p50_s": (statistics.median(lat), "s"),
-        "cpu_s_per_op": (p.cpu_s / p.ops, "s"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
-        "setup_s": (import_s + statistics.median(setup_times), "s"),
+        "cpu_s_per_op": (busy_s / p.ops, "s"),
+        "peak_rss_mb": (p.peak_rss_mb, "MB"),
+        "setup_s": (import_s + setup_s, "s"),
     }
     return {
         "correct": failed == 0,
@@ -216,10 +269,9 @@ def main(argv=None) -> int:
     import_program()
     import workloads
 
-    import_s = time.perf_counter() - _START
     WORKDIR.mkdir(exist_ok=True)
     wl = workloads.WORKLOADS[args.workload](args.seed, args.seconds, WORKDIR)
-    result = traced(wl) if args.trace else end_to_end(wl, import_s)
+    result = traced(wl) if args.trace else end_to_end(wl)
     print(json.dumps(result))
     return 0
 

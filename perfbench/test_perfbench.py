@@ -4,9 +4,11 @@ Smoke runs use small sizes and a non-default seed, so the recorded output
 digests are not compared.
 """
 import json
+import re
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import run
 run.import_program()
 
 import checks  # noqa: E402
+import hostspeed  # noqa: E402
 import workloads  # noqa: E402
 from rmms import cli, core, fairness, oracle, shares  # noqa: E402
 
@@ -50,6 +53,15 @@ def test_smoke_prints_every_metric(small, capsys, workload, trace):
     assert {k: v["unit"] for k, v in result["metrics"].items()} == {
         m["name"]: m["unit"] for m in spec
     }
+
+
+def test_smoke_prints_error_rate_and_p90(small, capsys):
+    assert run.main(["--workload", "certify", "--seed", str(SEED), "--seconds", "0.2",
+                     "--trace", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = next(line for line in lines if line.startswith("certify: "))
+    assert "error_rate 0," in summary
+    assert re.search(r"\d+ latency samples, op_latency_p90_s [\d.e+-]+ s$", summary)
 
 
 def test_traced_counters_repeat_exactly(small, capsys):
@@ -131,3 +143,33 @@ def test_fails_without_the_program(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode != 0 and proc.stdout == ""
+
+
+def test_host_speed_scaling():
+    probe = hostspeed.Probe()
+    ref = hostspeed.REFERENCE_S
+    # Probes at t = 0, 1, 2, 3, 4: the core runs at half the reference
+    # speed before t = 2.5 and at the reference speed after it.
+    probe.starts = [0.0, 1.0, 2.0, 3.0, 4.0]
+    probe.cpus = [2 * ref, 2 * ref, 2 * ref, ref, ref]
+    # An op with at least four probes of its own is scaled by their mean
+    # speed, and their time is not charged to the program.
+    assert probe.factor(-0.1, 4.1) == pytest.approx((3 * 0.5 + 2) / 5)
+    assert probe.cpu(-0.1, 4.1, 3.0) == pytest.approx((3.0 - 8 * ref) * 0.7)
+    # A shorter op also takes the probes nearest to it in time.
+    assert probe.factor(0.4, 0.5) == pytest.approx((3 * 0.5 + 1) / 4)
+    assert probe.cpu(0.4, 0.5, 0.1) == pytest.approx(0.1 * 0.625)
+    assert probe.cpu(2.9, 4.1, 0.5) == pytest.approx((0.5 - 2 * ref) * 0.75)
+
+
+def test_host_speed_probe_samples_on_a_timer():
+    probe = hostspeed.Probe()
+    probe.start()
+    try:
+        deadline = time.perf_counter() + 5 * hostspeed.INTERVAL_S
+        while time.perf_counter() < deadline:
+            pass
+    finally:
+        probe.stop()
+    assert len(probe.starts) >= 4
+    assert probe.starts == sorted(probe.starts) and min(probe.cpus) > 0

@@ -42,7 +42,9 @@ class Workload:
     cycle: ops per balanced round of the input mix; a timed run ends on a
         cycle boundary so that every run sees the same mix.
     min_ops: ops a timed run makes however slow the machine is, so that a
-        slow spell does not change the mix or skip the digest.
+        slow spell does not change the mix or skip the digest. Peak RSS is
+        read after these ops, so that it covers a fixed amount of work and
+        does not grow with the number of ops a run fits in.
     digest_ops: ops whose outputs are digested and, for the default seed,
         compared with ``reference.json``.
     trace_ops: fixed number of ops in a traced run, so counters repeat.
@@ -84,14 +86,15 @@ class SharesLarge(Workload):
     m = 12
     combos = [(n, kind) for n, kind in zip(itertools.cycle((3, 4)), KINDS * 2)]
     cycle = len(combos)
-    min_ops = 2 * cycle
+    min_ops = 3 * cycle
     digest_ops = cycle
     trace_ops = cycle
 
     def setup(self) -> None:
-        # One cycle of instances per 5 s of run time leaves room for the
-        # shares layer to become several times faster before inputs run out.
-        count = self.cycle * max(1, -(-int(self.seconds) // 5))
+        # One cycle of instances per 5 s of run time, and at least min_ops.
+        # At --seconds 15 that is min_ops, so every run times the same 18
+        # instances of its seed however fast the shares layer becomes.
+        count = max(self.min_ops, self.cycle * -(-int(self.seconds) // 5))
         self.instances = []
         for idx in range(count):
             n, kind = self.combos[idx % self.cycle]
@@ -119,7 +122,7 @@ class PipelineSmall(Workload):
     combos = [(n, m, kind) for n, m in ((3, 6), (4, 7), (3, 8), (4, 6), (3, 7), (4, 8))
               for kind in KINDS]
     cycle = len(combos)
-    min_ops = cycle
+    min_ops = 4 * cycle
     digest_ops = cycle
     trace_ops = 4 * cycle
 
