@@ -7,6 +7,7 @@ from .core import (
     CapExceededError,
     CappedAdditive,
     Instance,
+    InvariantError,
     MalformedBundleError,
     PartialAllocation,
     PreconditionError,
@@ -34,6 +35,7 @@ __all__ = [
     "CappedAdditive",
     "EnvyVerdict",
     "Instance",
+    "InvariantError",
     "MalformedBundleError",
     "PartialAllocation",
     "PreconditionError",

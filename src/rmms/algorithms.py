@@ -14,6 +14,7 @@ from typing import Optional
 from .core import (
     Bundle,
     Instance,
+    InvariantError,
     PartialAllocation,
     PreconditionError,
     QueryLedger,
@@ -189,7 +190,8 @@ def preprocess_singletons(
                 pool = (pool | bundles[i]) ^ (1 << taken)
                 bundles[i] = 1 << taken
                 swaps += 1
-                assert swaps <= n * m, "singleton preprocessing failed to converge"
+                if swaps > n * m:
+                    raise InvariantError("singleton preprocessing failed to converge")
                 swapped = True
                 break
         if not swapped:
@@ -215,7 +217,8 @@ def efl_complete(
     before = ledger.value_queries
     prepped = preprocess_singletons(inst, partial, ledger)
     result, trace = envy_cycle_run(inst, prepped, ledger)
-    assert ledger.value_queries == before, "completion issued a value query"
+    if ledger.value_queries != before:
+        raise InvariantError("completion issued a value query")
     trace.partial = partial
     return result, trace
 
@@ -287,7 +290,7 @@ def rmms_efx_partial(
     def desires(a: int, mask: int) -> bool:
         return value_query(inst.valuations[a], Bundle(mask), ledger) >= rmms_values[a]
 
-    def assert_minimal(mask: int, poor: list[int]) -> None:
+    def check_minimal(mask: int, poor: list[int]) -> None:
         # Allocated bundles with >= 2 items must be minimal: dropping any
         # item leaves a bundle no currently-poor agent desires.
         if mask.bit_count() < 2:
@@ -295,15 +298,17 @@ def rmms_efx_partial(
         for e in bits_of(mask):
             reduced = mask ^ (1 << e)
             for a in poor:
-                assert inst.valuations[a].value_of(reduced) < rmms_values[a], (
-                    f"allocated bundle {sorted(bits_of(mask))} is not minimal"
-                )
+                if inst.valuations[a].value_of(reduced) >= rmms_values[a]:
+                    raise InvariantError(
+                        f"allocated bundle {sorted(bits_of(mask))} is not minimal"
+                    )
 
     max_rounds = n * (1 << m) + n
     rounds = 0
     while any(b is None for b in assigned):
         rounds += 1
-        assert rounds <= max_rounds, "round bound exceeded"
+        if rounds > max_rounds:
+            raise InvariantError("round bound exceeded")
         poor = [a for a in range(n) if assigned[a] is None]
         n_r = len(poor)
         leader = poor[0]
@@ -311,10 +316,11 @@ def rmms_efx_partial(
         parts = shares.acceptable_partition(
             inst.valuations[leader], Bundle(free), n_r, t
         )
-        assert parts is not None, (
-            "residual feasibility promised an acceptable partition of the "
-            "free items and none was found"
-        )
+        if parts is None:
+            raise InvariantError(
+                "residual feasibility promised an acceptable partition of the "
+                "free items and none was found"
+            )
         shrunk = []
         for P in parts:
             if P.mask == 0:
@@ -345,10 +351,11 @@ def rmms_efx_partial(
                         break
         if upgrade is not None:
             w, S, pidx = upgrade
-            assert inst.valuations[w].value_of(S) >= rmms_values[w], (
-                "upgraded wealthy bundle fell below the agent's share"
-            )
-            assert_minimal(S, poor)
+            if inst.valuations[w].value_of(S) < rmms_values[w]:
+                raise InvariantError(
+                    "upgraded wealthy bundle fell below the agent's share"
+                )
+            check_minimal(S, poor)
             free = (free | assigned[w]) & ~S
             assigned[w] = S
             trace.rounds.append(
@@ -361,7 +368,7 @@ def rmms_efx_partial(
         matched = sum(1 for a in match_of_part if a != -1)
         if matched == n_r:
             for pidx, a in enumerate(match_of_part):
-                assert_minimal(shrunk[pidx], poor)
+                check_minimal(shrunk[pidx], poor)
                 assigned[a] = shrunk[pidx]
                 free &= ~shrunk[pidx]
             trace.rounds.append(
@@ -389,18 +396,21 @@ def rmms_efx_partial(
                         continue
                     agent_reach.add(a)
                     mp = match_of_agent.get(a)
-                    assert mp is not None, "augmenting path missed by matching"
+                    if mp is None:
+                        raise InvariantError("augmenting path missed by matching")
                     if mp not in part_reach:
                         part_reach.add(mp)
                         frontier.append(mp)
-            assert len(part_reach) >= 2, "every part is desired by some poor agent"
-            assert len(agent_reach) == len(part_reach) - 1, (
-                "deficiency set does not certify Hall violation"
-            )
+            if len(part_reach) < 2:
+                raise InvariantError("every part is desired by some poor agent")
+            if len(agent_reach) != len(part_reach) - 1:
+                raise InvariantError(
+                    "deficiency set does not certify Hall violation"
+                )
             assigned_now = {}
             for a in sorted(agent_reach):
                 pidx = match_of_agent[a]
-                assert_minimal(shrunk[pidx], poor)
+                check_minimal(shrunk[pidx], poor)
                 assigned[a] = shrunk[pidx]
                 free &= ~shrunk[pidx]
                 assigned_now[a] = sorted(bits_of(shrunk[pidx]))

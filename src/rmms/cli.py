@@ -151,6 +151,10 @@ def cmd_shares(args) -> int:
 def cmd_check(args) -> int:
     inst = _load_instance(args.instance)
     alloc = allocation_from_json(load_json(args.allocation), inst.m)
+    if alloc.n != inst.n:
+        raise ValueError(
+            f"allocation has {alloc.n} bundles, instance has {inst.n} agents"
+        )
     cert = fairness.certificate(inst, alloc)
     _emit(cert, args.output)
     if args.require and not cert[args.require]:

@@ -31,6 +31,13 @@ class PreconditionError(ValueError):
     """An algorithm precondition (e.g. input allocation is EFL) failed."""
 
 
+class InvariantError(RuntimeError):
+    """An algorithm invariant failed: a bug, not bad input.
+
+    Raised instead of ``assert`` so the check survives ``python -O``.
+    """
+
+
 def bits_of(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:

@@ -3,21 +3,43 @@
 All solvers enumerate subsets (2^m) and are intentionally exponential;
 ``core.MAX_EXACT_ITEMS`` bounds what they accept. Searches are anchored on
 the lowest item index throughout, so every witness is deterministic.
+
+Two searches do the work:
+
+- **pack** (``_packer``): split a mask into q parts, each worth >= t.
+  ``acceptable_partition``, MMS and the residual check all use it. A packer
+  serves one threshold and remembers every (mask, q) state that failed, so
+  the residual check, which asks about many remainders at the same t, never
+  searches a failed state twice. Failure is inherited by subsets: a mask
+  with no q-partition has no subset with one.
+- **cover**: split a mask into at most q parts from a downward-closed
+  family. The residual check uses it for the removals (parts worth < t,
+  ``can_split_low``); there failure is inherited by supersets. MXS uses it
+  for the other agents' bundles (parts the agent does not EFX-envy,
+  ``cover`` in ``mxs``), with g(P), the most the agent values P minus one
+  item, computed once per agent.
+
+The residual check tests each removal R only at its binding k, the fewest
+parts worth < t that R splits into. This is exact. If S minus R splits into
+n - k0 parts worth >= t, merging parts gives a split into n - k parts for
+every k >= k0, so a larger k fails only where k0 already fails. The first
+failing (k, R) in (k ascending, R ascending) order is therefore the same as
+in a scan of every k.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     MAX_EXACT_ITEMS,
     Bundle,
     CapExceededError,
     Instance,
+    InvariantError,
     Valuation,
-    bits_of,
     submasks,
 )
 
@@ -55,7 +77,7 @@ def _check_caps(v: Valuation) -> None:
 def _value_table(v: Valuation) -> tuple[int, ...]:
     """v(S) for every mask, built by one DP pass over submask order."""
     m = v.m
-    if hasattr(v, "kind") and v.kind == "table":
+    if v.kind == "table":
         return tuple(v.values)
     table = [0] * (1 << m)
     for mask in range(1, 1 << m):
@@ -74,6 +96,62 @@ def _candidate_values(v: Valuation, smask: int) -> tuple[int, ...]:
     return tuple(sorted({table[sub] for sub in submasks(smask)}))
 
 
+def _packer(
+    table: tuple[int, ...], t: int
+) -> Callable[[int, int], Optional[list[int]]]:
+    """The pack search at threshold t > 0.
+
+    ``pack(mask, q)`` returns the first q-partition of ``mask`` into parts
+    each worth >= t, as part masks, or None. Each part is anchored on the
+    lowest remaining item and candidate parts are scanned in ascending mask
+    order. Failed (mask, q) states are kept for the packer's lifetime; a
+    state also fails, without a search, when the state with one more item
+    did.
+    """
+    failed: set[tuple[int, int]] = set()
+    everything = len(table) - 1
+
+    def pack(remaining: int, parts: int) -> Optional[list[int]]:
+        if table[remaining] < t:
+            return None  # monotone: no part inside `remaining` can reach t
+        if parts == 1:
+            return [remaining]
+        if (remaining, parts) in failed:
+            return None
+        p = everything ^ remaining
+        while p:
+            e = p & -p
+            if (remaining | e, parts) in failed:
+                failed.add((remaining, parts))
+                return None
+            p ^= e
+        low = remaining & -remaining
+        rest = remaining ^ low
+        sub = 0
+        while sub != rest:
+            part = low | sub
+            if table[part] >= t and table[remaining ^ part] >= t:
+                tail = pack(remaining ^ part, parts - 1)
+                if tail is not None:
+                    return [part] + tail
+            sub = (sub - rest) & rest
+        failed.add((remaining, parts))
+        return None
+
+    return pack
+
+
+def _partition(
+    table: tuple[int, ...], smask: int, q: int, t: int
+) -> Optional[tuple[Bundle, ...]]:
+    if t == 0:
+        return (Bundle(smask),) + (Bundle(),) * (q - 1)
+    parts = _packer(table, t)(smask, q)
+    if parts is None:
+        return None
+    return tuple(Bundle(p) for p in parts)
+
+
 def acceptable_partition(
     v: Valuation, S: Bundle, q: int, t: int
 ) -> Optional[tuple[Bundle, ...]]:
@@ -88,33 +166,7 @@ def acceptable_partition(
     if t < 0:
         raise ValueError(f"threshold must be non-negative, got t={t}")
     _check_caps(v)
-    if t == 0:
-        return (S,) + (Bundle(),) * (q - 1)
-    table = _value_table(v)
-    failed: set[tuple[int, int]] = set()
-
-    def solve(remaining: int, parts: int) -> Optional[list[int]]:
-        if table[remaining] < t:
-            return None  # monotone: no part inside `remaining` can reach t
-        if parts == 1:
-            return [remaining]
-        if (remaining, parts) in failed:
-            return None
-        low = remaining & -remaining
-        rest = remaining ^ low
-        for sub in submasks(rest):
-            part = low | sub
-            if table[part] >= t:
-                tail = solve(remaining ^ part, parts - 1)
-                if tail is not None:
-                    return [part] + tail
-        failed.add((remaining, parts))
-        return None
-
-    parts = solve(S.mask, q)
-    if parts is None:
-        return None
-    return tuple(Bundle(p) for p in parts)
+    return _partition(_value_table(v), S.mask, q, t)
 
 
 def _canonical(parts: tuple[Bundle, ...]) -> tuple[Bundle, ...]:
@@ -123,15 +175,15 @@ def _canonical(parts: tuple[Bundle, ...]) -> tuple[Bundle, ...]:
 
 @lru_cache(maxsize=65536)
 def _mms(v: Valuation, smask: int, n: int) -> ShareReport:
+    table = _value_table(v)
     candidates = _candidate_values(v, smask)
-    S = Bundle(smask)
     # Feasibility of an acceptable partition is downward closed in t.
     lo, hi = 0, len(candidates) - 1
-    best = acceptable_partition(v, S, n, candidates[0])
+    best = _partition(table, smask, n, candidates[0])
     best_idx = 0
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        parts = acceptable_partition(v, S, n, candidates[mid])
+        parts = _partition(table, smask, n, candidates[mid])
         if parts is not None:
             lo = mid
             best, best_idx = parts, mid
@@ -153,51 +205,72 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
 
     True iff for every k in [0, n) and every removed set R that splits into
     k disjoint bundles each of value < t, the remainder has an (n-k)-partition
-    with all parts >= t. On failure, the offending (k, R) comes back as a
-    counterexample.
+    with all parts >= t. On failure, the first offending (k, R) in (k
+    ascending, R ascending) order comes back as a counterexample.
     """
     if n < 1:
         raise ValueError(f"need at least one agent, got n={n}")
     if t < 0:
         raise ValueError(f"threshold must be non-negative, got t={t}")
     _check_caps(v)
-    if acceptable_partition(v, S, n, t) is None:
-        return ResidualCheck(False, 0, Bundle())
     if t == 0:
-        # No bundle has value < 0, so no removals qualify for any k >= 1.
+        # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
+        # removals qualify for any k >= 1.
         return ResidualCheck(True)
     table = _value_table(v)
+    smask = S.mask
+    pack = _packer(table, t)
+    if pack(smask, n) is None:
+        return ResidualCheck(False, 0, Bundle())
     split_memo: dict[tuple[int, int], bool] = {}
 
     def can_split_low(R: int, k: int) -> bool:
-        # R partitions into at most k non-empty bundles, each of value < t.
-        if R == 0:
+        # R partitions into at most k >= 1 non-empty bundles, each of value
+        # < t. Any scan order gives the same answer; large first parts first
+        # finds a split sooner.
+        if table[R] < t:
             return True
-        if k == 0:
+        if k == 1:
             return False
         key = (R, k)
         cached = split_memo.get(key)
         if cached is not None:
             return cached
+        # Splitting into k low parts is downward closed, so R cannot split if
+        # some R minus one item is already known not to.
+        p = R
+        while p:
+            e = p & -p
+            if split_memo.get((R ^ e, k)) is False:
+                split_memo[key] = False
+                return False
+            p ^= e
         low = R & -R
         rest = R ^ low
+        sub = rest
         result = False
-        for sub in submasks(rest):
+        while sub:
+            sub = (sub - 1) & rest
             part = low | sub
-            if table[part] < t and can_split_low(R ^ part, k - 1):
+            if table[part] < t and (
+                table[R ^ part] < t or (k > 2 and can_split_low(R ^ part, k - 1))
+            ):
                 result = True
                 break
         split_memo[key] = result
         return result
 
+    # Removals not yet split into fewer than k low parts, ascending; R = 0
+    # binds at k = 0, checked above.
+    pending = [R for R in submasks(smask) if R]
     for k in range(1, n):
-        for R in submasks(S.mask):
-            if R == 0:
-                continue  # covered by the k = 0 check
+        unbound = []
+        for R in pending:
             if not can_split_low(R, k):
-                continue
-            if acceptable_partition(v, Bundle(S.mask ^ R), n - k, t) is None:
+                unbound.append(R)
+            elif pack(smask ^ R, n - k) is None:
                 return ResidualCheck(False, k, Bundle(R))
+        pending = unbound
     return ResidualCheck(True)
 
 
@@ -210,9 +283,9 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     # first feasible candidate in descending order is the global maximum.
     for t in reversed(candidates):
         if is_residual_feasible(v, S, n, t).feasible:
-            witness = acceptable_partition(v, S, n, t)
+            witness = _partition(_value_table(v), smask, n, t)
             return ShareReport("RMMS", t, _canonical(witness), None, n)
-    raise AssertionError("t = 0 is always residual feasible")
+    raise InvariantError("t = 0 is always residual feasible")
 
 
 def rmms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareReport:
@@ -250,50 +323,62 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
     if n == 1:
         return ShareReport("MXS", table[full], (Bundle(full),), agent, 1)
 
-    def feasible(own: int) -> Optional[list[int]]:
-        # Partition the complement into n-1 bundles none of which the agent
-        # EFX-envies given her own bundle. "Not envied" is downward closed,
-        # so empty parts are fine.
-        threshold = table[own]
+    # g[P] is the most the agent values P with one item taken out, so she
+    # has no EFX envy toward P iff g[P] <= v(own).
+    g = [0] * (1 << m)
+    for P in range(1, 1 << m):
+        best = 0
+        p = P
+        while p:
+            low = p & -p
+            if table[P ^ low] > best:
+                best = table[P ^ low]
+            p ^= low
+        g[P] = best
 
-        def part_ok(part: int) -> bool:
-            p = part
-            while p:
-                low = p & -p
-                if table[part ^ low] > threshold:
-                    return False
-                p ^= low
-            return True
+    # Partition the complement of the own bundle into n-1 bundles none of
+    # which the agent EFX-envies. "Not envied" is downward closed, so empty
+    # parts are fine. Failed states depend only on the own bundle's value,
+    # so they are kept across own bundles of the same value.
+    threshold = 0
+    failed: set[tuple[int, int]] = set()
 
-        failed: set[tuple[int, int]] = set()
-
-        def cover(mask: int, parts: int) -> Optional[list[int]]:
-            if mask == 0:
-                return [0] * parts
-            if parts == 0 or (mask, parts) in failed:
-                return None
-            low = mask & -mask
-            rest = mask ^ low
-            for sub in submasks(rest):
-                part = low | sub
-                if part_ok(part):
-                    tail = cover(mask ^ part, parts - 1)
-                    if tail is not None:
-                        return [part] + tail
-            failed.add((mask, parts))
+    def cover(mask: int, parts: int) -> Optional[list[int]]:
+        if mask == 0:
+            return [0] * parts
+        if parts == 0:
             return None
-
-        return cover(full ^ own, n - 1)
+        if parts == 1:
+            return [mask] if g[mask] <= threshold else None
+        if (mask, parts) in failed:
+            return None
+        low = mask & -mask
+        rest = mask ^ low
+        sub = 0
+        while True:
+            part = low | sub
+            if g[part] <= threshold:
+                tail = cover(mask ^ part, parts - 1)
+                if tail is not None:
+                    return [part] + tail
+            if sub == rest:
+                break
+            sub = (sub - rest) & rest
+        failed.add((mask, parts))
+        return None
 
     order = sorted(range(1 << m), key=lambda s: (table[s], s))
     for own in order:
-        others = feasible(own)
+        if table[own] != threshold:
+            threshold = table[own]
+            failed.clear()
+        others = cover(full ^ own, n - 1)
         if others is not None:
             bundles = others[:agent] + [own] + others[agent:]
             return ShareReport(
                 "MXS", table[own], tuple(Bundle(b) for b in bundles[:n]), agent, n
             )
-    raise AssertionError("own = all items always admits an envy-free remainder")
+    raise InvariantError("own = all items always admits an envy-free remainder")
 
 
 def ratio_bound(n: int, valuation_class: str) -> Fraction:

@@ -6,6 +6,7 @@ from rmms.core import (
     Additive,
     Bundle,
     Instance,
+    InvariantError,
     PartialAllocation,
     PreconditionError,
     QueryLedger,
@@ -197,6 +198,14 @@ class TestRmmsEfxPartial:
                     inst.valuations[i].value_of(alloc.bundles[i].mask)
                     >= trace.rmms_values[i]
                 )
+
+    def test_missing_promised_partition_raises(self, monkeypatch):
+        # The round's acceptable partition is guaranteed by residual
+        # feasibility; its absence is an invariant failure, also under -O.
+        monkeypatch.setattr(shares, "acceptable_partition", lambda *a: None)
+        inst = Instance(2, 2, (Additive((1, 1)), Additive((1, 1))))
+        with pytest.raises(InvariantError, match="acceptable partition"):
+            algorithms.rmms_efx_partial(inst, QueryLedger())
 
 
 class TestRmmsEflFull:

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from rmms import cli
-from rmms.core import dump_json, instance_from_json, load_json
+from rmms.core import dump_json, instance_from_json, instance_to_json, load_json
 
 
 def run(argv, capsys=None):
@@ -110,6 +111,35 @@ class TestShares:
         assert code == 3
 
 
+# sha256 of `rmms shares --share all -o FILE` on generate_instance(2026,
+# 10 * n + m, n, m, kind, 10). They pin every share value and witness byte
+# for byte, whatever search computes them.
+SHARES_GOLDEN = {
+    ("additive", 3, 9): "3ad4c6edb2d5ec1069eb0dcc5b52a5d77890044862a2b0704b3392265690c9cf",
+    ("additive", 3, 10): "88eb832819e53341e199bf3fa05a2f6968fb8eed0bd7db8c2f3effcbf87bf068",
+    ("additive", 4, 9): "fc0998a077707ed75208b827554ed80f9920f7880135ef21d94b6023acd7c542",
+    ("additive", 4, 10): "ab41c2d17a43951d26ac97bef534b16c131dc1bda2768e4bd9e1cd44565d0966",
+    ("capped_additive", 3, 9): "37cd97a1a3c40691e196e5041099abf8eacbc9b3cd0216b9c7b36b05994f179b",
+    ("capped_additive", 3, 10): "cf9fae3f0049f905be0ae7cc2c37d8968f15d3cc17204f28ad5f7cf6e76d5c9b",
+    ("capped_additive", 4, 9): "3f5ae100f4f5835bef8b1b67e8546e30ed011ec878a62fe881fe4d6f7baa4119",
+    ("capped_additive", 4, 10): "0d627687973015c4602aacb5d7e111dd1d4fed6ecbebc972d09cd771cd9951dc",
+    ("table", 3, 9): "699c54d5f63fbd6216114dc4485ef1ee4a1833307e166f4b8f4b80f60271ece2",
+    ("table", 3, 10): "1d1a98d52fd985c974c6b5478dd95af413a436a2704706d631f54d04259bfb6d",
+    ("table", 4, 9): "76634f0883b9921a8f437d4109d296bbaa3c29ba1bd78b3f866de501dacd6e85",
+    ("table", 4, 10): "3825d0fb910489f4c097b6696bcc7a0ed75f1f9826f6dd3d3030635d8e6020a8",
+}
+
+
+@pytest.mark.parametrize("kind, n, m", sorted(SHARES_GOLDEN))
+def test_shares_output_golden(tmp_path, kind, n, m):
+    inst = cli.generate_instance(2026, 10 * n + m, n, m, kind, 10)
+    path = write_instance(tmp_path, instance_to_json(inst))
+    out = tmp_path / "shares.json"
+    assert run(["shares", path, "--share", "all", "-o", str(out)])[0] == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SHARES_GOLDEN[(kind, n, m)]
+
+
 class TestAllocateCheck:
     def test_pipeline(self, tmp_path):
         path = write_instance(tmp_path, SMALL)
@@ -145,6 +175,25 @@ class TestAllocateCheck:
         assert code == 0
         cert = json.loads(out)
         assert cert["ef"] is True and cert["violations"] == []
+
+    def test_check_fewer_bundles_than_agents_exits_2(self, tmp_path, capsys):
+        path = write_instance(tmp_path, SMALL)
+        alloc_path = tmp_path / "alloc.json"
+        dump_json({"pool": [], "bundles": [[0, 1, 2]]}, alloc_path)
+        code, _ = run(["check", path, str(alloc_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: allocation has 1 bundles, instance has 2 agents\n"
+
+    def test_check_extra_bundles_for_one_agent_exits_2(self, tmp_path, capsys):
+        single = {"m": 3, "n": 1, "valuations": [SMALL["valuations"][0]]}
+        path = write_instance(tmp_path, single)
+        alloc_path = tmp_path / "alloc.json"
+        dump_json({"pool": [], "bundles": [[0], [1, 2]]}, alloc_path)
+        code, _ = run(["check", path, str(alloc_path), "--require", "ef"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: allocation has 2 bundles, instance has 1 agents\n"
 
     def test_envy_cycle_with_start(self, tmp_path):
         path = write_instance(tmp_path, SMALL)

@@ -10,6 +10,7 @@ from rmms.core import (
     CapExceededError,
     CappedAdditive,
     Instance,
+    Table,
 )
 from rmms import shares
 from rmms.shares import (
@@ -128,6 +129,107 @@ class TestResidualFeasible:
         check = is_residual_feasible(v2, full(3), 2, 4)
         if not check.feasible:
             assert check.removed is not None
+
+
+def naive_residual_scan(v, m, n, t):
+    """(feasible, k, removed mask) from scanning every k in [0, n) and every
+    removal R in ascending order, with unmemoized searches."""
+    vals = [v.value_of(mask) for mask in range(1 << m)]
+    everything = (1 << m) - 1
+
+    def nonempty_submasks(mask):
+        return [sub for sub in range(1, mask + 1) if sub & ~mask == 0]
+
+    def splits_high(mask, q):
+        # Exactly q parts, each worth >= t > 0 (so each non-empty).
+        if q == 1:
+            return vals[mask] >= t
+        return any(
+            vals[part] >= t and splits_high(mask ^ part, q - 1)
+            for part in nonempty_submasks(mask) if part != mask
+        )
+
+    def splits_low(mask, k):
+        # At most k non-empty parts, each worth < t.
+        if mask == 0:
+            return True
+        return k > 0 and any(
+            vals[part] < t and splits_low(mask ^ part, k - 1)
+            for part in nonempty_submasks(mask)
+        )
+
+    if t == 0:
+        return True, None, None
+    if not splits_high(everything, n):
+        return False, 0, 0
+    for k in range(1, n):
+        for R in range(1, everything + 1):
+            if splits_low(R, k) and not splits_high(everything ^ R, n - k):
+                return False, k, R
+    return True, None, None
+
+
+def xos_table(clauses):
+    """Table of an XOS valuation: the best of several additive clauses."""
+    m = len(clauses[0])
+    return Table(tuple(
+        max(sum(c[j] for j in range(m) if mask >> j & 1) for c in clauses)
+        for mask in range(1 << m)
+    ))
+
+
+# XOS valuations (m = 6, n = 3) whose residual check fails at k = 2 for some
+# t <= MMS; found by random search, as such failures are rare.
+XOS_K2_CLAUSES = [
+    [[3, 5, 0, 0, 5, 3], [3, 1, 5, 5, 0, 3], [0, 0, 1, 0, 3, 5]],
+    [[1, 0, 3, 0, 0, 5], [3, 5, 0, 5, 0, 0], [0, 1, 5, 0, 3, 3]],
+]
+
+
+def residual_case_valuations(kind, rng):
+    """Valuations of the given kind for every (m, n) with m <= 6, n <= 4,
+    with 24 at m = 6, the only size here where an additive threshold
+    at most MMS can fail after a removal. Half the tables are generated,
+    half are random XOS valuations, plus the XOS_K2_CLAUSES cases."""
+    from rmms.cli import generate_instance
+
+    for m in range(1, 7):
+        for n in range(1, 5):
+            for index in range(24 if m == 6 else 1):
+                values = tuple(rng.randint(1, 9) for _ in range(m))
+                if kind == "additive":
+                    v = Additive(values)
+                elif kind == "capped_additive":
+                    v = CappedAdditive(values, rng.randint(1, sum(values)))
+                elif index % 2:
+                    v = generate_instance(5, 100 * m + 10 * n + index, 1, m,
+                                          "table", 8).valuations[0]
+                else:
+                    v = xos_table([[rng.choice((0, 0, 1, 3, 5))
+                                    for _ in range(m)] for _ in range(3)])
+                yield v, m, n
+    if kind == "table":
+        for clauses in XOS_K2_CLAUSES:
+            yield xos_table(clauses), 6, 3
+
+
+@pytest.mark.parametrize("kind", ["additive", "capped_additive", "table"])
+def test_residual_check_matches_naive_scan(kind):
+    failing_k = set()
+    for v, m, n in residual_case_valuations(kind, random.Random(11)):
+        ceiling = mms(v, full(m), n).value
+        for t in sorted({v.value_of(mask) for mask in range(1 << m)}):
+            if t > ceiling:
+                break
+            check = is_residual_feasible(v, full(m), n, t)
+            removed = None if check.removed is None else check.removed.mask
+            got = (check.feasible, check.k, removed)
+            assert got == naive_residual_scan(v, m, n, t), (v, n, t)
+            failing_k.add(check.k)
+    # The corpus reaches removals, not just the k = 0 check.
+    assert 1 in failing_k
+    if kind == "table":
+        assert 2 in failing_k
 
 
 class TestRmms:
