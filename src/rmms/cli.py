@@ -25,6 +25,7 @@ from .core import (
     Bundle,
     CapExceededError,
     Instance,
+    InvariantError,
     PartialAllocation,
     PreconditionError,
     QueryLedger,
@@ -94,7 +95,10 @@ def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
     )
     inst = Instance(m=m, n=n, valuations=vals)
     report = validate_instance(inst)
-    assert report.ok, f"generator produced an invalid instance: {report.violations}"
+    if not report.ok:
+        raise InvariantError(
+            f"generator produced an invalid instance: {report.violations}"
+        )
     return inst
 
 

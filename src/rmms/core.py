@@ -3,7 +3,8 @@
 Items are indexed 0..m-1 and bundles are bit masks over those indices, so
 disjointness tests, unions and subset enumeration are single integer ops.
 All values are non-negative integers; exact solvers elsewhere in the
-package rely on that (no floating point anywhere in the library).
+package rely on that (no floating point anywhere in the library). Integer
+fields are checked with ``type(x) is int``, which rejects bools and floats.
 """
 from __future__ import annotations
 
@@ -117,7 +118,7 @@ EMPTY_BUNDLE = Bundle(0)
 def _check_item_values(values: tuple[int, ...]) -> list[str]:
     problems = []
     for j, val in enumerate(values):
-        if not isinstance(val, int):
+        if type(val) is not int:
             problems.append(f"item {j}: value {val!r} is not an integer")
         elif val < 0:
             problems.append(f"item {j}: negative value {val}")
@@ -167,7 +168,9 @@ class CappedAdditive:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         problems = _check_item_values(self.values)
-        if self.cap < 0 or self.cap > MAX_VALUE:
+        if type(self.cap) is not int:
+            problems.append(f"cap {self.cap!r} is not an integer")
+        elif self.cap < 0 or self.cap > MAX_VALUE:
             problems.append(f"cap {self.cap} outside [0, {MAX_VALUE}]")
         if problems:
             raise ValueError("; ".join(problems))
@@ -200,6 +203,9 @@ def table_violations(values: tuple[int, ...]) -> list[str]:
         problems.append(f"not normalized: v(empty) = {values[0]}")
     for mask in range(size):
         val = values[mask]
+        if type(val) is not int:
+            # Every smaller mask was checked already; stop before comparing.
+            return problems + [f"subset {mask}: value {val!r} is not an integer"]
         if val < 0 or val > MAX_VALUE:
             problems.append(f"subset {mask}: value {val} outside [0, {MAX_VALUE}]")
         sub = mask
@@ -263,6 +269,9 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "valuations", tuple(self.valuations))
+        for name, value in (("m", self.m), ("n", self.n)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m < 1:
             raise ValueError(f"need at least one item, got m={self.m}")
         if self.n < 1:
@@ -397,14 +406,25 @@ def valuation_to_json(v: Valuation) -> dict:
     raise TypeError(f"unknown valuation type {type(v)!r}")
 
 
+def _json_list(d, key: str) -> list:
+    """``d[key]``, checked to be a list inside a JSON object."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    value = d[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def valuation_from_json(d: dict, validate: bool = True) -> Valuation:
+    values = tuple(_json_list(d, "values"))
     kind = d.get("kind")
     if kind == "additive":
-        return Additive(tuple(d["values"]))
+        return Additive(values)
     if kind == "capped_additive":
-        return CappedAdditive(tuple(d["values"]), d["cap"])
+        return CappedAdditive(values, d["cap"])
     if kind == "table":
-        return Table(tuple(d["values"]), validate=validate)
+        return Table(values, validate=validate)
     raise ValueError(f"unknown valuation kind {kind!r}")
 
 
@@ -417,10 +437,11 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(d: dict, validate: bool = True) -> Instance:
+    valuations = _json_list(d, "valuations")
     return Instance(
         m=d["m"],
         n=d["n"],
-        valuations=tuple(valuation_from_json(v, validate) for v in d["valuations"]),
+        valuations=tuple(valuation_from_json(v, validate) for v in valuations),
     )
 
 
@@ -431,11 +452,24 @@ def allocation_to_json(alloc: PartialAllocation) -> dict:
     }
 
 
+def _bundle_from_json(items, m: int) -> Bundle:
+    if not isinstance(items, list):
+        raise ValueError(f"a bundle must be a JSON list, got {type(items).__name__}")
+    for e in items:
+        if type(e) is not int or not 0 <= e < m:
+            raise MalformedBundleError(f"item {e!r} is not an integer in [0, {m})")
+    bundle = Bundle.from_items(items)
+    if len(bundle) != len(items):
+        raise MalformedBundleError(f"bundle {items} lists an item twice")
+    return bundle
+
+
 def allocation_from_json(d: dict, m: int) -> PartialAllocation:
+    bundles = _json_list(d, "bundles")
     return PartialAllocation(
         m,
-        Bundle.from_items(d["pool"]),
-        tuple(Bundle.from_items(b) for b in d["bundles"]),
+        _bundle_from_json(d["pool"], m),
+        tuple(_bundle_from_json(b, m) for b in bundles),
     )
 
 

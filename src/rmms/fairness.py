@@ -1,13 +1,22 @@
 """Envy predicates and allocation certificates.
 
-Four envy notions are evaluated per ordered agent pair, from strongest
-(EF1 envy) down to weakest (EF envy); an allocation is EF1/EFL/EFX/EF when
-no pair exhibits the respective envy. Two normalizations keep the hierarchy
-EFX => EFL => EF1 intact:
+One pair kernel, ``_pair``, serves every predicate. For an ordered agent
+pair (i, j) it walks the items e of j's bundle B once, computing v_i(B - e)
+for each and v_i({e}) only where EFL still needs it, and returns EF1, EFL,
+EFX (with its lowest-index witness) and EF envy together. ``certificate``
+makes one pass over the ordered pairs, valuing each agent's own bundle
+once; ``envy_between`` and the ``is_*`` predicates call the same kernel.
+An allocation is EF1/EFL/EFX/EF when no pair exhibits the respective envy.
 
-- an empty envied bundle triggers no envy of any kind (for monotone
-  normalized valuations EF envy toward the empty bundle is impossible, and
-  the universally-quantified predicates would otherwise hold vacuously);
+Each notion is computed from its own definition rather than inferred from
+the hierarchy EFX => EFL => EF1, which needs monotone valuations: a table
+built with ``validate=False`` can break it, and its verdicts must still be
+those of the definitions. Two normalizations keep the hierarchy intact for
+monotone normalized valuations:
+
+- an empty envied bundle triggers no envy of any kind (EF envy toward the
+  empty bundle is then impossible, and the universally-quantified
+  predicates would otherwise hold vacuously);
 - a singleton envied bundle triggers no EFL envy (with one item there is no
   "less preferred" item to point at; without this exemption an allocation
   could be EFX but not EFL).
@@ -15,9 +24,9 @@ EFX => EFL => EF1 intact:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from .core import Instance, PartialAllocation, Valuation, bits_of
+from .core import Instance, PartialAllocation, Valuation
 
 ENVY_KINDS = ("EF1", "EFL", "EFX", "EF", "none")
 
@@ -36,37 +45,50 @@ class EnvyVerdict:
     witness: Optional[int] = None
 
 
-def _ef_envy(v: Valuation, own: int, other: int) -> bool:
-    return v.value_of(own) < v.value_of(other)
+def _pair(v: Valuation, own_val: int, other: int) -> tuple:
+    """(EF1, EFL, EFX, EF, witness) envy toward the non-empty bundle
+    ``other`` of an agent with valuation ``v`` whose own bundle is worth
+    ``own_val``; the first four are bools, indexed as in ENVY_KINDS."""
+    ef1 = True
+    efl = other & (other - 1) != 0
+    witness = None
+    rest = other
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if own_val < v.value_of(other ^ bit):
+            if witness is None:
+                witness = bit.bit_length() - 1
+        else:
+            ef1 = False
+            if efl and own_val >= v.value_of(bit):
+                efl = False
+    return ef1, efl, witness is not None, own_val < v.value_of(other), witness
 
 
-def _efx_witness(v: Valuation, own: int, other: int) -> Optional[int]:
-    own_val = v.value_of(own)
-    for e in bits_of(other):
-        if own_val < v.value_of(other ^ (1 << e)):
-            return e
-    return None
+def _strongest(envy: tuple) -> tuple[str, Optional[int]]:
+    """The strongest kind in a ``_pair`` result, with its EFX witness."""
+    for k in range(4):
+        if envy[k]:
+            return ENVY_KINDS[k], envy[4] if k == 2 else None
+    return "none", None
 
 
-def _efl_envy(v: Valuation, own: int, other: int) -> bool:
-    if other.bit_count() < 2:
-        return False
-    own_val = v.value_of(own)
-    for e in bits_of(other):
-        bit = 1 << e
-        if own_val >= v.value_of(bit) and own_val >= v.value_of(other ^ bit):
-            return False
-    return True
+def _check_shape(inst: Instance, alloc: PartialAllocation) -> None:
+    if alloc.m != inst.m or alloc.n != inst.n:
+        raise ValueError("allocation does not match instance shape")
 
 
-def _ef1_envy(v: Valuation, own: int, other: int) -> bool:
-    if other == 0:
-        return False
-    own_val = v.value_of(own)
-    for e in bits_of(other):
-        if own_val >= v.value_of(other ^ (1 << e)):
-            return False
-    return True
+def _pairs(inst: Instance, alloc: PartialAllocation) -> Iterator[tuple]:
+    """(i, j, envy) for every ordered pair whose envied bundle is non-empty,
+    in (i, j) order."""
+    _check_shape(inst, alloc)
+    masks = [b.mask for b in alloc.bundles]
+    for i, v in enumerate(inst.valuations):
+        own_val = v.value_of(masks[i])
+        for j, other in enumerate(masks):
+            if other and j != i:
+                yield i, j, _pair(v, own_val, other)
 
 
 def envy_between(
@@ -75,78 +97,56 @@ def envy_between(
     """Evaluate all four envy notions of i toward j; return the strongest."""
     if i == j:
         raise ValueError("envy is defined between distinct agents")
-    if alloc.m != inst.m or alloc.n != inst.n:
-        raise ValueError("allocation does not match instance shape")
-    v = inst.valuations[i]
-    own = alloc.bundles[i].mask
+    _check_shape(inst, alloc)
     other = alloc.bundles[j].mask
     if other == 0:
         return EnvyVerdict(i, j, "none")
-    if _ef1_envy(v, own, other):
-        return EnvyVerdict(i, j, "EF1")
-    if _efl_envy(v, own, other):
-        return EnvyVerdict(i, j, "EFL")
-    witness = _efx_witness(v, own, other)
-    if witness is not None:
-        return EnvyVerdict(i, j, "EFX", witness)
-    if _ef_envy(v, own, other):
-        return EnvyVerdict(i, j, "EF")
-    return EnvyVerdict(i, j, "none")
+    v = inst.valuations[i]
+    envy = _pair(v, v.value_of(alloc.bundles[i].mask), other)
+    return EnvyVerdict(i, j, *_strongest(envy))
 
 
-def _scan(inst, alloc, envy_pred) -> tuple[bool, list[EnvyVerdict]]:
-    violations = []
-    for i in range(inst.n):
-        v = inst.valuations[i]
-        own = alloc.bundles[i].mask
-        for j in range(inst.n):
-            if i == j:
-                continue
-            other = alloc.bundles[j].mask
-            if other and envy_pred(v, own, other):
-                violations.append(envy_between(inst, alloc, i, j))
+def _scan(inst, alloc, k: int) -> tuple[bool, list[EnvyVerdict]]:
+    violations = [
+        EnvyVerdict(i, j, *_strongest(envy))
+        for i, j, envy in _pairs(inst, alloc)
+        if envy[k]
+    ]
     return (not violations, violations)
 
 
 def is_ef1(inst: Instance, alloc: PartialAllocation):
     """No ordered pair exhibits EF1 envy."""
-    return _scan(inst, alloc, _ef1_envy)
+    return _scan(inst, alloc, 0)
 
 
 def is_efl(inst: Instance, alloc: PartialAllocation):
     """No ordered pair exhibits EFL envy."""
-    return _scan(inst, alloc, _efl_envy)
+    return _scan(inst, alloc, 1)
 
 
 def is_efx(inst: Instance, alloc: PartialAllocation):
     """No ordered pair exhibits EFX envy."""
-    return _scan(inst, alloc, lambda v, a, b: _efx_witness(v, a, b) is not None)
+    return _scan(inst, alloc, 2)
 
 
 def is_ef(inst: Instance, alloc: PartialAllocation):
     """No ordered pair exhibits plain envy."""
-    return _scan(inst, alloc, _ef_envy)
+    return _scan(inst, alloc, 3)
 
 
 def certificate(inst: Instance, alloc: PartialAllocation) -> dict:
     """JSON-ready fairness certificate for an allocation."""
-    ef1, _ = is_ef1(inst, alloc)
-    efl, _ = is_efl(inst, alloc)
-    efx, _ = is_efx(inst, alloc)
-    ef, _ = is_ef(inst, alloc)
+    clear = [True, True, True, True]
     violations = []
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i == j:
-                continue
-            verdict = envy_between(inst, alloc, i, j)
-            if verdict.kind != "none":
-                violations.append(
-                    {
-                        "envier": verdict.envier,
-                        "envied": verdict.envied,
-                        "kind": verdict.kind,
-                        "witness": verdict.witness,
-                    }
-                )
+    for i, j, envy in _pairs(inst, alloc):
+        kind, witness = _strongest(envy)
+        if kind != "none":
+            for k in range(4):
+                if envy[k]:
+                    clear[k] = False
+            violations.append(
+                {"envier": i, "envied": j, "kind": kind, "witness": witness}
+            )
+    ef1, efl, efx, ef = clear
     return {"ef1": ef1, "efl": efl, "efx": efx, "ef": ef, "violations": violations}

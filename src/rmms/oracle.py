@@ -15,6 +15,7 @@ from .core import (
     Bundle,
     CapExceededError,
     Instance,
+    InvariantError,
     PartialAllocation,
     Valuation,
     bits_of,
@@ -164,7 +165,8 @@ def brute_mxs(inst: Instance, agent: int) -> int:
                 break
         if not envious and (best is None or own_val < best):
             best = own_val
-    assert best is not None, "the all-items bundle is never EFX-envious"
+    if best is None:
+        raise InvariantError("the all-items bundle is never EFX-envious")
     return best
 
 

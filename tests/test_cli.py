@@ -1,10 +1,24 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmms import cli
-from rmms.core import dump_json, instance_from_json, instance_to_json, load_json
+from rmms.core import (
+    InvariantError,
+    ValidationReport,
+    dump_json,
+    instance_from_json,
+    instance_to_json,
+    load_json,
+)
 
 
 def run(argv, capsys=None):
@@ -302,3 +316,145 @@ class TestBench:
         ])
         header = out.read_text().splitlines()[0].split(",")
         assert header[-1] == "wall_time_us"
+
+
+def test_generate_instance_rejects_invalid_output(monkeypatch):
+    # An explicit check, not an assert, so it also holds under python -O.
+    bad = ValidationReport(False, ({"agent": 0, "problem": "broken"},))
+    monkeypatch.setattr(cli, "validate_instance", lambda inst: bad)
+    with pytest.raises(InvariantError, match="invalid instance"):
+        cli.generate_instance(1, 0, 2, 3, "additive", 5)
+
+
+# ---------------------------------------------------------------------------
+# JSON input contract: integers only (no bools, no floats), the expected JSON
+# types, distinct items; anything else exits 2 with a one-line message.
+
+def _with_valuation(valuation, **fields):
+    return {**SMALL, **fields, "valuations": [valuation, SMALL["valuations"][1]]}
+
+
+BAD_INSTANCES = {
+    "m_string": {**SMALL, "m": "3"},
+    "m_bool": {**SMALL, "m": True},
+    "n_float": {**SMALL, "n": 2.0},
+    "top_level_list": [SMALL],
+    "valuations_null": {**SMALL, "valuations": None},
+    "valuation_list": {**SMALL, "valuations": [[3, 1, 1], [1, 1, 3]]},
+    "values_null": _with_valuation({"kind": "additive", "values": None}),
+    "value_true": _with_valuation({"kind": "additive", "values": [True, 1, 1]}),
+    "value_float": _with_valuation({"kind": "additive", "values": [3.0, 1, 1]}),
+    "cap_float": _with_valuation(
+        {"kind": "capped_additive", "values": [3, 1, 1], "cap": 2.5}),
+    "cap_bool": _with_valuation(
+        {"kind": "capped_additive", "values": [3, 1, 1], "cap": True}),
+    "table_entry_float": _with_valuation(
+        {"kind": "table", "values": [0, 1, 1, 2, 1.5, 2, 2, 3]}),
+    "table_entry_bool": _with_valuation(
+        {"kind": "table", "values": [0, True, 1, 2, 1, 2, 2, 3]}),
+    "table_entry_string": _with_valuation(
+        {"kind": "table", "values": [0, 1, 1, 2, 1, "2", 2, 3]}),
+}
+
+
+def assert_one_line_error(argv, capsys):
+    code, _ = run(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_malformed_instance_exits_2(tmp_path, capsys, case):
+    path = write_instance(tmp_path, BAD_INSTANCES[case])
+    assert_one_line_error(["shares", path], capsys)
+
+
+BAD_ALLOCATIONS = {
+    "duplicate_item": {"pool": [], "bundles": [[0, 0, 1], [2]]},
+    "bool_item": {"pool": [], "bundles": [[True, 0], [2]]},
+    "float_item": {"pool": [], "bundles": [[0.0, 1], [2]]},
+    "null_pool": {"pool": None, "bundles": [[0, 1], [2]]},
+    "item_out_of_range": {"pool": [], "bundles": [[0, 1, 2], [10 ** 12]]},
+    "top_level_list": [[0, 1], [2]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ALLOCATIONS))
+def test_malformed_allocation_exits_2(tmp_path, capsys, case):
+    path = write_instance(tmp_path, SMALL)
+    alloc_path = tmp_path / "alloc.json"
+    dump_json(BAD_ALLOCATIONS[case], alloc_path)
+    assert_one_line_error(["check", path, str(alloc_path)], capsys)
+
+
+FUZZ_INSTANCES = [
+    SMALL,
+    {
+        "m": 2,
+        "n": 2,
+        "valuations": [
+            {"kind": "capped_additive", "values": [2, 1], "cap": 2},
+            {"kind": "table", "values": [0, 1, 2, 2]},
+        ],
+    },
+]
+FUZZ_ALLOCATIONS = [
+    {"pool": [1], "bundles": [[0], [2]]},
+    {"pool": [], "bundles": [[1], [0]]},
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4)
+    | st.floats(-2, 4, allow_nan=False) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["m", "n", "kind", "values", "cap", "pool", "bundles"]),
+        inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(data, doc):
+    """``doc`` with one node replaced by an arbitrary JSON value, or with
+    one object key deleted."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return data.draw(JSON_VALUES)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_loaders_fuzz(data):
+    inst = data.draw(st.sampled_from(FUZZ_INSTANCES))
+    alloc = data.draw(st.sampled_from(FUZZ_ALLOCATIONS))
+    if data.draw(st.booleans()):
+        inst = _mutate(data, inst)
+    else:
+        alloc = _mutate(data, alloc)
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, alloc_path = Path(tmp, "inst.json"), Path(tmp, "alloc.json")
+        inst_path.write_text(json.dumps(inst))
+        alloc_path.write_text(json.dumps(alloc))
+        for argv in (["shares", str(inst_path)],
+                     ["check", str(inst_path), str(alloc_path)]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv + ["-o", str(Path(tmp, "out.json"))])
+            assert code in (0, 2, 3, 4)
+            assert err.getvalue().count("\n") == (code != 0)

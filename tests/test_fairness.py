@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
-from rmms.core import Additive, Bundle, Instance, PartialAllocation
-from rmms import fairness, oracle
+from rmms.core import Additive, Bundle, Instance, PartialAllocation, Table
+from rmms import cli, fairness, oracle
 
 
 def _alloc(m, *bundle_items, pool=()):
@@ -137,3 +139,124 @@ def test_certificate_shape():
     assert cert["ef1"] is False
     kinds = {v["kind"] for v in cert["violations"]}
     assert "EF1" in kinds
+
+
+# ---------------------------------------------------------------------------
+# The fairness layer against its definitions, over every partial allocation.
+
+def reference_pair(v, own, other):
+    """(kind, witness, notions) of one ordered pair, straight from the
+    definitions; notions maps each kind to whether that envy is present."""
+    own_val = v.value_of(own)
+    items = [e for e in range(other.bit_length()) if other >> e & 1]
+    rest = {e: v.value_of(other & ~(1 << e)) for e in items}
+    notions = {
+        "EF1": bool(items) and all(own_val < rest[e] for e in items),
+        "EFL": len(items) >= 2 and all(
+            own_val < v.value_of(1 << e) or own_val < rest[e] for e in items
+        ),
+        "EFX": any(own_val < rest[e] for e in items),
+        "EF": bool(items) and own_val < v.value_of(other),
+    }
+    witness = min((e for e in items if own_val < rest[e]), default=None)
+    for kind in ("EF1", "EFL", "EFX", "EF"):
+        if notions[kind]:
+            return kind, witness if kind == "EFX" else None, notions
+    return "none", None, notions
+
+
+def reference_certificate(inst, alloc):
+    pairs = [
+        (i, j, reference_pair(inst.valuations[i], alloc.bundles[i].mask,
+                              alloc.bundles[j].mask))
+        for i in range(inst.n) for j in range(inst.n) if i != j
+    ]
+    cert = {
+        name.lower(): not any(notions[name] for _, _, (_, _, notions) in pairs)
+        for name in ("EF1", "EFL", "EFX", "EF")
+    }
+    cert["violations"] = [
+        {"envier": i, "envied": j, "kind": kind, "witness": witness}
+        for i, j, (kind, witness, _) in pairs if kind != "none"
+    ]
+    return cert, pairs
+
+
+def nonmonotone_table(rng, m):
+    # Small sets tend to be worth more than large ones and v(empty) may be
+    # positive, so the implications EFX => EFL => EF1 and EF1 => EF break.
+    return Table(tuple(
+        rng.randint(0, 6) // max(1, mask.bit_count())
+        + (rng.randint(0, 1) if mask == 0 else 0)
+        for mask in range(1 << m)
+    ), validate=False)
+
+
+def reference_instances():
+    rng = random.Random(23)
+    for n, m in ((2, 5), (3, 4), (4, 3), (3, 5)):
+        for kind in ("additive", "capped_additive", "table"):
+            yield cli.generate_instance(31, 10 * n + m, n, m, kind, 5)
+        yield Instance(m, n, tuple(nonmonotone_table(rng, m) for _ in range(n)))
+
+
+def test_fairness_matches_definitions():
+    predicates = {"EF1": fairness.is_ef1, "EFL": fairness.is_efl,
+                  "EFX": fairness.is_efx, "EF": fairness.is_ef}
+    witnesses, broken = set(), set()
+    for inst in reference_instances():
+        for alloc in oracle.enumerate_allocations(inst, partial=True):
+            want, pairs = reference_certificate(inst, alloc)
+            assert fairness.certificate(inst, alloc) == want
+            for i, j, (kind, witness, notions) in pairs:
+                got = fairness.envy_between(inst, alloc, i, j)
+                assert (got.envier, got.envied, got.kind, got.witness) == (
+                    i, j, kind, witness)
+                witnesses.add(witness)
+                broken.update((a, b) for a in notions for b in notions
+                              if notions[a] and not notions[b])
+            for name, predicate in predicates.items():
+                ok, violations = predicate(inst, alloc)
+                expected = [(i, j, kind, witness)
+                            for i, j, (kind, witness, notions) in pairs
+                            if notions[name]]
+                assert ok == (not expected)
+                assert [(v.envier, v.envied, v.kind, v.witness)
+                        for v in violations] == expected
+    assert 0 in witnesses
+    assert {("EFL", "EFX"), ("EF1", "EFL"), ("EF1", "EF")} <= broken
+
+
+def test_efx_witness_item_zero():
+    # Item 0 is a witness (v({1, 3}) = 4 > 3); item 1 rules out EF1 and EFL.
+    v = Additive((1, 2, 3, 2))
+    inst = Instance(4, 2, (v, v))
+    alloc = _alloc(4, [2], [0, 1, 3])
+    verdict = fairness.envy_between(inst, alloc, 0, 1)
+    assert (verdict.kind, verdict.witness) == ("EFX", 0)
+    assert fairness.is_efx(inst, alloc)[1] == [verdict]
+    assert fairness.certificate(inst, alloc)["violations"] == [
+        {"envier": 0, "envied": 1, "kind": "EFX", "witness": 0}]
+
+
+# SHA-256 of the JSON list of certificates of every partial allocation of
+# cli.generate_instance(47, index, n, m, kind, 6), recorded before the pair
+# kernel replaced the per-notion scans.
+CERTIFICATES_GOLDEN = {
+    ("additive", 3, 5): "2d7fd8d0bbf5f63c6be08c41825f5e9e5386385b2e8962316deb79d56895a881",
+    ("additive", 4, 4): "4bfe8f6e0f4d949227912ba5bcfd8f20dbbf62203d51790d6e3c9a19d8d9e5bf",
+    ("capped_additive", 3, 5): "f3574a92e2d0a3f295d8789ad6599d556c8dce28d7516224df57a06a75e5d502",
+    ("capped_additive", 4, 4): "def3c08f1d936f8349f0fcaf94e44bfa00fbb56d75a948ab7b74f6ffaa3cd674",
+    ("table", 3, 5): "1231a29b83f521c5a3171f0f0d25922d7a27752473d5fd9796c9bf8b7b9332d2",
+    ("table", 4, 4): "0a8ca712aafcb8b74ae79cb90045334637032e5f1dd0b158052778b16834c3e4",
+}
+
+
+@pytest.mark.parametrize("kind", ["additive", "capped_additive", "table"])
+@pytest.mark.parametrize("n,m", [(3, 5), (4, 4)])
+def test_certificates_golden(kind, n, m):
+    inst = cli.generate_instance(47, 10 * n + m, n, m, kind, 6)
+    certs = [fairness.certificate(inst, alloc)
+             for alloc in oracle.enumerate_allocations(inst, partial=True)]
+    digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+    assert digest == CERTIFICATES_GOLDEN[(kind, n, m)]
