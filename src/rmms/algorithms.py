@@ -77,11 +77,13 @@ def envy_cycle_run(
         )
 
     while pool:
-        envy = [[i != j and envies(i, j) for j in range(n)] for i in range(n)]
-        unenvied = next(
-            (j for j in range(n) if not any(envy[i][j] for i in range(n))), None
-        )
-        while unenvied is None:
+        while True:
+            envy = [[i != j and envies(i, j) for j in range(n)] for i in range(n)]
+            unenvied = next(
+                (j for j in range(n) if not any(envy[i][j] for i in range(n))), None
+            )
+            if unenvied is not None:
+                break
             # Every agent is envied, so walking enviers backwards must loop.
             seen: dict[int, int] = {}
             cur = 0
@@ -91,19 +93,12 @@ def envy_cycle_run(
                 path.append(cur)
                 cur = next(i for i in range(n) if envy[i][cur])
             cycle = path[seen[cur]:]
-            # path[k+1] is an envier of path[k], so each cycle member takes
-            # the bundle of its successor's... the bundle it envies.
+            # Each cycle member envies the one before it (cycle[0] envies
+            # cycle[-1]) and takes that member's bundle.
             old = [records[a] for a in cycle]
             for idx, agent in enumerate(cycle):
-                if idx + 1 < len(cycle):
-                    records[cycle[idx + 1]] = old[idx]
-                else:
-                    records[cycle[0]] = old[idx]
+                records[agent] = old[idx - 1]
             trace.rounds.append({"kind": "rotate", "agents": list(cycle)})
-            envy = [[i != j and envies(i, j) for j in range(n)] for i in range(n)]
-            unenvied = next(
-                (j for j in range(n) if not any(envy[i][j] for i in range(n))), None
-            )
         item = (pool & -pool).bit_length() - 1
         pool ^= 1 << item
         records[unenvied]["mask"] |= 1 << item

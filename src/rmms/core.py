@@ -337,10 +337,6 @@ class QueryLedger:
     value_queries: int = 0
     comparison_queries: int = 0
 
-    def reset(self) -> None:
-        self.value_queries = 0
-        self.comparison_queries = 0
-
 
 def _check_range(v: Valuation, bundle: Bundle) -> None:
     if bundle.mask >> v.m:
@@ -376,20 +372,16 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Report every valuation invariant violated by ``inst``.
 
-    Additive and capped-additive valuations are monotone and normalized by
-    construction; tables are rechecked exhaustively (they may have been built
-    unvalidated, e.g. straight from a file).
+    Additive and capped-additive valuations are checked by their
+    constructors and are monotone and normalized by construction; tables are
+    checked exhaustively here (they may have been built unvalidated, e.g.
+    straight from a file).
     """
     violations: list[dict] = []
     for i, v in enumerate(inst.valuations):
         if isinstance(v, Table):
             for problem in table_violations(v.values):
                 violations.append({"agent": i, "problem": problem})
-        else:
-            for problem in _check_item_values(v.values):
-                violations.append({"agent": i, "problem": problem})
-            if isinstance(v, CappedAdditive) and v.cap < 0:
-                violations.append({"agent": i, "problem": f"negative cap {v.cap}"})
     return ValidationReport(not violations, tuple(violations))
 
 

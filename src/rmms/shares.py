@@ -4,20 +4,23 @@ All solvers enumerate subsets (2^m) and are intentionally exponential;
 ``core.MAX_EXACT_ITEMS`` bounds what they accept. Searches are anchored on
 the lowest item index throughout, so every witness is deterministic.
 
-Two searches do the work:
+Two searches do the work, one per kind of part family. Both scan the same
+way and remember every (mask, q) state that failed for their lifetime.
+Both also fail a state without a search when a state one item away has
+already failed and the family's closure passes that failure on.
 
-- **pack** (``_packer``): split a mask into q parts, each worth >= t.
-  ``acceptable_partition``, MMS and the residual check all use it. A packer
-  serves one threshold and remembers every (mask, q) state that failed, so
-  the residual check, which asks about many remainders at the same t, never
-  searches a failed state twice. Failure is inherited by subsets: a mask
-  with no q-partition has no subset with one.
-- **cover**: split a mask into at most q parts from a downward-closed
-  family. The residual check uses it for the removals (parts worth < t,
-  ``can_split_low``); there failure is inherited by supersets. MXS uses it
-  for the other agents' bundles (parts the agent does not EFX-envy,
-  ``cover`` in ``mxs``), with g(P), the most the agent values P minus one
-  item, computed once per agent.
+- **pack** (``_packer``): split a mask into q parts, each worth >= t. The
+  family is upward-closed. ``acceptable_partition``, MMS and the residual
+  check all use it. A packer serves one threshold, so the residual check,
+  which asks about many remainders at the same t, never searches a failed
+  state twice. Failure is inherited by subsets: a mask with no q-partition
+  has no subset with one.
+- **cover** (``_coverer``): split a mask into at most q parts P with
+  weights[P] <= bound. The family is downward-closed, so failure is
+  inherited by supersets. The residual check uses it for the removals
+  (parts worth < t, that is <= t - 1). MXS uses it for the other agents'
+  bundles (parts the agent does not EFX-envy), with weights g(P), the most
+  the agent values P minus one item, computed once per agent.
 
 The residual check tests each removal R only at its binding k, the fewest
 parts worth < t that R splits into. This is exact. If S minus R splits into
@@ -31,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from itertools import groupby
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     MAX_EXACT_ITEMS,
@@ -141,6 +145,53 @@ def _packer(
     return pack
 
 
+def _coverer(
+    weights: Sequence[int], bound: int
+) -> Callable[[int, int], Optional[list[int]]]:
+    """The cover search for the parts P with ``weights[P] <= bound``.
+
+    ``cover(mask, q)`` returns the first split of ``mask`` into q parts from
+    that family, as part masks, or None. Empty parts are allowed, so this
+    asks for at most q non-empty parts. Each part is anchored on the lowest
+    remaining item and candidate parts are scanned in ascending mask order.
+    Failed (mask, q) states are kept for the coverer's lifetime; a state
+    also fails, without a search, when the state with one item fewer did.
+    ``weights`` must be monotone, so that the family is downward-closed.
+    """
+    failed: set[tuple[int, int]] = set()
+
+    def cover(mask: int, parts: int) -> Optional[list[int]]:
+        if mask == 0:
+            return [0] * parts
+        if parts == 1:
+            return [mask] if weights[mask] <= bound else None
+        if (mask, parts) in failed:
+            return None
+        p = mask
+        while p:
+            e = p & -p
+            if (mask ^ e, parts) in failed:
+                failed.add((mask, parts))
+                return None
+            p ^= e
+        low = mask & -mask
+        rest = mask ^ low
+        sub = 0
+        while True:
+            part = low | sub
+            if weights[part] <= bound:
+                tail = cover(mask ^ part, parts - 1)
+                if tail is not None:
+                    return [part] + tail
+            if sub == rest:
+                break
+            sub = (sub - rest) & rest
+        failed.add((mask, parts))
+        return None
+
+    return cover
+
+
 def _partition(
     table: tuple[int, ...], smask: int, q: int, t: int
 ) -> Optional[tuple[Bundle, ...]]:
@@ -222,51 +273,15 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
     pack = _packer(table, t)
     if pack(smask, n) is None:
         return ResidualCheck(False, 0, Bundle())
-    split_memo: dict[tuple[int, int], bool] = {}
-
-    def can_split_low(R: int, k: int) -> bool:
-        # R partitions into at most k >= 1 non-empty bundles, each of value
-        # < t. Any scan order gives the same answer; large first parts first
-        # finds a split sooner.
-        if table[R] < t:
-            return True
-        if k == 1:
-            return False
-        key = (R, k)
-        cached = split_memo.get(key)
-        if cached is not None:
-            return cached
-        # Splitting into k low parts is downward closed, so R cannot split if
-        # some R minus one item is already known not to.
-        p = R
-        while p:
-            e = p & -p
-            if split_memo.get((R ^ e, k)) is False:
-                split_memo[key] = False
-                return False
-            p ^= e
-        low = R & -R
-        rest = R ^ low
-        sub = rest
-        result = False
-        while sub:
-            sub = (sub - 1) & rest
-            part = low | sub
-            if table[part] < t and (
-                table[R ^ part] < t or (k > 2 and can_split_low(R ^ part, k - 1))
-            ):
-                result = True
-                break
-        split_memo[key] = result
-        return result
-
+    # Parts worth < t are the parts worth <= t - 1: values are integers.
+    cover = _coverer(table, t - 1)
     # Removals not yet split into fewer than k low parts, ascending; R = 0
     # binds at k = 0, checked above.
     pending = [R for R in submasks(smask) if R]
     for k in range(1, n):
         unbound = []
         for R in pending:
-            if not can_split_low(R, k):
+            if cover(R, k) is None:
                 unbound.append(R)
             elif pack(smask ^ R, n - k) is None:
                 return ResidualCheck(False, k, Bundle(R))
@@ -336,48 +351,21 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
             p ^= low
         g[P] = best
 
-    # Partition the complement of the own bundle into n-1 bundles none of
-    # which the agent EFX-envies. "Not envied" is downward closed, so empty
-    # parts are fine. Failed states depend only on the own bundle's value,
-    # so they are kept across own bundles of the same value.
-    threshold = 0
-    failed: set[tuple[int, int]] = set()
-
-    def cover(mask: int, parts: int) -> Optional[list[int]]:
-        if mask == 0:
-            return [0] * parts
-        if parts == 0:
-            return None
-        if parts == 1:
-            return [mask] if g[mask] <= threshold else None
-        if (mask, parts) in failed:
-            return None
-        low = mask & -mask
-        rest = mask ^ low
-        sub = 0
-        while True:
-            part = low | sub
-            if g[part] <= threshold:
-                tail = cover(mask ^ part, parts - 1)
-                if tail is not None:
-                    return [part] + tail
-            if sub == rest:
-                break
-            sub = (sub - rest) & rest
-        failed.add((mask, parts))
-        return None
-
+    # Split the complement of the own bundle into n-1 bundles none of which
+    # the agent EFX-envies. "Not envied" is downward-closed because g is
+    # monotone, so empty parts are fine. The cover search depends only on
+    # the own bundle's value, so one coverer serves all own bundles of
+    # that value.
     order = sorted(range(1 << m), key=lambda s: (table[s], s))
-    for own in order:
-        if table[own] != threshold:
-            threshold = table[own]
-            failed.clear()
-        others = cover(full ^ own, n - 1)
-        if others is not None:
-            bundles = others[:agent] + [own] + others[agent:]
-            return ShareReport(
-                "MXS", table[own], tuple(Bundle(b) for b in bundles[:n]), agent, n
-            )
+    for value, owns in groupby(order, key=table.__getitem__):
+        cover = _coverer(g, value)
+        for own in owns:
+            others = cover(full ^ own, n - 1)
+            if others is not None:
+                bundles = others[:agent] + [own] + others[agent:]
+                return ShareReport(
+                    "MXS", value, tuple(Bundle(b) for b in bundles[:n]), agent, n
+                )
     raise InvariantError("own = all items always admits an envy-free remainder")
 
 

@@ -42,6 +42,26 @@ class TestEnvyCycleRun:
         assert trace.matching == [0, 1]
         assert trace.last_added == [None, None]
 
+    def test_rotation_follows_envy_cycle(self):
+        # Agent 0 envies 1, 1 envies 2 and 2 envies 0, so nobody is
+        # un-envied: each agent takes the bundle it envies, then agent 0
+        # gets the pool item.
+        inst = Instance(4, 3, (
+            Additive((1, 5, 0, 1)),
+            Additive((0, 1, 5, 1)),
+            Additive((5, 0, 1, 1)),
+        ))
+        start = _alloc(4, [0], [1], [2], pool=[3])
+        ledger = QueryLedger()
+        alloc, trace = algorithms.envy_cycle_run(inst, start, ledger)
+        assert alloc == _alloc(4, [1, 3], [2], [0])
+        assert trace.rounds == [
+            {"kind": "rotate", "agents": [0, 2, 1]},
+            {"kind": "grant", "agent": 0, "item": 3},
+        ]
+        assert trace.matching == [1, 2, 0]
+        assert ledger.comparison_queries == 12
+
     def test_three_step_example(self):
         inst = Instance(2, 2, (Additive((1, 1)), Additive((1, 1))))
         start = _alloc(2, [0], [], pool=[1])

@@ -154,6 +154,33 @@ def test_shares_output_golden(tmp_path, kind, n, m):
     assert digest == SHARES_GOLDEN[(kind, n, m)]
 
 
+# sha256 of `rmms bench --agents 3 --items 6 --trials 4 --seed 2026 -o FILE`
+# per algorithm and kind. They pin the share columns, the efx/efl/ef1 flags
+# (both 0 and 1 occur in each) and both query counts byte for byte.
+BENCH_GOLDEN = {
+    ("envy-cycle", "additive"): "d1a533c2a5a9c516757c041e4de31b35b2e0cdbce2e4c903dd7be5e1b8316836",
+    ("envy-cycle", "capped_additive"): "2047bf36d0d86bfcd3a8741d91c62a9b5fcba11fff911258f8d324d6138894e3",
+    ("envy-cycle", "table"): "d80418516041a8a472af64fc188f7e5f7ba6a8d53aef492719cce7e01b8537ac",
+    ("rmms-efx", "additive"): "3025c069868faf20d47089cf3e05e82407714e56fd94078f7b44a17211ef883e",
+    ("rmms-efx", "capped_additive"): "48eea10cf114e64aec055443058b35d57e006c9bb11eb13111132924b012d79b",
+    ("rmms-efx", "table"): "8343583660b519168bd3e2bbfc6c762778f5efb97bba169bd758a16a7a952081",
+    ("rmms-efl", "additive"): "b7ca2a0852f32feabc640e594ca44cfbc7e7abd55caaadf3135d5d26879f0a28",
+    ("rmms-efl", "capped_additive"): "efa32f9bb67a2b16dca6623125ede7399e4b51bdbe58fc99e90672136cea4039",
+    ("rmms-efl", "table"): "0b8841d7b77324628bd44d74dff1f3890d803feca8a0c6479ae6821793bb4444",
+}
+
+
+@pytest.mark.parametrize("algorithm, kind", sorted(BENCH_GOLDEN))
+def test_bench_csv_golden(tmp_path, algorithm, kind):
+    out = tmp_path / "bench.csv"
+    code, _ = run(["bench", "--agents", "3", "--items", "6", "--kind", kind,
+                   "--trials", "4", "--seed", "2026", "--algorithm", algorithm,
+                   "-o", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == BENCH_GOLDEN[(algorithm, kind)]
+
+
 class TestAllocateCheck:
     def test_pipeline(self, tmp_path):
         path = write_instance(tmp_path, SMALL)

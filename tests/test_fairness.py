@@ -73,13 +73,14 @@ def test_hierarchy_exhaustive_small():
             for chosen in itertools.product(vecs, repeat=n):
                 inst = Instance(m, n, tuple(Additive(v) for v in chosen))
                 for alloc in oracle.enumerate_allocations(inst, partial=True):
-                    efx = fairness.is_efx(inst, alloc)[0]
-                    efl = fairness.is_efl(inst, alloc)[0]
-                    ef1 = fairness.is_ef1(inst, alloc)[0]
-                    if efx:
-                        assert efl
-                    if efl:
-                        assert ef1
+                    # One certificate gives all three flags; that they
+                    # match the is_* predicates is checked in
+                    # test_fairness_matches_definitions.
+                    cert = fairness.certificate(inst, alloc)
+                    if cert["efx"]:
+                        assert cert["efl"]
+                    if cert["efl"]:
+                        assert cert["ef1"]
 
 
 def test_all_singleton_allocations_are_efx():

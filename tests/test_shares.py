@@ -232,6 +232,63 @@ def test_residual_check_matches_naive_scan(kind):
         assert 2 in failing_k
 
 
+def naive_mxs(inst, agent):
+    """(value, witness masks) of MXS from an unmemoized scan: own bundles in
+    (value, mask) order, and for each the first split of the complement, in
+    ascending anchored order, into n - 1 parts the agent does not EFX-envy."""
+    v = inst.valuations[agent]
+    m, n = inst.m, inst.n
+    vals = [v.value_of(mask) for mask in range(1 << m)]
+    everything = (1 << m) - 1
+
+    def split(mask, q, own_value):
+        # At most q non-empty parts, empty parts padding the rest.
+        if mask == 0:
+            return [0] * q
+        if q == 0:
+            return None
+        low = mask & -mask
+        for part in range(low, mask + 1):
+            if part & ~mask or not part & low:
+                continue
+            not_envied = all(
+                vals[part ^ (1 << e)] <= own_value
+                for e in range(m) if part >> e & 1
+            )
+            if not_envied:
+                tail = split(mask ^ part, q - 1, own_value)
+                if tail is not None:
+                    return [part] + tail
+        return None
+
+    for own in sorted(range(1 << m), key=lambda s: (vals[s], s)):
+        others = split(everything ^ own, n - 1, vals[own])
+        if others is not None:
+            return vals[own], others[:agent] + [own] + others[agent:]
+
+
+def test_mxs_matches_naive_cover():
+    from rmms.cli import generate_instance
+
+    rng = random.Random(12)
+    most_parts = 0
+    for kind in ("additive", "capped_additive", "table"):
+        for n in (2, 3, 4):
+            for m in range(1, 8):
+                for _ in range(2):
+                    inst = generate_instance(rng.randrange(10 ** 6), 0, n, m,
+                                             kind, 6)
+                    for agent in range(n):
+                        report = mxs(inst, agent)
+                        got = (report.value, [b.mask for b in report.witness])
+                        value, witness = naive_mxs(inst, agent)
+                        assert got == (value, witness), (inst, agent)
+                        others = witness[:agent] + witness[agent + 1:]
+                        most_parts = max(most_parts, sum(1 for b in others if b))
+    # Some witness splits the complement into two or more non-empty parts.
+    assert most_parts >= 2
+
+
 class TestRmms:
     def test_single_agent(self):
         v = Additive((2, 5))
