@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -433,8 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves a parser unchanged, so one parser serves every call.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceededError as exc:

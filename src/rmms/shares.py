@@ -4,10 +4,7 @@ All solvers enumerate subsets (2^m) and are intentionally exponential;
 ``core.MAX_EXACT_ITEMS`` bounds what they accept. Searches are anchored on
 the lowest item index throughout, so every witness is deterministic.
 
-Two searches do the work, one per kind of part family. Both scan the same
-way and remember every (mask, q) state that failed for their lifetime.
-Both also fail a state without a search when a state one item away has
-already failed and the family's closure passes that failure on.
+Two searches and one lattice kernel do the work.
 
 - **pack** (``_packer``): split a mask into q parts, each worth >= t. The
   family is upward-closed. ``acceptable_partition``, MMS and the residual
@@ -17,17 +14,28 @@ already failed and the family's closure passes that failure on.
   has no subset with one.
 - **cover** (``_coverer``): split a mask into at most q parts P with
   weights[P] <= bound. The family is downward-closed, so failure is
-  inherited by supersets. The residual check uses it for the removals
-  (parts worth < t, that is <= t - 1). MXS uses it for the other agents'
-  bundles (parts the agent does not EFX-envy), with weights g(P), the most
-  the agent values P minus one item, computed once per agent.
+  inherited by supersets. MXS uses it for the other agents' bundles (parts
+  the agent does not EFX-envy), with weights g(P), the most the agent
+  values P minus one item, computed once per agent.
+- **cover ladder** (``_cover_ladder``): the same question as cover for
+  every mask at once. For a downward-closed family over all 2^m masks it
+  yields, for k = 1, 2, ..., the masks that are unions of at most k
+  members, each step one zeta/Moebius cover product
+  (Bjorklund-Husfeldt-Koivisto). The residual check uses it for the
+  removals: parts inside S worth < t, that is <= t - 1.
+
+Both searches scan the same way and remember every (mask, q) state that
+failed for their lifetime. Both also fail a state without a search when a
+state one item away has already failed and the family's closure passes
+that failure on.
 
 The residual check tests each removal R only at its binding k, the fewest
-parts worth < t that R splits into. This is exact. If S minus R splits into
-n - k0 parts worth >= t, merging parts gives a split into n - k parts for
-every k >= k0, so a larger k fails only where k0 already fails. The first
-failing (k, R) in (k ascending, R ascending) order is therefore the same as
-in a scan of every k.
+parts worth < t that R splits into: the masks in rung k of the ladder and
+not in rung k - 1. This is exact. If S minus R splits into n - k0 parts
+worth >= t, merging parts gives a split into n - k parts for every
+k >= k0, so a larger k fails only where k0 already fails. The first failing
+(k, R) in (k ascending, R ascending) order is therefore the same as in a
+scan of every k.
 """
 from __future__ import annotations
 
@@ -35,7 +43,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     MAX_EXACT_ITEMS,
@@ -91,6 +101,18 @@ def _value_table(v: Valuation) -> tuple[int, ...]:
         cap = v.cap
         table = [val if val < cap else cap for val in table]
     return tuple(table)
+
+
+@lru_cache(maxsize=1)
+def _value_array(v: Valuation) -> np.ndarray:
+    """``_value_table(v)`` as an int64 array, read-only.
+
+    One entry is enough: the residual checks of one agent's thresholds run
+    one after another, so the array is built once per agent.
+    """
+    values = np.array(_value_table(v), dtype=np.int64)
+    values.flags.writeable = False
+    return values
 
 
 @lru_cache(maxsize=4096)
@@ -192,6 +214,48 @@ def _coverer(
     return cover
 
 
+def _zeta(a: np.ndarray) -> np.ndarray:
+    """In place: a[X] becomes the sum of a over the submasks of X."""
+    for i in range(a.size.bit_length() - 1):
+        pairs = a.reshape(-1, 2, 1 << i)
+        pairs[:, 1] += pairs[:, 0]
+    return a
+
+
+def _moebius(a: np.ndarray) -> np.ndarray:
+    """In place: the inverse of ``_zeta``."""
+    for i in range(a.size.bit_length() - 1):
+        pairs = a.reshape(-1, 2, 1 << i)
+        pairs[:, 1] -= pairs[:, 0]
+    return a
+
+
+def _cover_ladder(family: np.ndarray) -> Iterator[np.ndarray]:
+    """The cover search for every mask at once.
+
+    ``family`` is a boolean array over all 2^m masks that marks a
+    downward-closed family (so it holds the empty mask). Yields, for
+    k = 1, 2, ..., as many rungs as the caller takes, the boolean array
+    "X is a union of at most k members". As the family is downward-closed,
+    that is "X splits into at most k members", the question ``_coverer``
+    answers for one X. Rung 1 is the family; rung k + 1 is computed only
+    when asked for, as the cover product
+    ``moebius(zeta(rung k) * zeta(family)) > 0``.
+
+    The arithmetic is exact in int64. A zeta value counts submasks, at most
+    2^m, so a product is at most 4^m; each partial Moebius sum adds at most
+    2^m such terms, so every intermediate value is at most
+    8^m <= 2^60 at ``MAX_EXACT_ITEMS`` = 20.
+    """
+    yield family
+    members = _zeta(family.astype(np.int64))
+    counts = members  # zeta of rung 1
+    while True:
+        rung = _moebius(counts * members) > 0
+        yield rung
+        counts = _zeta(rung.astype(np.int64))
+
+
 def _partition(
     table: tuple[int, ...], smask: int, q: int, t: int
 ) -> Optional[tuple[Bundle, ...]]:
@@ -273,19 +337,18 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
     pack = _packer(table, t)
     if pack(smask, n) is None:
         return ResidualCheck(False, 0, Bundle())
-    # Parts worth < t are the parts worth <= t - 1: values are integers.
-    cover = _coverer(table, t - 1)
-    # Removals not yet split into fewer than k low parts, ascending; R = 0
-    # binds at k = 0, checked above.
-    pending = [R for R in submasks(smask) if R]
-    for k in range(1, n):
-        unbound = []
-        for R in pending:
-            if cover(R, k) is None:
-                unbound.append(R)
-            elif pack(smask ^ R, n - k) is None:
+    # The removals split into parts inside S worth < t, that is <= t - 1:
+    # values are integers. Rung k minus rung k - 1 holds the removals whose
+    # binding k is k; rung 0 is R = 0 alone, checked above.
+    values = _value_array(v)
+    masks = np.arange(values.size)
+    low = (values <= t - 1) & ((masks | smask) == smask)
+    fewer = masks == 0
+    for k, rung in zip(range(1, n), _cover_ladder(low)):
+        for R in np.flatnonzero(rung & ~fewer).tolist():
+            if pack(smask ^ R, n - k) is None:
                 return ResidualCheck(False, k, Bundle(R))
-        pending = unbound
+        fewer = rung
     return ResidualCheck(True)
 
 
@@ -294,8 +357,13 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     S = Bundle(smask)
     ceiling = _mms(v, smask, n).value
     candidates = [c for c in _candidate_values(v, smask) if c <= ceiling]
-    # Descending scan; feasibility is not assumed monotone in t, but the
-    # first feasible candidate in descending order is the global maximum.
+    # Feasibility is monotone in t: for t' < t, every removal that qualifies
+    # at t' (parts worth < t') also qualifies at t, and a pack at t is also a
+    # pack at t'. So the first feasible candidate in descending order is the
+    # maximum. The scan stays descending rather than bisecting: RMMS is
+    # usually at or just below MMS, so few thresholds are visited, and an
+    # infeasible one stops at its first failing removal where a feasible
+    # one checks every removal.
     for t in reversed(candidates):
         if is_residual_feasible(v, S, n, t).feasible:
             witness = _partition(_value_table(v), smask, n, t)
@@ -340,16 +408,14 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
 
     # g[P] is the most the agent values P with one item taken out, so she
     # has no EFX envy toward P iff g[P] <= v(own).
-    g = [0] * (1 << m)
-    for P in range(1, 1 << m):
-        best = 0
-        p = P
-        while p:
-            low = p & -p
-            if table[P ^ low] > best:
-                best = table[P ^ low]
-            p ^= low
-        g[P] = best
+    # One pass per item i: in the pair view, P holding i sits at [:, 1] and
+    # P without i at [:, 0].
+    values = _value_array(v)
+    g = np.zeros_like(values)
+    for i in range(m):
+        with_item = g.reshape(-1, 2, 1 << i)[:, 1]
+        np.maximum(with_item, values.reshape(-1, 2, 1 << i)[:, 0], out=with_item)
+    g = g.tolist()
 
     # Split the complement of the own bundle into n-1 bundles none of which
     # the agent EFX-envies. "Not envied" is downward-closed because g is

@@ -353,6 +353,51 @@ def test_generate_instance_rejects_invalid_output(monkeypatch):
         cli.generate_instance(1, 0, 2, 3, "additive", 5)
 
 
+def test_main_reuses_one_parser(tmp_path, monkeypatch):
+    # Many calls in one process, across subcommands and usage errors, give
+    # what a fresh parser per call gives.
+    path = write_instance(tmp_path, SMALL)
+    alloc_path = tmp_path / "alloc.json"
+    dump_json({"pool": [1], "bundles": [[0], [2]]}, alloc_path)
+    greedy_path = tmp_path / "greedy.json"
+    dump_json({"pool": [], "bundles": [[0, 1, 2], []]}, greedy_path)
+    calls = [
+        ["shares", path],
+        ["check", path, str(alloc_path), "--require", "ef"],
+        ["shares", path, "--share", "mms"],
+        ["shares"],
+        ["allocate", path, "--algorithm", "envy-cycle"],
+        ["frobnicate"],
+        ["check", path, str(greedy_path), "--require", "ef1"],
+        ["shares", path, "--share", "rmms"],
+        ["gen", "--agents", "2", "--items", "3", "-o", "OUT"],
+        ["shares", path],
+    ]
+
+    def outcomes(tag):
+        results = []
+        for argv in calls:
+            argv = [str(tmp_path / tag) if a == "OUT" else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            results.append((code, out.getvalue(), err.getvalue()))
+        gen_dir = tmp_path / tag
+        files = {p.name: p.read_bytes() for p in sorted(gen_dir.iterdir())}
+        return results, files
+
+    assert cli._parser() is cli._parser()
+    cached = outcomes("cached")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = outcomes("fresh")
+    assert cached == fresh
+    codes = [code for code, _, _ in cached[0]]
+    assert codes == [0, 0, 0, 2, 0, 2, 4, 0, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # JSON input contract: integers only (no bools, no floats), the expected JSON
 # types, distinct items; anything else exits 2 with a one-line message.

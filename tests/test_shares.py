@@ -2,9 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmms.core import (
+    MAX_EXACT_ITEMS,
     Additive,
     Bundle,
     CapExceededError,
@@ -131,11 +135,11 @@ class TestResidualFeasible:
             assert check.removed is not None
 
 
-def naive_residual_scan(v, m, n, t):
+def naive_residual_scan(v, smask, n, t):
     """(feasible, k, removed mask) from scanning every k in [0, n) and every
-    removal R in ascending order, with unmemoized searches."""
-    vals = [v.value_of(mask) for mask in range(1 << m)]
-    everything = (1 << m) - 1
+    removal R inside S = smask in ascending order, with unmemoized
+    searches."""
+    vals = [v.value_of(mask) for mask in range(smask + 1)]
 
     def nonempty_submasks(mask):
         return [sub for sub in range(1, mask + 1) if sub & ~mask == 0]
@@ -160,11 +164,11 @@ def naive_residual_scan(v, m, n, t):
 
     if t == 0:
         return True, None, None
-    if not splits_high(everything, n):
+    if not splits_high(smask, n):
         return False, 0, 0
     for k in range(1, n):
-        for R in range(1, everything + 1):
-            if splits_low(R, k) and not splits_high(everything ^ R, n - k):
+        for R in nonempty_submasks(smask):
+            if splits_low(R, k) and not splits_high(smask ^ R, n - k):
                 return False, k, R
     return True, None, None
 
@@ -215,21 +219,87 @@ def residual_case_valuations(kind, rng):
 
 @pytest.mark.parametrize("kind", ["additive", "capped_additive", "table"])
 def test_residual_check_matches_naive_scan(kind):
+    # S is all items, and all items but the middle one, so removals and
+    # remainders must stay inside S.
     failing_k = set()
+    failing_inside = False
     for v, m, n in residual_case_valuations(kind, random.Random(11)):
-        ceiling = mms(v, full(m), n).value
-        for t in sorted({v.value_of(mask) for mask in range(1 << m)}):
-            if t > ceiling:
-                break
-            check = is_residual_feasible(v, full(m), n, t)
-            removed = None if check.removed is None else check.removed.mask
-            got = (check.feasible, check.k, removed)
-            assert got == naive_residual_scan(v, m, n, t), (v, n, t)
-            failing_k.add(check.k)
-    # The corpus reaches removals, not just the k = 0 check.
+        everything = (1 << m) - 1
+        for smask in {everything, everything ^ (1 << (m // 2))}:
+            S = Bundle(smask)
+            ceiling = mms(v, S, n).value
+            for t in sorted({v.value_of(mask) for mask in range(smask + 1)
+                             if mask & ~smask == 0}):
+                if t > ceiling:
+                    break
+                check = is_residual_feasible(v, S, n, t)
+                removed = None if check.removed is None else check.removed.mask
+                got = (check.feasible, check.k, removed)
+                assert got == naive_residual_scan(v, smask, n, t), (v, smask, n, t)
+                failing_k.add(check.k)
+                failing_inside |= bool(removed) and smask != everything
+    # The corpus reaches removals, not just the k = 0 check; with tables,
+    # also inside a proper subset S.
     assert 1 in failing_k
     if kind == "table":
-        assert 2 in failing_k
+        assert 2 in failing_k and failing_inside
+
+
+@given(kind=st.sampled_from(["additive", "capped_additive", "table"]),
+       m=st.integers(1, 6), n=st.integers(1, 4),
+       seed=st.integers(0, 10 ** 6), drop=st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_residual_feasible_thresholds_form_a_down_set(kind, m, n, seed, drop):
+    # For t' < t, a removal that qualifies at t' qualifies at t, and a pack
+    # at t is a pack at t'. So feasibility holds up to RMMS and fails above.
+    from rmms.cli import generate_instance
+
+    v = generate_instance(seed, 0, 1, m, kind, 9).valuations[0]
+    smask = ((1 << m) - 1) & ~(1 << drop)
+    candidates = sorted({v.value_of(mask) for mask in range(smask + 1)
+                         if mask & ~smask == 0})
+    feasible = [is_residual_feasible(v, Bundle(smask), n, t).feasible
+                for t in candidates + [candidates[-1] + 1]]
+    count = feasible.count(True)
+    assert feasible == [True] * count + [False] * (len(feasible) - count)
+    assert candidates[count - 1] == rmms(v, Bundle(smask), n).value
+
+
+def cover_ladder_families(rng):
+    """(table, bound) pairs: generated additive, capped and table valuations
+    and XOS tables with m <= 8, each at its least, largest and two middle
+    distinct values as bounds."""
+    from rmms.cli import generate_instance
+
+    for m in range(1, 9):
+        tables = [shares._value_table(generate_instance(
+            rng.randrange(10 ** 6), 0, 1, m, kind, 6).valuations[0])
+            for kind in ("additive", "capped_additive", "table")]
+        tables.append(xos_table([[rng.choice((0, 0, 1, 3, 5))
+                                  for _ in range(m)] for _ in range(3)]).values)
+        for table in tables:
+            values = sorted(set(table))
+            for i in (0, len(values) // 3, 2 * len(values) // 3, -1):
+                yield table, values[i]
+
+
+def test_cover_ladder_matches_coverer():
+    # Rung k holds X iff the cover search splits X into at most k parts.
+    grows_at_4 = False
+    for table, bound in cover_ladder_families(random.Random(13)):
+        ladder = shares._cover_ladder(np.array(table) <= bound)
+        rungs = [None] + list(itertools.islice(ladder, 4))
+        cover = shares._coverer(table, bound)
+        for k in range(1, 5):
+            expected = [cover(X, k) is not None for X in range(len(table))]
+            assert rungs[k].tolist() == expected, (table, bound, k)
+        grows_at_4 |= not np.array_equal(rungs[4], rungs[3])
+    assert grows_at_4
+
+
+def test_cover_ladder_counts_fit_int64():
+    # _cover_ladder's intermediate values are at most 8^m.
+    assert 8 ** MAX_EXACT_ITEMS < 2 ** 63
 
 
 def naive_mxs(inst, agent):
