@@ -22,12 +22,27 @@ Two searches and one lattice kernel do the work.
   yields, for k = 1, 2, ..., the masks that are unions of at most k
   members, each step one zeta/Moebius cover product
   (Bjorklund-Husfeldt-Koivisto). The residual check uses it for the
-  removals: parts inside S worth < t, that is <= t - 1.
+  removals: parts inside S worth < t, that is <= t - 1. MXS uses it from
+  ``MXS_LADDER_ITEMS`` items up.
 
 Both searches scan the same way and remember every (mask, q) state that
 failed for their lifetime. Both also fail a state without a search when a
 state one item away has already failed and the family's closure passes
 that failure on.
+
+MXS is the least t = v(own) at which the complement of own splits into
+n - 1 parts with g <= t. Below ``MXS_LADDER_ITEMS`` items it runs one cover
+search per own bundle in (value, mask) order. From there up it works over
+the distinct values t of v. With C_t, rung n - 1 of the ladder of
+{P : g(P) <= t}, it bisects for the least t at which some X in C_t has
+v(full ^ X) <= t. That predicate grows with t, as C_t does. Any t with an
+exact hit, some X in C_t with v(full ^ X) == t, satisfies it, so its least
+t is an exact lower bound on MXS. It can be lower than MXS: the own
+bundle that satisfies it may be worth less than t, and its complement need
+not split at that lower value. A scan upward from the bound then takes the
+first t with an exact hit, and the lowest own bundle among the hits. One
+cover search for that own bundle gives the other bundles, so both paths
+give the same witness.
 
 The residual check tests each removal R only at its binding k, the fewest
 parts worth < t that R splits into: the masks in rung k of the ladder and
@@ -41,8 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from itertools import groupby
+from functools import lru_cache, partial
+from itertools import groupby, islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -54,7 +69,6 @@ from .core import (
     Instance,
     InvariantError,
     Valuation,
-    submasks,
 )
 
 
@@ -107,8 +121,10 @@ def _value_table(v: Valuation) -> tuple[int, ...]:
 def _value_array(v: Valuation) -> np.ndarray:
     """``_value_table(v)`` as an int64 array, read-only.
 
-    One entry is enough: the residual checks of one agent's thresholds run
-    one after another, so the array is built once per agent.
+    The residual check, the candidate values and MXS read it. One entry is
+    enough: callers ask about one agent many times in a row (the residual
+    checks of its thresholds, for one), so the array is rebuilt only when
+    the agent changes.
     """
     values = np.array(_value_table(v), dtype=np.int64)
     values.flags.writeable = False
@@ -118,8 +134,10 @@ def _value_array(v: Valuation) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def _candidate_values(v: Valuation, smask: int) -> tuple[int, ...]:
     """Distinct subset values of smask, ascending. Always contains 0."""
-    table = _value_table(v)
-    return tuple(sorted({table[sub] for sub in submasks(smask)}))
+    masks = np.arange(1 << v.m)
+    values = np.sort(_value_array(v)[(masks | smask) == smask])
+    # Values are >= 0, so the first one always differs from -1.
+    return tuple(values[np.diff(values, prepend=-1) != 0].tolist())
 
 
 def _packer(
@@ -134,37 +152,41 @@ def _packer(
     state also fails, without a search, when the state with one more item
     did.
     """
-    failed: set[tuple[int, int]] = set()
-    everything = len(table) - 1
+    return partial(_pack, table, t, set())
 
-    def pack(remaining: int, parts: int) -> Optional[list[int]]:
-        if table[remaining] < t:
-            return None  # monotone: no part inside `remaining` can reach t
-        if parts == 1:
-            return [remaining]
-        if (remaining, parts) in failed:
-            return None
-        p = everything ^ remaining
-        while p:
-            e = p & -p
-            if (remaining | e, parts) in failed:
-                failed.add((remaining, parts))
-                return None
-            p ^= e
-        low = remaining & -remaining
-        rest = remaining ^ low
-        sub = 0
-        while sub != rest:
-            part = low | sub
-            if table[part] >= t and table[remaining ^ part] >= t:
-                tail = pack(remaining ^ part, parts - 1)
-                if tail is not None:
-                    return [part] + tail
-            sub = (sub - rest) & rest
-        failed.add((remaining, parts))
+
+# The pack and cover steps are module functions, not closures: a recursive
+# closure refers to itself, so its memo would live until the cycle
+# collector runs instead of going as soon as the search is dropped.
+def _pack(
+    table: tuple[int, ...], t: int, failed: set[tuple[int, int]],
+    remaining: int, parts: int,
+) -> Optional[list[int]]:
+    if table[remaining] < t:
+        return None  # monotone: no part inside `remaining` can reach t
+    if parts == 1:
+        return [remaining]
+    if (remaining, parts) in failed:
         return None
-
-    return pack
+    p = (len(table) - 1) ^ remaining
+    while p:
+        e = p & -p
+        if (remaining | e, parts) in failed:
+            failed.add((remaining, parts))
+            return None
+        p ^= e
+    low = remaining & -remaining
+    rest = remaining ^ low
+    sub = 0
+    while sub != rest:
+        part = low | sub
+        if table[part] >= t and table[remaining ^ part] >= t:
+            tail = _pack(table, t, failed, remaining ^ part, parts - 1)
+            if tail is not None:
+                return [part] + tail
+        sub = (sub - rest) & rest
+    failed.add((remaining, parts))
+    return None
 
 
 def _coverer(
@@ -180,38 +202,40 @@ def _coverer(
     also fails, without a search, when the state with one item fewer did.
     ``weights`` must be monotone, so that the family is downward-closed.
     """
-    failed: set[tuple[int, int]] = set()
+    return partial(_cover, weights, bound, set())
 
-    def cover(mask: int, parts: int) -> Optional[list[int]]:
-        if mask == 0:
-            return [0] * parts
-        if parts == 1:
-            return [mask] if weights[mask] <= bound else None
-        if (mask, parts) in failed:
-            return None
-        p = mask
-        while p:
-            e = p & -p
-            if (mask ^ e, parts) in failed:
-                failed.add((mask, parts))
-                return None
-            p ^= e
-        low = mask & -mask
-        rest = mask ^ low
-        sub = 0
-        while True:
-            part = low | sub
-            if weights[part] <= bound:
-                tail = cover(mask ^ part, parts - 1)
-                if tail is not None:
-                    return [part] + tail
-            if sub == rest:
-                break
-            sub = (sub - rest) & rest
-        failed.add((mask, parts))
+
+def _cover(
+    weights: Sequence[int], bound: int, failed: set[tuple[int, int]],
+    mask: int, parts: int,
+) -> Optional[list[int]]:
+    if mask == 0:
+        return [0] * parts
+    if parts == 1:
+        return [mask] if weights[mask] <= bound else None
+    if (mask, parts) in failed:
         return None
-
-    return cover
+    p = mask
+    while p:
+        e = p & -p
+        if (mask ^ e, parts) in failed:
+            failed.add((mask, parts))
+            return None
+        p ^= e
+    low = mask & -mask
+    rest = mask ^ low
+    sub = 0
+    while True:
+        part = low | sub
+        if weights[part] <= bound:
+            tail = _cover(weights, bound, failed, mask ^ part, parts - 1)
+            if tail is not None:
+                return [part] + tail
+        if sub == rest:
+            break
+        sub = (sub - rest) & rest
+    failed.add((mask, parts))
+    return None
 
 
 def _zeta(a: np.ndarray) -> np.ndarray:
@@ -384,7 +408,62 @@ def rmms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareR
     return replace(_rmms(v, S.mask, n), agent=agent)
 
 
-MXS_ASSIGNMENT_CAP = 2 ** 24
+MXS_MAX_ITEMS = 16
+# MXS scans thresholds on the cover ladder from this many items up. Below
+# it the cover searches are cheaper. All agents of 24 generated instances
+# (n 3-4, every kind), CPU s, cover against ladder: 0.085 against 0.113 at
+# m = 9, 0.211 against 0.111 at m = 10.
+MXS_LADDER_ITEMS = 10
+
+
+def _mxs_cover(v: Valuation, g: np.ndarray, n: int) -> tuple[int, int, list[int]]:
+    """(MXS, own bundle, the other n - 1 bundles) by one cover search per
+    own bundle, in (value, mask) order."""
+    table = _value_table(v)
+    full = len(table) - 1
+    weights = g.tolist()
+    # The cover search depends only on the own bundle's value, so one
+    # coverer serves all own bundles of that value.
+    order = np.argsort(_value_array(v), kind="stable").tolist()
+    for value, owns in groupby(order, key=table.__getitem__):
+        cover = _coverer(weights, value)
+        for own in owns:
+            others = cover(full ^ own, n - 1)
+            if others is not None:
+                return value, own, others
+    raise InvariantError("own = all items always admits an envy-free remainder")
+
+
+def _mxs_ladder(v: Valuation, g: np.ndarray, n: int) -> tuple[int, int, list[int]]:
+    """(MXS, own bundle, the other n - 1 bundles) by a scan over thresholds
+    on the cover ladder; the same result as ``_mxs_cover``."""
+    values = _value_array(v)
+    full = values.size - 1
+    own_value = values[::-1]  # own_value[X] = v(full ^ X)
+    # Every X splits into its singletons, worth g = 0 and so never envied:
+    # rung m holds every mask, and no rung above it is needed.
+    k = min(n - 1, full.bit_length())
+
+    @lru_cache(maxsize=None)
+    def coverable(t: int) -> np.ndarray:
+        """X splits into at most n - 1 parts the agent does not envy at t."""
+        return next(islice(_cover_ladder(g <= t), k - 1, None))
+
+    candidates = _candidate_values(v, full)
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        t = candidates[mid]
+        if (coverable(t) & (own_value <= t)).any():
+            hi = mid
+        else:
+            lo = mid + 1
+    for t in candidates[lo:]:
+        hits = np.flatnonzero(coverable(t) & (own_value == t))
+        if hits.size:
+            own = full ^ int(hits[-1])
+            return t, own, _coverer(g.tolist(), t)(full ^ own, n - 1)
+    raise InvariantError("own = all items always admits an envy-free remainder")
 
 
 def mxs(inst: Instance, agent: int) -> ShareReport:
@@ -395,16 +474,15 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
     allocation hands her everything.
     """
     n, m = inst.n, inst.m
-    if n ** m > MXS_ASSIGNMENT_CAP:
-        raise CapExceededError(
-            f"mxs enumeration cap exceeded: {n}^{m} > {MXS_ASSIGNMENT_CAP}"
-        )
     v = inst.valuations[agent]
     _check_caps(v)
-    table = _value_table(v)
     full = (1 << m) - 1
     if n == 1:
-        return ShareReport("MXS", table[full], (Bundle(full),), agent, 1)
+        return ShareReport("MXS", v.value_of(full), (Bundle(full),), agent, 1)
+    if m > MXS_MAX_ITEMS:
+        raise CapExceededError(
+            f"mxs supports at most {MXS_MAX_ITEMS} items, got {m}"
+        )
 
     # g[P] is the most the agent values P with one item taken out, so she
     # has no EFX envy toward P iff g[P] <= v(own).
@@ -415,24 +493,14 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
     for i in range(m):
         with_item = g.reshape(-1, 2, 1 << i)[:, 1]
         np.maximum(with_item, values.reshape(-1, 2, 1 << i)[:, 0], out=with_item)
-    g = g.tolist()
 
     # Split the complement of the own bundle into n-1 bundles none of which
     # the agent EFX-envies. "Not envied" is downward-closed because g is
-    # monotone, so empty parts are fine. The cover search depends only on
-    # the own bundle's value, so one coverer serves all own bundles of
-    # that value.
-    order = sorted(range(1 << m), key=lambda s: (table[s], s))
-    for value, owns in groupby(order, key=table.__getitem__):
-        cover = _coverer(g, value)
-        for own in owns:
-            others = cover(full ^ own, n - 1)
-            if others is not None:
-                bundles = others[:agent] + [own] + others[agent:]
-                return ShareReport(
-                    "MXS", value, tuple(Bundle(b) for b in bundles[:n]), agent, n
-                )
-    raise InvariantError("own = all items always admits an envy-free remainder")
+    # monotone, so empty parts are fine.
+    search = _mxs_ladder if m >= MXS_LADDER_ITEMS else _mxs_cover
+    value, own, others = search(v, g, n)
+    bundles = others[:agent] + [own] + others[agent:]
+    return ShareReport("MXS", value, tuple(Bundle(b) for b in bundles), agent, n)
 
 
 def ratio_bound(n: int, valuation_class: str) -> Fraction:

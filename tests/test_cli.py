@@ -124,6 +124,27 @@ class TestShares:
         code, _ = run(["shares", path, "--share", "mms"])
         assert code == 3
 
+    def test_mxs_beyond_former_allocation_cap(self, tmp_path):
+        # 4^13 allocations: more than the 2^24 that MXS once refused.
+        inst = cli.generate_instance(2026, 0, 4, 13, "additive", 10)
+        path = write_instance(tmp_path, instance_to_json(inst))
+        out = tmp_path / "shares.json"
+        assert run(["shares", path, "--share", "all", "-o", str(out)])[0] == 0
+        rows = [r for r in load_json(out) if r["share"] == "mxs"]
+        assert [r["agent"] for r in rows] == list(range(4))
+        for row in rows:
+            v = inst.valuations[row["agent"]]
+            masks = [sum(1 << e for e in items) for items in row["witness"]]
+            assert len(masks) == 4
+            items = sorted(e for bundle in row["witness"] for e in bundle)
+            assert items == list(range(13))
+            own = v.value_of(masks[row["agent"]])
+            assert own == row["value"]
+            for mask in masks:
+                for e in range(13):
+                    if mask >> e & 1:
+                        assert v.value_of(mask ^ (1 << e)) <= own
+
 
 # sha256 of `rmms shares --share all -o FILE` on generate_instance(2026,
 # 10 * n + m, n, m, kind, 10). They pin every share value and witness byte

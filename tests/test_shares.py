@@ -258,6 +258,7 @@ def test_residual_feasible_thresholds_form_a_down_set(kind, m, n, seed, drop):
     smask = ((1 << m) - 1) & ~(1 << drop)
     candidates = sorted({v.value_of(mask) for mask in range(smask + 1)
                          if mask & ~smask == 0})
+    assert shares._candidate_values(v, smask) == tuple(candidates)
     feasible = [is_residual_feasible(v, Bundle(smask), n, t).feasible
                 for t in candidates + [candidates[-1] + 1]]
     count = feasible.count(True)
@@ -337,26 +338,65 @@ def naive_mxs(inst, agent):
             return vals[own], others[:agent] + [own] + others[agent:]
 
 
-def test_mxs_matches_naive_cover():
+# Values of MXS_LADDER_ITEMS that send every m down one MXS path.
+MXS_PATHS = {"cover": MAX_EXACT_ITEMS + 1, "ladder": 0}
+
+
+def test_mxs_matches_naive_cover(monkeypatch):
     from rmms.cli import generate_instance
 
-    rng = random.Random(12)
-    most_parts = 0
-    for kind in ("additive", "capped_additive", "table"):
-        for n in (2, 3, 4):
-            for m in range(1, 8):
-                for _ in range(2):
-                    inst = generate_instance(rng.randrange(10 ** 6), 0, n, m,
-                                             kind, 6)
-                    for agent in range(n):
-                        report = mxs(inst, agent)
-                        got = (report.value, [b.mask for b in report.witness])
-                        value, witness = naive_mxs(inst, agent)
-                        assert got == (value, witness), (inst, agent)
-                        others = witness[:agent] + witness[agent + 1:]
-                        most_parts = max(most_parts, sum(1 for b in others if b))
-    # Some witness splits the complement into two or more non-empty parts.
-    assert most_parts >= 2
+    for ladder_items in MXS_PATHS.values():
+        monkeypatch.setattr(shares, "MXS_LADDER_ITEMS", ladder_items)
+        rng = random.Random(12)
+        most_parts = 0
+        for kind in ("additive", "capped_additive", "table"):
+            for n in (2, 3, 4):
+                for m in range(1, 8):
+                    for _ in range(2):
+                        inst = generate_instance(rng.randrange(10 ** 6), 0, n,
+                                                 m, kind, 6)
+                        for agent in range(n):
+                            report = mxs(inst, agent)
+                            got = (report.value,
+                                   [b.mask for b in report.witness])
+                            value, witness = naive_mxs(inst, agent)
+                            assert got == (value, witness), (inst, agent)
+                            others = witness[:agent] + witness[agent + 1:]
+                            most_parts = max(most_parts,
+                                             sum(1 for b in others if b))
+        # Some witness splits the complement into two or more non-empty parts.
+        assert most_parts >= 2
+
+
+def test_mxs_paths_agree_at_m_10_and_11(monkeypatch):
+    # Sizes from the switch up, where naive_mxs is too slow.
+    from rmms.cli import generate_instance
+
+    for m, n in ((10, 4), (11, 3)):
+        for kind in ("additive", "capped_additive", "table"):
+            inst = generate_instance(31, m, n, m, kind, 10)
+            results = []
+            for ladder_items in MXS_PATHS.values():
+                monkeypatch.setattr(shares, "MXS_LADDER_ITEMS", ladder_items)
+                results.append([mxs(inst, agent) for agent in range(n)])
+            assert results[0] == results[1], (m, kind)
+
+
+def test_mxs_ladder_scans_up_from_its_lower_bound(monkeypatch):
+    # The least t at which some own bundle worth <= t leaves a coverable
+    # complement is 12 here, but no own bundle worth exactly 12 does: MXS is
+    # the next value, 14.
+    from rmms.cli import generate_instance
+
+    monkeypatch.setattr(shares, "MXS_LADDER_ITEMS", MXS_PATHS["ladder"])
+    inst = generate_instance(0, 0, 2, 4, "table", 10)
+    vals = inst.valuations[0].values
+    weights = [max([vals[P ^ (1 << e)] for e in range(4) if P >> e & 1],
+                   default=0) for P in range(16)]
+    bound = min(t for t in vals if any(
+        shares._coverer(weights, t)(15 ^ own, 1) is not None
+        for own in range(16) if vals[own] <= t))
+    assert (bound, mxs(inst, 0).value) == (12, 14)
 
 
 class TestRmms:
