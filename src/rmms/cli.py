@@ -240,12 +240,11 @@ def _bench_one(task) -> dict:
     ledger = QueryLedger()
     started = time.perf_counter()
     try:
-        mms_vals = [
-            shares.mms(v, inst.all_items, n).value for v in inst.valuations
-        ]
-        rmms_vals = [
-            shares.rmms(v, inst.all_items, n).value for v in inst.valuations
-        ]
+        # Agent by agent, so that RMMS runs on the pack memo MMS left.
+        mms_vals, rmms_vals = [], []
+        for v in inst.valuations:
+            mms_vals.append(shares.mms(v, inst.all_items, n).value)
+            rmms_vals.append(shares.rmms(v, inst.all_items, n).value)
         mxs_vals = [shares.mxs(inst, i).value for i in range(n)]
         if algorithm == "rmms-efx":
             alloc, _ = algorithms.rmms_efx_partial(inst, ledger)

@@ -6,12 +6,10 @@ the lowest item index throughout, so every witness is deterministic.
 
 Two searches and one lattice kernel do the work.
 
-- **pack** (``_packer``): split a mask into q parts, each worth >= t. The
+- **pack** (``_pack``): split a mask into q parts, each worth >= t. The
   family is upward-closed. ``acceptable_partition``, MMS and the residual
-  check all use it. A packer serves one threshold, so the residual check,
-  which asks about many remainders at the same t, never searches a failed
-  state twice. Failure is inherited by subsets: a mask with no q-partition
-  has no subset with one.
+  check all use it. Failure is inherited by subsets: a mask with no
+  q-partition has no subset with one.
 - **cover** (``_coverer``): split a mask into at most q parts P with
   weights[P] <= bound. The family is downward-closed, so failure is
   inherited by supersets. MXS uses it for the other agents' bundles (parts
@@ -26,9 +24,25 @@ Two searches and one lattice kernel do the work.
   ``MXS_LADDER_ITEMS`` items up.
 
 Both searches scan the same way and remember every (mask, q) state that
-failed for their lifetime. Both also fail a state without a search when a
-state one item away has already failed and the family's closure passes
-that failure on.
+failed. Both also fail a state without a search when a state one item away
+has already failed and the family's closure passes that failure on. A
+coverer remembers for its lifetime. The pack memo lives in the valuation's
+record (``_record``, one entry: the agent in hand) and spans thresholds, so
+MMS, the RMMS scan, every residual check and ``acceptable_partition`` share
+it. A state that fails at t fails at every t' > t, as parts worth >= t'
+are worth >= t, and a state that packs at t packs at every t' < t. So the
+memo keeps, per state, the least t known to fail (``failed``) and the
+greatest t known to pack (``packed``). The search itself reads only
+``failed``, which holds only true failures at the t searched: pruning them
+cannot change which partition the scan finds first, so a witness taken
+from the shared memo is the one a fresh search gives. ``packed`` only
+answers yes or no, in the residual check.
+
+MMS scans the distinct subset values of S upward. A pack found at t has a
+worst part worth p >= t, so every value up to p packs and the next probe
+is the first value above p; the first failure ends the scan at MMS = p.
+Only the probes that fail must search exhaustively, and the jumps skip
+most of them. One more pack at MMS, on the shared memo, gives the witness.
 
 MXS is the least t = v(own) at which the complement of own splits into
 n - 1 parts with g <= t. Below ``MXS_LADDER_ITEMS`` items it runs one cover
@@ -50,14 +64,19 @@ not in rung k - 1. This is exact. If S minus R splits into n - k0 parts
 worth >= t, merging parts gives a split into n - k parts for every
 k >= k0, so a larger k fails only where k0 already fails. The first failing
 (k, R) in (k ascending, R ascending) order is therefore the same as in a
-scan of every k.
+scan of every k. A remainder worth < t fails without a search, so in each
+rung only the removals before the first such R are searched, and none when
+n - k = 1. RMMS scans thresholds down from MMS, so the packs each threshold
+finds answer the same remainders at every threshold below it.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import groupby, islice
+from math import inf
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -101,41 +120,52 @@ def _check_caps(v: Valuation) -> None:
         )
 
 
-@lru_cache(maxsize=4096)
-def _value_table(v: Valuation) -> tuple[int, ...]:
-    """v(S) for every mask, built by one DP pass over submask order."""
-    m = v.m
-    if v.kind == "table":
-        return tuple(v.values)
-    table = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] + v.values[low.bit_length() - 1]
-    if v.kind == "capped_additive":
-        cap = v.cap
-        table = [val if val < cap else cap for val in table]
-    return tuple(table)
+class _Record(NamedTuple):
+    """Everything the searches keep about one valuation: v(S) for every
+    mask, as a tuple and as a read-only int64 array, and the pack memo.
+    ``failed`` maps a pack state (mask, q) to the least t at which it is
+    known to fail, ``packed`` to the greatest t at which it is known to
+    pack."""
+
+    table: tuple[int, ...]
+    values: np.ndarray
+    failed: dict[tuple[int, int], int]
+    packed: dict[tuple[int, int], int]
 
 
 @lru_cache(maxsize=1)
-def _value_array(v: Valuation) -> np.ndarray:
-    """``_value_table(v)`` as an int64 array, read-only.
-
-    The residual check, the candidate values and MXS read it. One entry is
-    enough: callers ask about one agent many times in a row (the residual
-    checks of its thresholds, for one), so the array is rebuilt only when
-    the agent changes.
-    """
-    values = np.array(_value_table(v), dtype=np.int64)
+def _record(v: Valuation) -> _Record:
+    """The record of v. One entry is enough: callers ask about one agent
+    many times in a row (its MMS probes, its MXS and the residual checks of
+    its thresholds), so the record is rebuilt only when the agent changes.
+    Fetch it once per call: a lookup hashes the whole valuation."""
+    if v.kind == "table":
+        values = np.array(v.values, dtype=np.int64)
+        table = v.values
+    else:
+        # One pass per item i: in the pair view, masks holding i sit at
+        # [:, 1] and the same masks without i at [:, 0].
+        values = np.zeros(1 << v.m, dtype=np.int64)
+        for i, value in enumerate(v.values):
+            pairs = values.reshape(-1, 2, 1 << i)
+            np.add(pairs[:, 0], value, out=pairs[:, 1])
+        if v.kind == "capped_additive":
+            np.minimum(values, v.cap, out=values)
+        table = tuple(values.tolist())
     values.flags.writeable = False
-    return values
+    return _Record(table, values, {}, {})
+
+
+def _value_table(v: Valuation) -> tuple[int, ...]:
+    """v(S) for every mask."""
+    return _record(v).table
 
 
 @lru_cache(maxsize=4096)
 def _candidate_values(v: Valuation, smask: int) -> tuple[int, ...]:
     """Distinct subset values of smask, ascending. Always contains 0."""
     masks = np.arange(1 << v.m)
-    values = np.sort(_value_array(v)[(masks | smask) == smask])
+    values = np.sort(_record(v).values[(masks | smask) == smask])
     # Values are >= 0, so the first one always differs from -1.
     return tuple(values[np.diff(values, prepend=-1) != 0].tolist())
 
@@ -143,36 +173,39 @@ def _candidate_values(v: Valuation, smask: int) -> tuple[int, ...]:
 def _packer(
     table: tuple[int, ...], t: int
 ) -> Callable[[int, int], Optional[list[int]]]:
-    """The pack search at threshold t > 0.
+    """A fresh pack search at threshold t > 0, with a memo of its own.
 
     ``pack(mask, q)`` returns the first q-partition of ``mask`` into parts
     each worth >= t, as part masks, or None. Each part is anchored on the
     lowest remaining item and candidate parts are scanned in ascending mask
-    order. Failed (mask, q) states are kept for the packer's lifetime; a
-    state also fails, without a search, when the state with one more item
-    did.
+    order.
     """
-    return partial(_pack, table, t, set())
+    return partial(_pack, table, t, {})
 
 
 # The pack and cover steps are module functions, not closures: a recursive
 # closure refers to itself, so its memo would live until the cycle
 # collector runs instead of going as soon as the search is dropped.
 def _pack(
-    table: tuple[int, ...], t: int, failed: set[tuple[int, int]],
+    table: tuple[int, ...], t: int, failed: dict[tuple[int, int], int],
     remaining: int, parts: int,
 ) -> Optional[list[int]]:
+    """The pack search at t on the failure memo ``failed`` (see
+    ``_Record``). A state fails without a search when it is known to fail at
+    some t' <= t, or when the state with one more item is."""
     if table[remaining] < t:
         return None  # monotone: no part inside `remaining` can reach t
     if parts == 1:
         return [remaining]
-    if (remaining, parts) in failed:
+    key = (remaining, parts)
+    if failed.get(key, inf) <= t:
         return None
     p = (len(table) - 1) ^ remaining
     while p:
         e = p & -p
-        if (remaining | e, parts) in failed:
-            failed.add((remaining, parts))
+        known = failed.get((remaining | e, parts), inf)
+        if known <= t:
+            failed[key] = known
             return None
         p ^= e
     low = remaining & -remaining
@@ -185,8 +218,20 @@ def _pack(
             if tail is not None:
                 return [part] + tail
         sub = (sub - rest) & rest
-    failed.add((remaining, parts))
+    failed[key] = t
     return None
+
+
+def _packs(rec: _Record, mask: int, q: int, t: int) -> bool:
+    """Whether mask splits into q parts worth >= t; reads and extends both
+    memos of rec."""
+    key = (mask, q)
+    if rec.packed.get(key, -1) >= t:
+        return True
+    if _pack(rec.table, t, rec.failed, mask, q) is None:
+        return False
+    rec.packed[key] = t
+    return True
 
 
 def _coverer(
@@ -281,11 +326,11 @@ def _cover_ladder(family: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _partition(
-    table: tuple[int, ...], smask: int, q: int, t: int
+    rec: _Record, smask: int, q: int, t: int
 ) -> Optional[tuple[Bundle, ...]]:
     if t == 0:
         return (Bundle(smask),) + (Bundle(),) * (q - 1)
-    parts = _packer(table, t)(smask, q)
+    parts = _pack(rec.table, t, rec.failed, smask, q)
     if parts is None:
         return None
     return tuple(Bundle(p) for p in parts)
@@ -305,7 +350,7 @@ def acceptable_partition(
     if t < 0:
         raise ValueError(f"threshold must be non-negative, got t={t}")
     _check_caps(v)
-    return _partition(_value_table(v), S.mask, q, t)
+    return _partition(_record(v), S.mask, q, t)
 
 
 def _canonical(parts: tuple[Bundle, ...]) -> tuple[Bundle, ...]:
@@ -314,21 +359,20 @@ def _canonical(parts: tuple[Bundle, ...]) -> tuple[Bundle, ...]:
 
 @lru_cache(maxsize=65536)
 def _mms(v: Valuation, smask: int, n: int) -> ShareReport:
-    table = _value_table(v)
+    rec = _record(v)
     candidates = _candidate_values(v, smask)
-    # Feasibility of an acceptable partition is downward closed in t.
-    lo, hi = 0, len(candidates) - 1
-    best = _partition(table, smask, n, candidates[0])
-    best_idx = 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        parts = _partition(table, smask, n, candidates[mid])
-        if parts is not None:
-            lo = mid
-            best, best_idx = parts, mid
-        else:
-            hi = mid - 1
-    return ShareReport("MMS", candidates[best_idx], _canonical(best), None, n)
+    # A pack at t has a worst part worth some p >= t, so every candidate up
+    # to p packs: the next probe is the first candidate above p, and the
+    # first failure ends the scan.
+    best, i = 0, 1
+    while i < len(candidates):
+        parts = _pack(rec.table, candidates[i], rec.failed, smask, n)
+        if parts is None:
+            break
+        best = min(map(rec.table.__getitem__, parts))
+        i = bisect_right(candidates, best, i + 1)
+    witness = _partition(rec, smask, n, best)
+    return ShareReport("MMS", best, _canonical(witness), None, n)
 
 
 def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareReport:
@@ -356,22 +400,30 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
         # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
         # removals qualify for any k >= 1.
         return ResidualCheck(True)
-    table = _value_table(v)
+    rec = _record(v)
     smask = S.mask
-    pack = _packer(table, t)
-    if pack(smask, n) is None:
+    if not _packs(rec, smask, n, t):
         return ResidualCheck(False, 0, Bundle())
     # The removals split into parts inside S worth < t, that is <= t - 1:
     # values are integers. Rung k minus rung k - 1 holds the removals whose
     # binding k is k; rung 0 is R = 0 alone, checked above.
-    values = _value_array(v)
+    values = rec.values
     masks = np.arange(values.size)
     low = (values <= t - 1) & ((masks | smask) == smask)
     fewer = masks == 0
     for k, rung in zip(range(1, n), _cover_ladder(low)):
-        for R in np.flatnonzero(rung & ~fewer).tolist():
-            if pack(smask ^ R, n - k) is None:
-                return ResidualCheck(False, k, Bundle(R))
+        removals = np.flatnonzero(rung & ~fewer)
+        # A remainder worth < t has no part worth >= t: the first such R
+        # fails, so only the removals before it need a search, and with one
+        # part left none of them does.
+        short = np.flatnonzero(values[smask ^ removals] < t)
+        stop = int(short[0]) if short.size else removals.size
+        if n - k > 1:
+            for R in removals[:stop].tolist():
+                if not _packs(rec, smask ^ R, n - k, t):
+                    return ResidualCheck(False, k, Bundle(R))
+        if short.size:
+            return ResidualCheck(False, k, Bundle(int(removals[stop])))
         fewer = rung
     return ResidualCheck(True)
 
@@ -384,13 +436,13 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     # Feasibility is monotone in t: for t' < t, every removal that qualifies
     # at t' (parts worth < t') also qualifies at t, and a pack at t is also a
     # pack at t'. So the first feasible candidate in descending order is the
-    # maximum. The scan stays descending rather than bisecting: RMMS is
-    # usually at or just below MMS, so few thresholds are visited, and an
-    # infeasible one stops at its first failing removal where a feasible
-    # one checks every removal.
+    # maximum. The scan is descending rather than galloping or bisecting,
+    # which measured no faster at m = 12: an infeasible threshold stops at
+    # its first failing removal, and the packs it finds are remembered for
+    # the thresholds below it.
     for t in reversed(candidates):
         if is_residual_feasible(v, S, n, t).feasible:
-            witness = _partition(_value_table(v), smask, n, t)
+            witness = _partition(_record(v), smask, n, t)
             return ShareReport("RMMS", t, _canonical(witness), None, n)
     raise InvariantError("t = 0 is always residual feasible")
 
@@ -416,15 +468,15 @@ MXS_MAX_ITEMS = 16
 MXS_LADDER_ITEMS = 10
 
 
-def _mxs_cover(v: Valuation, g: np.ndarray, n: int) -> tuple[int, int, list[int]]:
+def _mxs_cover(rec: _Record, g: np.ndarray, n: int) -> tuple[int, int, list[int]]:
     """(MXS, own bundle, the other n - 1 bundles) by one cover search per
     own bundle, in (value, mask) order."""
-    table = _value_table(v)
+    table = rec.table
     full = len(table) - 1
     weights = g.tolist()
     # The cover search depends only on the own bundle's value, so one
     # coverer serves all own bundles of that value.
-    order = np.argsort(_value_array(v), kind="stable").tolist()
+    order = np.argsort(rec.values, kind="stable").tolist()
     for value, owns in groupby(order, key=table.__getitem__):
         cover = _coverer(weights, value)
         for own in owns:
@@ -434,10 +486,12 @@ def _mxs_cover(v: Valuation, g: np.ndarray, n: int) -> tuple[int, int, list[int]
     raise InvariantError("own = all items always admits an envy-free remainder")
 
 
-def _mxs_ladder(v: Valuation, g: np.ndarray, n: int) -> tuple[int, int, list[int]]:
+def _mxs_ladder(
+    rec: _Record, g: np.ndarray, n: int, candidates: tuple[int, ...]
+) -> tuple[int, int, list[int]]:
     """(MXS, own bundle, the other n - 1 bundles) by a scan over thresholds
     on the cover ladder; the same result as ``_mxs_cover``."""
-    values = _value_array(v)
+    values = rec.values
     full = values.size - 1
     own_value = values[::-1]  # own_value[X] = v(full ^ X)
     # Every X splits into its singletons, worth g = 0 and so never envied:
@@ -449,7 +503,6 @@ def _mxs_ladder(v: Valuation, g: np.ndarray, n: int) -> tuple[int, int, list[int
         """X splits into at most n - 1 parts the agent does not envy at t."""
         return next(islice(_cover_ladder(g <= t), k - 1, None))
 
-    candidates = _candidate_values(v, full)
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -488,7 +541,8 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
     # has no EFX envy toward P iff g[P] <= v(own).
     # One pass per item i: in the pair view, P holding i sits at [:, 1] and
     # P without i at [:, 0].
-    values = _value_array(v)
+    rec = _record(v)
+    values = rec.values
     g = np.zeros_like(values)
     for i in range(m):
         with_item = g.reshape(-1, 2, 1 << i)[:, 1]
@@ -497,8 +551,10 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
     # Split the complement of the own bundle into n-1 bundles none of which
     # the agent EFX-envies. "Not envied" is downward-closed because g is
     # monotone, so empty parts are fine.
-    search = _mxs_ladder if m >= MXS_LADDER_ITEMS else _mxs_cover
-    value, own, others = search(v, g, n)
+    if m >= MXS_LADDER_ITEMS:
+        value, own, others = _mxs_ladder(rec, g, n, _candidate_values(v, full))
+    else:
+        value, own, others = _mxs_cover(rec, g, n)
     bundles = others[:agent] + [own] + others[agent:]
     return ShareReport("MXS", value, tuple(Bundle(b) for b in bundles), agent, n)
 

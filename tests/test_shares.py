@@ -266,6 +266,95 @@ def test_residual_feasible_thresholds_form_a_down_set(kind, m, n, seed, drop):
     assert candidates[count - 1] == rmms(v, Bundle(smask), n).value
 
 
+def memo_cases():
+    """(v, [(smask, n), ...]): two generated valuations per (m, kind),
+    m <= 8, each with n 1-5 and S = all items or all but one."""
+    from rmms.cli import generate_instance
+
+    for m, index in itertools.product(range(1, 9), range(2)):
+        for kind in ("additive", "capped_additive", "table"):
+            v = generate_instance(m, index, 1, m, kind, 9).valuations[0]
+            everything = (1 << m) - 1
+            yield v, [(smask, n) for n in range(1, 6)
+                      for smask in {everything, everything ^ (1 << (m // 2))}]
+
+
+def test_pack_memo_is_order_independent():
+    # The record's memos carry failures up and packs down across
+    # thresholds, and serve every S and n of a valuation. Whatever order the
+    # thresholds come in, and with MMS and RMMS searching on the same record
+    # in between, every answer is the one a fresh record gives.
+    rng = random.Random(17)
+    for v, cases in memo_cases():
+        checks, reports = {}, {}
+        for smask, n in cases:
+            S = Bundle(smask)
+            candidates = list(shares._candidate_values(v, smask))
+            checks[smask, n] = {}
+            for t in candidates + [candidates[-1] + 1]:
+                shares._record.cache_clear()
+                checks[smask, n][t] = is_residual_feasible(v, S, n, t)
+            shares._record.cache_clear()
+            shares._mms.cache_clear()
+            shares._rmms.cache_clear()
+            reports[smask, n] = (mms(v, S, n), rmms(v, S, n))
+            # The MMS witness is the first pack a fresh search finds at MMS.
+            best = reports[smask, n][0]
+            if best.value:
+                table = shares._value_table(v)
+                fresh = shares._packer(table, best.value)(smask, n)
+                assert best.witness == shares._canonical(
+                    tuple(Bundle(p) for p in fresh)), (v, smask, n)
+        shares._record.cache_clear()
+        for smask, n in cases:
+            S = Bundle(smask)
+            thresholds = list(checks[smask, n])
+            for order in (thresholds[::-1], thresholds,
+                          rng.sample(thresholds, len(thresholds))):
+                for t in order:
+                    got = is_residual_feasible(v, S, n, t)
+                    assert got == checks[smask, n][t], (v, smask, n, t)
+                shares._mms.cache_clear()
+                shares._rmms.cache_clear()
+                assert (mms(v, S, n), rmms(v, S, n)) == reports[smask, n]
+        # Every call above searched on the one record.
+        assert shares._record.cache_info().misses == 1
+
+
+def test_mms_witness_after_a_jump(monkeypatch):
+    # The probe at t = 1 packs ({e0}, {e1, e2, e3}), worth 3 each, so the
+    # scan jumps to t = 4, which fails: MMS = 3 is never probed, and one
+    # more pack at 3 gives the witness.
+    v, S, n = Additive((3, 1, 1, 1)), full(4), 2
+    probes = []
+    pack = shares._pack
+
+    def spy(table, t, failed, remaining, parts):
+        if (remaining, parts) == (S.mask, n):
+            probes.append(t)
+        return pack(table, t, failed, remaining, parts)
+
+    shares._record.cache_clear()
+    shares._mms.cache_clear()
+    monkeypatch.setattr(shares, "_pack", spy)
+    report = mms(v, S, n)
+    assert (report.value, probes) == (3, [1, 4, 3])
+    table = shares._value_table(v)
+    fresh = shares._packer(table, 3)(S.mask, n)
+    assert report.witness == shares._canonical(tuple(Bundle(p) for p in fresh))
+
+
+def test_residual_check_fetches_the_record_once():
+    # A lookup hashes the whole valuation, so it must not happen per removal.
+    # At t = 2 every set of at most 3 of the 8 unit items is a removal, 92 in
+    # all, and each remainder packs.
+    v, S, n = Additive((1,) * 8), full(8), 4
+    info = shares._record.cache_info()
+    assert is_residual_feasible(v, S, n, 2).feasible
+    after = shares._record.cache_info()
+    assert after.hits + after.misses - info.hits - info.misses <= 2
+
+
 def cover_ladder_families(rng):
     """(table, bound) pairs: generated additive, capped and table valuations
     and XOS tables with m <= 8, each at its least, largest and two middle
