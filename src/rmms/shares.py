@@ -38,11 +38,13 @@ cannot change which partition the scan finds first, so a witness taken
 from the shared memo is the one a fresh search gives. ``packed`` only
 answers yes or no, in the residual check.
 
-MMS scans the distinct subset values of S upward. A pack found at t has a
-worst part worth p >= t, so every value up to p packs and the next probe
-is the first value above p; the first failure ends the scan at MMS = p.
-Only the probes that fail must search exhaustively, and the jumps skip
-most of them. One more pack at MMS, on the shared memo, gives the witness.
+MMS searches the distinct subset values of S. A pack found at t has a
+worst part worth p >= t, so every value up to p packs. The first probes
+jump to the first value above p, and the first failure usually ends the
+search at MMS = p: only the probes that fail must search exhaustively, and
+the jumps skip most of them. A jump can gain a single value, so after
+4 * log2(C) probes, C values, the search bisects, and the probes stay
+O(log C). One more pack at MMS, on the shared memo, gives the witness.
 
 MXS is the least t = v(own) at which the complement of own splits into
 n - 1 parts with g <= t. Below ``MXS_LADDER_ITEMS`` items it runs one cover
@@ -170,19 +172,6 @@ def _candidate_values(v: Valuation, smask: int) -> tuple[int, ...]:
     return tuple(values[np.diff(values, prepend=-1) != 0].tolist())
 
 
-def _packer(
-    table: tuple[int, ...], t: int
-) -> Callable[[int, int], Optional[list[int]]]:
-    """A fresh pack search at threshold t > 0, with a memo of its own.
-
-    ``pack(mask, q)`` returns the first q-partition of ``mask`` into parts
-    each worth >= t, as part masks, or None. Each part is anchored on the
-    lowest remaining item and candidate parts are scanned in ascending mask
-    order.
-    """
-    return partial(_pack, table, t, {})
-
-
 # The pack and cover steps are module functions, not closures: a recursive
 # closure refers to itself, so its memo would live until the cycle
 # collector runs instead of going as soon as the search is dropped.
@@ -190,9 +179,13 @@ def _pack(
     table: tuple[int, ...], t: int, failed: dict[tuple[int, int], int],
     remaining: int, parts: int,
 ) -> Optional[list[int]]:
-    """The pack search at t on the failure memo ``failed`` (see
-    ``_Record``). A state fails without a search when it is known to fail at
-    some t' <= t, or when the state with one more item is."""
+    """The first split of ``remaining`` into ``parts`` parts each worth
+    >= t > 0, as part masks, or None. Each part is anchored on the lowest
+    remaining item and candidate parts are scanned in ascending mask order.
+
+    ``failed`` is the failure memo (see ``_Record``); pass ``{}`` for a fresh
+    search. A state fails without a search when it is known to fail at some
+    t' <= t, or when the state with one more item is."""
     if table[remaining] < t:
         return None  # monotone: no part inside `remaining` can reach t
     if parts == 1:
@@ -361,16 +354,25 @@ def _canonical(parts: tuple[Bundle, ...]) -> tuple[Bundle, ...]:
 def _mms(v: Valuation, smask: int, n: int) -> ShareReport:
     rec = _record(v)
     candidates = _candidate_values(v, smask)
-    # A pack at t has a worst part worth some p >= t, so every candidate up
-    # to p packs: the next probe is the first candidate above p, and the
-    # first failure ends the scan.
-    best, i = 0, 1
-    while i < len(candidates):
-        parts = _pack(rec.table, candidates[i], rec.failed, smask, n)
+    # candidates[lo] packs and candidates[hi], if any, fails. A pack at t has
+    # a worst part worth some p >= t, so every candidate up to p packs and lo
+    # moves to p. The first probes jump to the first candidate above p: the
+    # packs on the way are cheap, and the first failure usually ends the
+    # search. A jump can gain as little as one candidate, so after
+    # 4 * log2(C) probes, C candidates, the probes bisect. On generated
+    # m = 12 instances, item values up to 10, 1,000 and 100,000, the scan
+    # took at most 4.5 * log2(C) jumps, 1.5 * log2(C) on average.
+    best, lo, hi = 0, 0, len(candidates)
+    jumps, probes = 4 * len(candidates).bit_length(), 0
+    while hi - lo > 1:
+        mid = lo + 1 if probes < jumps else (lo + hi) // 2
+        probes += 1
+        parts = _pack(rec.table, candidates[mid], rec.failed, smask, n)
         if parts is None:
-            break
-        best = min(map(rec.table.__getitem__, parts))
-        i = bisect_right(candidates, best, i + 1)
+            hi = mid
+        else:
+            best = min(map(rec.table.__getitem__, parts))
+            lo = bisect_right(candidates, best, mid) - 1
     witness = _partition(rec, smask, n, best)
     return ShareReport("MMS", best, _canonical(witness), None, n)
 

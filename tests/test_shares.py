@@ -266,6 +266,12 @@ def test_residual_feasible_thresholds_form_a_down_set(kind, m, n, seed, drop):
     assert candidates[count - 1] == rmms(v, Bundle(smask), n).value
 
 
+def generate_instance_valuation(m, kind, max_value):
+    from rmms.cli import generate_instance
+
+    return generate_instance(5, 0, 1, m, kind, max_value).valuations[0]
+
+
 def memo_cases():
     """(v, [(smask, n), ...]): two generated valuations per (m, kind),
     m <= 8, each with n 1-5 and S = all items or all but one."""
@@ -302,7 +308,7 @@ def test_pack_memo_is_order_independent():
             best = reports[smask, n][0]
             if best.value:
                 table = shares._value_table(v)
-                fresh = shares._packer(table, best.value)(smask, n)
+                fresh = shares._pack(table, best.value, {}, smask, n)
                 assert best.witness == shares._canonical(
                     tuple(Bundle(p) for p in fresh)), (v, smask, n)
         shares._record.cache_clear()
@@ -340,7 +346,49 @@ def test_mms_witness_after_a_jump(monkeypatch):
     report = mms(v, S, n)
     assert (report.value, probes) == (3, [1, 4, 3])
     table = shares._value_table(v)
-    fresh = shares._packer(table, 3)(S.mask, n)
+    fresh = shares._pack(table, 3, {}, S.mask, n)
+    assert report.witness == shares._canonical(tuple(Bundle(p) for p in fresh))
+
+
+@pytest.mark.parametrize("v, n", [
+    # Every value 0..2^16 - 1 is a subset value, and the first pack at t
+    # has a worst part worth t or t + 1: a scan that only jumped would
+    # probe about 16,000 times.
+    (Additive(tuple(1 << i for i in range(16))), 2),
+    (Additive(tuple(1 << i for i in range(16))), 3),
+    (generate_instance_valuation(12, "table", 100_000), 3),
+    (generate_instance_valuation(12, "additive", 100_000), 4),
+])
+def test_mms_probes_stay_logarithmic(monkeypatch, v, n):
+    # At most 4 * log2(C) jumps, then a bisection, then the witness pack.
+    S = full(v.m)
+    probes = []
+    pack = shares._pack
+
+    def spy(table, t, failed, remaining, parts):
+        if (remaining, parts) == (S.mask, n):
+            probes.append(t)
+        return pack(table, t, failed, remaining, parts)
+
+    shares._record.cache_clear()
+    shares._mms.cache_clear()
+    candidates = shares._candidate_values(v, S.mask)
+    monkeypatch.setattr(shares, "_pack", spy)
+    report = mms(v, S, n)
+    monkeypatch.undo()
+    assert len(probes) <= 5 * len(candidates).bit_length() + 1
+    # The value is the greatest candidate at which a fresh search packs,
+    # and the witness is that search's first partition.
+    table = shares._value_table(v)
+    lo, hi = 0, len(candidates)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if shares._pack(table, candidates[mid], {}, S.mask, n) is None:
+            hi = mid
+        else:
+            lo = mid
+    assert report.value == candidates[lo]
+    fresh = shares._pack(table, report.value, {}, S.mask, n)
     assert report.witness == shares._canonical(tuple(Bundle(p) for p in fresh))
 
 
