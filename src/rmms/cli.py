@@ -71,22 +71,34 @@ def generate_valuation(rng: np.random.Generator, kind: str, m: int,
             cap = int(rng.integers(1, total + 1))
         return CappedAdditive(values, cap)
     if kind == "table":
-        # Additive base plus a random monotone bump, built in submask order.
-        base = [0] * (1 << m)
-        bump = [0] * (1 << m)
-        for mask in range(1, 1 << m):
-            low = mask & -mask
-            base[mask] = base[mask ^ low] + values[low.bit_length() - 1]
-            floor = 0
-            sub = mask
-            while sub:
-                b = sub & -sub
-                floor = max(floor, bump[mask ^ b])
-                sub ^= b
-            bump[mask] = floor + int(rng.integers(0, max_value + 1))
+        # Additive base plus a random monotone bump: a subset's bump is its
+        # own draw plus the largest bump one item below it. The draws come
+        # in mask order, in one call, and the bumps one popcount layer at a
+        # time; masks not yet reached still have bump 0, which no max
+        # takes.
+        size = 1 << m
+        draws = rng.integers(0, max_value + 1, size=size - 1)
+        if 2 * m * max_value >= 1 << 63:
+            draws = draws.astype(object)  # past int64: exact, if slow
+        base = np.zeros(size, dtype=draws.dtype)
+        bump = np.zeros_like(base)
+        popcount = np.zeros(size, dtype=np.int64)
+        # One pass per item i: in the pair view, masks holding i sit at
+        # [:, 1] and the same masks without i at [:, 0].
+        for i, value in enumerate(values):
+            pairs = base.reshape(-1, 2, 1 << i)
+            np.add(pairs[:, 0], value, out=pairs[:, 1])
+            popcount.reshape(-1, 2, 1 << i)[:, 1] += 1
+        masks = np.arange(size)
+        for p in range(1, m + 1):
+            layer = masks[popcount == p]
+            floor = bump[layer & ~1]
+            for i in range(1, m):
+                np.maximum(floor, bump[layer & ~(1 << i)], out=floor)
+            bump[layer] = floor + draws[layer - 1]
         # Monotone and normalized by construction; generate_instance
         # validates the whole instance once.
-        return Table(tuple(b + p for b, p in zip(base, bump)), validate=False)
+        return Table(tuple((base + bump).tolist()), validate=False)
     raise ValueError(f"unknown valuation kind {kind!r}")
 
 

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Union
 
+import numpy as np
+
 # Exact solvers enumerate 2^m subsets; beyond this the table representation
 # and the share solvers refuse to run.
 MAX_EXACT_ITEMS = 20
@@ -193,7 +195,9 @@ class CappedAdditive:
 
 
 def table_violations(values: tuple[int, ...]) -> list[str]:
-    """All normalization/monotonicity/range violations of an explicit table."""
+    """All normalization/monotonicity/range violations of an explicit table,
+    mask by mask: the range first, then each item's one-smaller subset.
+    The first value that is not an integer ends the list."""
     size = len(values)
     m = size.bit_length() - 1
     problems = []
@@ -201,23 +205,31 @@ def table_violations(values: tuple[int, ...]) -> list[str]:
         return [f"table length {size} is not a power of two"]
     if values[0] != 0:
         problems.append(f"not normalized: v(empty) = {values[0]}")
-    for mask in range(size):
-        val = values[mask]
-        if type(val) is not int:
-            # Every smaller mask was checked already; stop before comparing.
-            return problems + [f"subset {mask}: value {val!r} is not an integer"]
-        if val < 0 or val > MAX_VALUE:
-            problems.append(f"subset {mask}: value {val} outside [0, {MAX_VALUE}]")
-        sub = mask
-        while sub:
-            low = sub & -sub
-            smaller = mask ^ low
-            if values[smaller] > val:
-                problems.append(
-                    f"not monotone: v({sorted(bits_of(smaller))}) = "
-                    f"{values[smaller]} > {val} = v({sorted(bits_of(mask))})"
-                )
-            sub ^= low
+    # Types and ranges in Python, before any int64 conversion. A non-integer
+    # stops the checks there: every smaller mask, and so every subset of
+    # a smaller mask, is checked first.
+    end = next((mask for mask, val in enumerate(values) if type(val) is not int),
+               size)
+    checked = list(values[:end])
+    # (mask, i, message), i = -1 for the range and the item for monotonicity.
+    found = [(mask, -1, f"subset {mask}: value {val} outside [0, {MAX_VALUE}]")
+             for mask, val in enumerate(checked) if val < 0 or val > MAX_VALUE]
+    # Masks from `end` on are padding: a violation at a mask below `end`
+    # compares it only with smaller masks.
+    table = np.zeros(size, dtype=object if found else np.int64)
+    table[:end] = checked
+    for i in range(m):
+        pairs = table.reshape(-1, 2, 1 << i)
+        drops = np.zeros(size, dtype=bool)
+        drops.reshape(-1, 2, 1 << i)[:, 1] = pairs[:, 0] > pairs[:, 1]
+        for mask in np.flatnonzero(drops[:end]).tolist():
+            smaller = mask ^ (1 << i)
+            found.append((mask, i, (
+                f"not monotone: v({sorted(bits_of(smaller))}) = "
+                f"{values[smaller]} > {values[mask]} = v({sorted(bits_of(mask))})")))
+    problems += [message for _, _, message in sorted(found)]
+    if end < size:
+        problems.append(f"subset {end}: value {values[end]!r} is not an integer")
     return problems
 
 

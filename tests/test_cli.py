@@ -2,6 +2,7 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from rmms import cli
 from rmms.core import (
     InvariantError,
+    Table,
     ValidationReport,
     dump_json,
     instance_from_json,
@@ -364,6 +366,43 @@ class TestBench:
         ])
         header = out.read_text().splitlines()[0].split(",")
         assert header[-1] == "wall_time_us"
+
+
+def loop_table(rng, m, max_value):
+    """A generated table valuation built by a loop over masks, with one
+    draw per mask: the reference for cli.generate_valuation."""
+    values = tuple(int(x) for x in rng.integers(0, max_value + 1, size=m))
+    base = [0] * (1 << m)
+    bump = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        base[mask] = base[mask ^ low] + values[low.bit_length() - 1]
+        floor = 0
+        sub = mask
+        while sub:
+            b = sub & -sub
+            floor = max(floor, bump[mask ^ b])
+            sub ^= b
+        bump[mask] = floor + int(rng.integers(0, max_value + 1))
+    return Table(tuple(b + p for b, p in zip(base, bump)), validate=False)
+
+
+def test_table_generation_matches_the_loop():
+    # Several valuations from one generator, so the generator's state after
+    # a table must match too; 2^60 takes the path past int64.
+    for m, seed in itertools.product(range(1, 9), range(3)):
+        for max_value in (1, 10, 1000) + ((2 ** 60,) if m <= 4 else ()):
+            fast, loop = cli._rng(seed, m), cli._rng(seed, m)
+            # Item values past the cap are rejected, table values only later.
+            middle = "additive" if max_value <= 1000 else "table"
+            for kind in ("table", middle, "table", "table"):
+                got = cli.generate_valuation(fast, kind, m, max_value, None)
+                if kind == "table":
+                    assert got == loop_table(loop, m, max_value), (m, seed)
+                else:
+                    assert got == cli.generate_valuation(loop, kind, m,
+                                                         max_value, None)
+            assert fast.integers(0, 2 ** 62) == loop.integers(0, 2 ** 62)
 
 
 def test_generate_instance_rejects_invalid_output(monkeypatch):

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmms.core import (
+    MAX_VALUE,
     Additive,
     Bundle,
     CapExceededError,
@@ -16,9 +18,11 @@ from rmms.core import (
     Table,
     allocation_from_json,
     allocation_to_json,
+    bits_of,
     compare_query,
     instance_from_json,
     instance_to_json,
+    table_violations,
     validate_instance,
     value_query,
 )
@@ -101,6 +105,59 @@ def test_validate_instance_reports():
 
     good = Instance(3, 1, (Additive((0, 0, 5)),))
     assert validate_instance(good).ok
+
+
+def loop_table_violations(values):
+    """table_violations as a Python loop over masks and their one-smaller
+    subsets: the reference for the numpy version."""
+    size = len(values)
+    m = size.bit_length() - 1
+    problems = []
+    if size == 0 or size != 1 << m:
+        return [f"table length {size} is not a power of two"]
+    if values[0] != 0:
+        problems.append(f"not normalized: v(empty) = {values[0]}")
+    for mask in range(size):
+        val = values[mask]
+        if type(val) is not int:
+            return problems + [f"subset {mask}: value {val!r} is not an integer"]
+        if val < 0 or val > MAX_VALUE:
+            problems.append(f"subset {mask}: value {val} outside [0, {MAX_VALUE}]")
+        sub = mask
+        while sub:
+            low = sub & -sub
+            smaller = mask ^ low
+            if values[smaller] > val:
+                problems.append(
+                    f"not monotone: v({sorted(bits_of(smaller))}) = "
+                    f"{values[smaller]} > {val} = v({sorted(bits_of(mask))})"
+                )
+            sub ^= low
+    return problems
+
+
+def test_table_violations_match_the_loop():
+    # Random tables, sorted (monotone) or not, with up to three faults each.
+    rng = random.Random(19)
+    faults = [True, 1.0, 2 ** 70, -2 ** 70, -1, MAX_VALUE + 1, 7]
+    reported = []
+    for _ in range(2000):
+        m = rng.randint(0, 6)
+        values = [rng.randint(0, 5) for _ in range(1 << m)]
+        if rng.random() < 0.5:
+            values.sort()
+        for _ in range(rng.randint(0, 3)):
+            values[rng.randrange(len(values))] = rng.choice(faults)
+        values = tuple(values)
+        expected = loop_table_violations(values)
+        assert table_violations(values) == expected, values
+        reported += expected
+    for size in (0, 3, 6):
+        assert table_violations((0,) * size) == loop_table_violations((0,) * size)
+    reported = "\n".join(reported)
+    for fault in ("not normalized", "not monotone", f"value {2 ** 70} outside",
+                  "value True is not", "value 1.0 is not"):
+        assert fault in reported
 
 
 def test_partial_allocation_partition_enforced():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import inf
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rmms.core import (
     CapExceededError,
     CappedAdditive,
     Instance,
+    InvariantError,
     Table,
 )
 from rmms import shares
@@ -285,6 +287,11 @@ def memo_cases():
                       for smask in {everything, everything ^ (1 << (m // 2))}]
 
 
+def fresh_pack(table, t, mask, q):
+    """``_pack`` with an empty memo and a sum bound that never prunes."""
+    return shares._pack(table, [inf] * len(table), t, {}, mask, q)
+
+
 def test_pack_memo_is_order_independent():
     # The record's memos carry failures up and packs down across
     # thresholds, and serve every S and n of a valuation. Whatever order the
@@ -308,7 +315,7 @@ def test_pack_memo_is_order_independent():
             best = reports[smask, n][0]
             if best.value:
                 table = shares._value_table(v)
-                fresh = shares._pack(table, best.value, {}, smask, n)
+                fresh = fresh_pack(table, best.value, smask, n)
                 assert best.witness == shares._canonical(
                     tuple(Bundle(p) for p in fresh)), (v, smask, n)
         shares._record.cache_clear()
@@ -335,10 +342,10 @@ def test_mms_witness_after_a_jump(monkeypatch):
     probes = []
     pack = shares._pack
 
-    def spy(table, t, failed, remaining, parts):
+    def spy(table, sums, t, failed, remaining, parts):
         if (remaining, parts) == (S.mask, n):
             probes.append(t)
-        return pack(table, t, failed, remaining, parts)
+        return pack(table, sums, t, failed, remaining, parts)
 
     shares._record.cache_clear()
     shares._mms.cache_clear()
@@ -346,7 +353,7 @@ def test_mms_witness_after_a_jump(monkeypatch):
     report = mms(v, S, n)
     assert (report.value, probes) == (3, [1, 4, 3])
     table = shares._value_table(v)
-    fresh = shares._pack(table, 3, {}, S.mask, n)
+    fresh = fresh_pack(table, 3, S.mask, n)
     assert report.witness == shares._canonical(tuple(Bundle(p) for p in fresh))
 
 
@@ -365,10 +372,10 @@ def test_mms_probes_stay_logarithmic(monkeypatch, v, n):
     probes = []
     pack = shares._pack
 
-    def spy(table, t, failed, remaining, parts):
+    def spy(table, sums, t, failed, remaining, parts):
         if (remaining, parts) == (S.mask, n):
             probes.append(t)
-        return pack(table, t, failed, remaining, parts)
+        return pack(table, sums, t, failed, remaining, parts)
 
     shares._record.cache_clear()
     shares._mms.cache_clear()
@@ -383,13 +390,150 @@ def test_mms_probes_stay_logarithmic(monkeypatch, v, n):
     lo, hi = 0, len(candidates)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if shares._pack(table, candidates[mid], {}, S.mask, n) is None:
+        if fresh_pack(table, candidates[mid], S.mask, n) is None:
             hi = mid
         else:
             lo = mid
     assert report.value == candidates[lo]
-    fresh = shares._pack(table, report.value, {}, S.mask, n)
+    fresh = fresh_pack(table, report.value, S.mask, n)
     assert report.witness == shares._canonical(tuple(Bundle(p) for p in fresh))
+
+
+def test_sum_bound_prunes_no_partition():
+    # The bound skips only states and parts that hold no partition, so the
+    # first partition found, or None, is the one an unbounded search finds.
+    pruned = 0
+    for v, cases in memo_cases():
+        rec = shares._record(v)
+        for smask, n in cases:
+            candidates = shares._candidate_values(v, smask)
+            for t in candidates[1:] + (candidates[-1] + 1,):
+                got = shares._pack(rec.table, rec.sums, t, {}, smask, n)
+                assert got == fresh_pack(rec.table, t, smask, n), (v, smask, n, t)
+                pruned += (n > 1 and rec.table[smask] >= t
+                           and rec.sums[smask] < n * t)
+    assert pruned
+
+
+@pytest.mark.parametrize("kind", ["additive", "capped_additive", "table"])
+def test_item_weight_sums_bound_every_partition(kind):
+    # best[X] is the largest sum of v(P) over the parts P of a partition of
+    # X, by exhaustion over the part that holds X's lowest item.
+    for v, m, _ in residual_case_valuations(kind, random.Random(23)):
+        rec = shares._record(v)
+        best = [0] * (1 << m)
+        for X in range(1, 1 << m):
+            low = X & -X
+            rest = X ^ low
+            best[X] = max(rec.table[low | sub] + best[rest ^ sub]
+                          for sub in range(rest + 1) if sub & ~rest == 0)
+        assert all(bound >= most for bound, most in zip(rec.sums, best)), v
+        if kind == "additive":
+            assert rec.sums == rec.table
+
+
+def plain_residual_scan(rec, smask, n, t):
+    """(feasible, k, removed mask) from a scan of every k in [1, n) and
+    every removal R in ascending order, each remainder tested by ``_packs``
+    on ``rec``."""
+    if not shares._packs(rec, smask, n, t):
+        return False, 0, 0
+    masks = np.arange(rec.values.size)
+    low = (rec.values < t) & ((masks | smask) == smask)
+    for k, rung in zip(range(1, n), shares._cover_ladder(low)):
+        for R in np.flatnonzero(rung).tolist():
+            if R and not shares._packs(rec, smask ^ R, n - k, t):
+                return False, k, R
+    return True, None, None
+
+
+@pytest.mark.parametrize("cutoff", [shares.MAXIMAL_FIRST_REMOVALS, 0])
+def test_residual_check_on_maximal_removals_matches_plain_scan(monkeypatch,
+                                                              cutoff):
+    # Every threshold up to MMS of generated m = 10-12 valuations. With the
+    # measured cutoff, rungs with few removals waiting skip the maximal
+    # filter; with 0, every rung with a search runs it.
+    from rmms.cli import generate_instance
+
+    monkeypatch.setattr(shares, "MAXIMAL_FIRST_REMOVALS", cutoff)
+    first_failing = shares._first_failing
+    runs = set()
+
+    def spy(rec, smask, q, t, waiting):
+        R = first_failing(rec, smask, q, t, waiting)
+        runs.add((waiting.size > cutoff, R is not None))
+        return R
+
+    monkeypatch.setattr(shares, "_first_failing", spy)
+    for m, kind, n in itertools.product((10, 11, 12), ("additive",
+                                        "capped_additive", "table"), (3, 4)):
+        v = generate_instance(n, m, n, m, kind, 10).valuations[0]
+        S = full(m)
+        # A record of its own, whose bound never prunes.
+        reference = shares._record.__wrapped__(v)
+        reference = reference._replace(sums=[inf] * len(reference.table))
+        ceiling = mms(v, S, n).value
+        for t in shares._candidate_values(v, S.mask):
+            if t > ceiling:
+                break
+            check = is_residual_feasible(v, S, n, t)
+            removed = None if check.removed is None else check.removed.mask
+            assert (check.feasible, check.k, removed) == plain_residual_scan(
+                reference, S.mask, n, t), (m, kind, n, t)
+    # The filter ran, found every maximal remainder packing, and found one
+    # failing and rescanned up to it.
+    assert {(True, False), (True, True)} <= runs
+    if cutoff:
+        assert (False, False) in runs
+
+
+def test_maximal_removal_that_fails_once_raises(monkeypatch):
+    # A maximal removal whose remainder fails, then packs in the rescan,
+    # is a broken search: an exception, not an assert stripped by -O.
+    answers = iter([False])
+    monkeypatch.setattr(shares, "MAXIMAL_FIRST_REMOVALS", 0)
+    monkeypatch.setattr(shares, "_packs", lambda *args: next(answers, True))
+    rec = shares._record(Additive((1,) * 4))
+    with pytest.raises(InvariantError, match="removal 3"):
+        shares._first_failing(rec, 0b1111, 2, 1, np.array([1, 2, 3]))
+
+
+def test_rmms_checks_stay_logarithmic(monkeypatch):
+    # With item values up to 100,000, RMMS is often many candidates below
+    # MMS; the scan gallops down and bisects, O(log C) checks for C
+    # candidates up to MMS.
+    from rmms.cli import generate_instance
+
+    calls = []
+    check = shares.is_residual_feasible
+
+    def spy(v, S, n, t):
+        calls.append(t)
+        return check(v, S, n, t)
+
+    beaten = 0
+    for m, kind, n in itertools.product((8, 9, 10), ("additive",
+                                        "capped_additive", "table"), (3, 4)):
+        v = generate_instance(7, m, n, m, kind, 100_000).valuations[0]
+        S = full(m)
+        ceiling = mms(v, S, n).value
+        candidates = [c for c in shares._candidate_values(v, S.mask)
+                      if c <= ceiling]
+        calls.clear()
+        monkeypatch.setattr(shares, "is_residual_feasible", spy)
+        value = rmms(v, S, n).value
+        monkeypatch.undo()
+        bound = 2 * len(candidates).bit_length() + 1
+        assert len(calls) <= bound, (m, kind, n)
+        # The value is the last feasible candidate.
+        index = candidates.index(value)
+        assert is_residual_feasible(v, S, n, value).feasible
+        if index + 1 < len(candidates):
+            assert not is_residual_feasible(v, S, n,
+                                            candidates[index + 1]).feasible
+        # A descending scan would take len(candidates) - index checks.
+        beaten += len(candidates) - index > bound
+    assert beaten
 
 
 def test_residual_check_fetches_the_record_once():
