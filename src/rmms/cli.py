@@ -252,12 +252,13 @@ def _bench_one(task) -> dict:
     ledger = QueryLedger()
     started = time.perf_counter()
     try:
-        # Agent by agent, so that RMMS runs on the pack memo MMS left.
-        mms_vals, rmms_vals = [], []
-        for v in inst.valuations:
+        # Agent by agent, so that RMMS runs on the pack memo MMS left and
+        # all three shares use one record per agent.
+        mms_vals, rmms_vals, mxs_vals = [], [], []
+        for i, v in enumerate(inst.valuations):
             mms_vals.append(shares.mms(v, inst.all_items, n).value)
             rmms_vals.append(shares.rmms(v, inst.all_items, n).value)
-        mxs_vals = [shares.mxs(inst, i).value for i in range(n)]
+            mxs_vals.append(shares.mxs(inst, i).value)
         if algorithm == "rmms-efx":
             alloc, _ = algorithms.rmms_efx_partial(inst, ledger)
         elif algorithm == "rmms-efl":

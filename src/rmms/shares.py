@@ -36,17 +36,23 @@ greatest t known to pack (``packed``). The search itself reads only
 ``failed``, which holds only true failures at the t searched: pruning them
 cannot change which partition the scan finds first, so a witness taken
 from the shared memo is the one a fresh search gives. ``packed`` only
-answers yes or no, in the residual check.
+answers yes or no, in the residual check. A partition found at t packs its
+state at every t' up to its worst part, so ``packed`` keeps the worst part,
+not t, and checks higher up the RMMS search reuse it.
 
 The pack search also prunes by a sum bound (Korf 1998; Schreiber, Korf
-and Moffitt 2018). Each item j gets a weight w_j at least every marginal
-v(Y + j) - v(Y): its value for additive and capped valuations, the largest
-marginal for tables. Adding a part's items one at a time, v(P) is at most
-the sum of their weights, so the parts of X are worth at most sums[X], the
-sum over X. A state with sums[remaining] < parts * t fails, and a part
-that leaves less than (parts - 1) * t is skipped. Neither holds a
-partition, so the first partition found is the same as without the bound,
-and ``failed`` still holds only true failures.
+and Moffitt 2018). Each item j gets a weight w_j such that the additive
+w(P), the sum of w_j over P, is at least v(P) for every P. Then the parts
+of any split of X are worth at most w(X) in all, kept as sums[X]. Additive
+and capped valuations use the item values: a cap only lowers v. Tables
+start from the largest marginals, which majorise v one item at a time but
+loosely, and then lower w_j, last item first, to the most v(X) - w(X - j)
+over the X holding j, the least that keeps the majorant. The anchored
+search's states hold mostly high items, so those are tightened first. A
+state with sums[remaining] < parts * t fails, and a part that leaves less
+than (parts - 1) * t is skipped. Neither holds a partition, so the first
+partition found is the same as without the bound, and ``failed`` still
+holds only true failures.
 
 MMS searches the distinct subset values of S. A pack found at t has a
 worst part worth p >= t, so every value up to p packs. The first probes
@@ -83,6 +89,12 @@ removals wait (``MAXIMAL_FIRST_REMOVALS``) the rung first searches those
 with no waiting removal one item larger. If they all pack, every waiting
 removal does, usually after far fewer searches. If one fails, the scan in
 ascending order runs up to it, so the first failing R is unchanged.
+
+RMMS needs only yes or no, so its checks walk the same rungs without the
+first counterexample: a rung with any remainder worth < t fails at once,
+the waiting removals (only the maximal ones, when many wait) are searched
+in ascending order of remainder value, the likeliest to fail first, and
+the first failure ends the check.
 
 RMMS gallops: it checks MMS, then steps down 1, 2, 4, ... candidates below
 the last infeasible check until one is feasible, and bisects between the
@@ -146,10 +158,11 @@ class _Record(NamedTuple):
     """Everything the searches keep about one valuation: v(S) for every
     mask, as a tuple and as a read-only int64 array, the item-weight sums
     of the pack bound, and the pack memo. ``sums[X]`` is the sum over j in
-    X of a weight w_j at least every marginal v(Y + j) - v(Y), so a split
-    of X into parts P has sum of v(P) <= sums[X]. ``failed`` maps a pack
-    state (mask, q) to the least t at which it is known to fail, ``packed``
-    to the greatest t at which it is known to pack."""
+    X of a weight w_j, with sums[P] >= v(P) for every P, so a split of X
+    into parts P has sum of v(P) <= sums[X]. ``failed`` maps a pack state
+    (mask, q) to the least t at which it is known to fail, ``packed`` to
+    the greatest t at which it is known to pack: the worst part of the
+    partition found."""
 
     table: tuple[int, ...]
     values: np.ndarray
@@ -178,6 +191,14 @@ def _record(v: Valuation) -> _Record:
     for i, weight in enumerate(weights):
         pairs = sums.reshape(-1, 2, 1 << i)
         np.add(pairs[:, 0], weight, out=pairs[:, 1])
+    if v.kind == "table":
+        # Lower each weight, last item first, to the least that keeps
+        # sums[X] >= v(X) for every X holding it. The anchored search's
+        # states hold mostly high items, so those are tightened first.
+        for i in reversed(range(v.m)):
+            pairs = sums.reshape(-1, 2, 1 << i)
+            weight = (values.reshape(-1, 2, 1 << i)[:, 1] - pairs[:, 0]).max()
+            np.add(pairs[:, 0], weight, out=pairs[:, 1])
     if v.kind == "additive":
         values = sums
     elif v.kind == "capped_additive":
@@ -255,13 +276,15 @@ def _pack(
 
 def _packs(rec: _Record, mask: int, q: int, t: int) -> bool:
     """Whether mask splits into q parts worth >= t; reads and extends both
-    memos of rec."""
+    memos of rec. A partition found packs mask at every t' up to its worst
+    part, so ``packed`` keeps that worst part."""
     key = (mask, q)
     if rec.packed.get(key, -1) >= t:
         return True
-    if _pack(rec.table, rec.sums, t, rec.failed, mask, q) is None:
+    parts = _pack(rec.table, rec.sums, t, rec.failed, mask, q)
+    if parts is None:
         return False
-    rec.packed[key] = t
+    rec.packed[key] = min(map(rec.table.__getitem__, parts))
     return True
 
 
@@ -437,19 +460,22 @@ MAXIMAL_FIRST_REMOVALS = 128
 
 
 def _first_failing(
-    rec: _Record, smask: int, q: int, t: int, waiting: np.ndarray
+    rec: _Record, smask: int, q: int, t: int, waiting: np.ndarray, first: bool
 ) -> Optional[int]:
-    """The first R of ``waiting`` (ascending masks inside smask) whose
-    remainder smask ^ R does not split into q parts worth >= t, or None.
+    """A removal R of ``waiting`` (ascending masks inside smask) whose
+    remainder smask ^ R does not split into q parts worth >= t, or None if
+    every remainder splits. With ``first``, the first such R.
 
     A remainder that packs has supersets that pack, so if R is inside R'
     and smask ^ R' packs, so does smask ^ R. Every waiting R lies under a
-    waiting R' with no waiting R' + e: with many waiting, those are
-    searched first. If they all pack, every waiting R does; if one fails,
-    the scan in ascending order runs up to it."""
-    removals = waiting.tolist()
-    last = None
-    if len(removals) > MAXIMAL_FIRST_REMOVALS:
+    waiting R' with no waiting R' + e: with many waiting, only those are
+    searched. Without ``first`` they are searched in ascending order of
+    remainder value, so that likely failures come first, and the first
+    failure answers. With ``first`` they are searched in ascending order,
+    and if one fails, the scan in ascending order runs up to it."""
+    removals = waiting
+    filtered = waiting.size > MAXIMAL_FIRST_REMOVALS
+    if filtered:
         marked = np.zeros(rec.values.size, dtype=bool)
         marked[waiting] = True
         # One pass per item i: a mask without i at [:, 0] has the mask with
@@ -459,18 +485,58 @@ def _first_failing(
             pairs = below.reshape(-1, 2, 1 << i)
             np.logical_or(pairs[:, 0], marked.reshape(-1, 2, 1 << i)[:, 1],
                           out=pairs[:, 0])
-        maximal = waiting[~below[waiting]].tolist()
-        last = next((R for R in maximal if not _packs(rec, smask ^ R, q, t)),
-                    None)
-        if last is None:
-            return None
-        removals = removals[:bisect_right(removals, last)]
-    for R in removals:
+        removals = waiting[~below[waiting]]
+    if not first:
+        removals = removals[np.argsort(rec.values[smask ^ removals],
+                                       kind="stable")]
+    last = next((R for R in removals.tolist()
+                 if not _packs(rec, smask ^ R, q, t)), None)
+    if last is None or not first or not filtered:
+        return last
+    for R in waiting[:np.searchsorted(waiting, last, "right")].tolist():
         if not _packs(rec, smask ^ R, q, t):
             return R
-    if last is not None:
-        raise InvariantError(
-            f"the remainder of removal {last} failed to split, then split")
+    raise InvariantError(
+        f"the remainder of removal {last} failed to split, then split")
+
+
+def _residual_failure(
+    rec: _Record, smask: int, n: int, t: int, first: bool
+) -> Optional[tuple[int, int]]:
+    """A (k, R) at which threshold t fails the residual check of (S, n), or
+    None if t is residual feasible; (0, 0) when S itself does not split.
+    With ``first``, the first (k, R) in (k ascending, R ascending) order.
+    Without it, a rung with a remainder worth < t fails without a search,
+    and the first failure found answers."""
+    if t == 0:
+        # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
+        # removals qualify for any k >= 1.
+        return None
+    if not _packs(rec, smask, n, t):
+        return 0, 0
+    # The removals split into parts inside S worth < t, that is <= t - 1:
+    # values are integers. Rung k minus rung k - 1 holds the removals whose
+    # binding k is k; rung 0 is R = 0 alone, checked above.
+    values = rec.values
+    masks = np.arange(values.size)
+    low = (values <= t - 1) & ((masks | smask) == smask)
+    fewer = masks == 0
+    for k, rung in zip(range(1, n), _cover_ladder(low)):
+        removals = np.flatnonzero(rung & ~fewer)
+        # A remainder worth < t has no part worth >= t: the first such R
+        # fails, so only the removals before it need a search, and with one
+        # part left none of them does.
+        short = np.flatnonzero(values[smask ^ removals] < t)
+        if short.size and not first:
+            return k, int(removals[short[0]])
+        stop = int(short[0]) if short.size else removals.size
+        if n - k > 1:
+            R = _first_failing(rec, smask, n - k, t, removals[:stop], first)
+            if R is not None:
+                return k, R
+        if short.size:
+            return k, int(removals[stop])
+        fewer = rung
     return None
 
 
@@ -487,46 +553,22 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
     if t < 0:
         raise ValueError(f"threshold must be non-negative, got t={t}")
     _check_caps(v)
-    if t == 0:
-        # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
-        # removals qualify for any k >= 1.
+    failure = _residual_failure(_record(v), S.mask, n, t, first=True)
+    if failure is None:
         return ResidualCheck(True)
-    rec = _record(v)
-    smask = S.mask
-    if not _packs(rec, smask, n, t):
-        return ResidualCheck(False, 0, Bundle())
-    # The removals split into parts inside S worth < t, that is <= t - 1:
-    # values are integers. Rung k minus rung k - 1 holds the removals whose
-    # binding k is k; rung 0 is R = 0 alone, checked above.
-    values = rec.values
-    masks = np.arange(values.size)
-    low = (values <= t - 1) & ((masks | smask) == smask)
-    fewer = masks == 0
-    for k, rung in zip(range(1, n), _cover_ladder(low)):
-        removals = np.flatnonzero(rung & ~fewer)
-        # A remainder worth < t has no part worth >= t: the first such R
-        # fails, so only the removals before it need a search, and with one
-        # part left none of them does.
-        short = np.flatnonzero(values[smask ^ removals] < t)
-        stop = int(short[0]) if short.size else removals.size
-        if n - k > 1:
-            R = _first_failing(rec, smask, n - k, t, removals[:stop])
-            if R is not None:
-                return ResidualCheck(False, k, Bundle(R))
-        if short.size:
-            return ResidualCheck(False, k, Bundle(int(removals[stop])))
-        fewer = rung
-    return ResidualCheck(True)
+    k, R = failure
+    return ResidualCheck(False, k, Bundle(R))
 
 
 @lru_cache(maxsize=65536)
 def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
-    S = Bundle(smask)
     ceiling = _mms(v, smask, n).value
     candidates = [c for c in _candidate_values(v, smask) if c <= ceiling]
+    rec = _record(v)
 
     def feasible(i: int) -> bool:
-        return is_residual_feasible(v, S, n, candidates[i]).feasible
+        return _residual_failure(rec, smask, n, candidates[i],
+                                 first=False) is None
 
     # Feasibility is monotone in t: for t' < t, every removal that qualifies
     # at t' (parts worth < t') also qualifies at t, and a pack at t is also a
@@ -546,7 +588,7 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
             lo = mid
         else:
             hi = mid
-    witness = _partition(_record(v), smask, n, candidates[lo])
+    witness = _partition(rec, smask, n, candidates[lo])
     return ShareReport("RMMS", candidates[lo], _canonical(witness), None, n)
 
 

@@ -432,6 +432,37 @@ def test_item_weight_sums_bound_every_partition(kind):
             assert rec.sums == rec.table
 
 
+def test_item_weights_are_an_additive_majorant():
+    # The bound needs w(P) >= v(P) for every P, with w additive over items;
+    # the singletons force w_j >= v({j}).
+    from rmms.cli import generate_instance
+
+    rng = random.Random(29)
+    for m in range(1, 9):
+        valuations = [generate_instance(rng.randrange(10 ** 6), 0, 1, m, kind,
+                                        9).valuations[0]
+                      for kind in ("additive", "capped_additive", "table")]
+        valuations.append(xos_table([[rng.choice((0, 0, 1, 3, 5))
+                                      for _ in range(m)] for _ in range(3)]))
+        for v in valuations:
+            rec = shares._record(v)
+            weights = [rec.sums[1 << j] for j in range(m)]
+            assert all(w >= rec.table[1 << j] for j, w in enumerate(weights)), v
+            for X in range(1 << m):
+                assert rec.sums[X] == sum(w for j, w in enumerate(weights)
+                                          if X >> j & 1), (v, X)
+                assert rec.sums[X] >= rec.table[X], (v, X)
+
+
+def test_table_item_weights_are_tight():
+    # Largest marginals alone gave sums[full] of 523-573 here, against
+    # v(full) of 211-244.
+    from rmms.cli import generate_instance
+
+    for v in generate_instance(7, 0, 3, 16, "table", 10).valuations:
+        assert shares._record(v).sums[-1] <= 300
+
+
 def plain_residual_scan(rec, smask, n, t):
     """(feasible, k, removed mask) from a scan of every k in [1, n) and
     every removal R in ascending order, each remainder tested by ``_packs``
@@ -459,8 +490,8 @@ def test_residual_check_on_maximal_removals_matches_plain_scan(monkeypatch,
     first_failing = shares._first_failing
     runs = set()
 
-    def spy(rec, smask, q, t, waiting):
-        R = first_failing(rec, smask, q, t, waiting)
+    def spy(rec, smask, q, t, waiting, first):
+        R = first_failing(rec, smask, q, t, waiting, first)
         runs.add((waiting.size > cutoff, R is not None))
         return R
 
@@ -495,7 +526,76 @@ def test_maximal_removal_that_fails_once_raises(monkeypatch):
     monkeypatch.setattr(shares, "_packs", lambda *args: next(answers, True))
     rec = shares._record(Additive((1,) * 4))
     with pytest.raises(InvariantError, match="removal 3"):
-        shares._first_failing(rec, 0b1111, 2, 1, np.array([1, 2, 3]))
+        shares._first_failing(rec, 0b1111, 2, 1, np.array([1, 2, 3]), True)
+
+
+def test_yes_no_residual_walk_matches_the_check():
+    # Without the first counterexample, the walk answers the same
+    # feasibility at every threshold up to MMS, on rungs both above and
+    # below MAXIMAL_FIRST_REMOVALS.
+    from rmms.cli import generate_instance
+
+    first_failing = shares._first_failing
+    runs = set()
+
+    def spy(rec, smask, q, t, waiting, first):
+        R = first_failing(rec, smask, q, t, waiting, first)
+        if not first:
+            runs.add((waiting.size > shares.MAXIMAL_FIRST_REMOVALS,
+                      R is not None))
+        return R
+
+    for m, kind, n in itertools.product((10, 11, 12), ("additive",
+                                        "capped_additive", "table"), (3, 4)):
+        v = generate_instance(n + 1, m, n, m, kind, 10).valuations[0]
+        S = full(m)
+        ceiling = mms(v, S, n).value
+        for t in shares._candidate_values(v, S.mask):
+            if t > ceiling:
+                break
+            shares._record.cache_clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(shares, "_first_failing", spy)
+                walk = shares._residual_failure(shares._record(v), S.mask, n,
+                                                t, False)
+            shares._record.cache_clear()
+            check = is_residual_feasible(v, S, n, t)
+            assert (walk is None) == check.feasible, (m, kind, n, t)
+    assert {(True, False), (True, True), (False, False), (False, True)} <= runs
+
+
+def test_packed_keeps_the_worst_part(monkeypatch):
+    # A partition found at t packs its state at every t' up to its worst
+    # part, without another search.
+    from rmms.cli import generate_instance
+
+    calls = []
+    pack = shares._pack
+
+    def spy(*args):
+        calls.append(args)
+        return pack(*args)
+
+    monkeypatch.setattr(shares, "_pack", spy)
+    raised = 0
+    for kind, n in itertools.product(("additive", "capped_additive", "table"),
+                                     (2, 3)):
+        v = generate_instance(3, n, 1, 8, kind, 10).valuations[0]
+        S = full(8)
+        for t in shares._candidate_values(v, S.mask)[1:]:
+            shares._record.cache_clear()
+            rec = shares._record(v)
+            if not shares._packs(rec, S.mask, n, t):
+                break
+            worst = rec.packed[S.mask, n]
+            parts = fresh_pack(rec.table, t, S.mask, n)
+            assert worst == min(rec.table[p] for p in parts) >= t
+            raised += worst > t
+            calls.clear()
+            for lower in range(1, worst + 1):
+                assert shares._packs(rec, S.mask, n, lower)
+            assert not calls, (kind, n, t)
+    assert raised
 
 
 def test_rmms_checks_stay_logarithmic(monkeypatch):
@@ -505,11 +605,11 @@ def test_rmms_checks_stay_logarithmic(monkeypatch):
     from rmms.cli import generate_instance
 
     calls = []
-    check = shares.is_residual_feasible
+    check = shares._residual_failure
 
-    def spy(v, S, n, t):
+    def spy(rec, smask, n, t, first):
         calls.append(t)
-        return check(v, S, n, t)
+        return check(rec, smask, n, t, first)
 
     beaten = 0
     for m, kind, n in itertools.product((8, 9, 10), ("additive",
@@ -520,7 +620,7 @@ def test_rmms_checks_stay_logarithmic(monkeypatch):
         candidates = [c for c in shares._candidate_values(v, S.mask)
                       if c <= ceiling]
         calls.clear()
-        monkeypatch.setattr(shares, "is_residual_feasible", spy)
+        monkeypatch.setattr(shares, "_residual_failure", spy)
         value = rmms(v, S, n).value
         monkeypatch.undo()
         bound = 2 * len(candidates).bit_length() + 1
@@ -534,6 +634,39 @@ def test_rmms_checks_stay_logarithmic(monkeypatch):
         # A descending scan would take len(candidates) - index checks.
         beaten += len(candidates) - index > bound
     assert beaten
+
+
+# _pack calls, recursive ones included, for MMS + RMMS of every agent of
+# generate_instance(1, index, n, 10, kind, 10) for every kind and n 3-4,
+# each agent on a fresh record: 8,309 when this gate was set, against
+# 16,499 with largest-marginal table weights, the first counterexample
+# sought in every RMMS check and packs remembered at the t searched.
+PACK_CALLS_AT_M_10 = 8_309
+
+
+def test_pack_calls_stay_within_measured_work(monkeypatch):
+    # Timings on a noisy host can hide a lost pruning; the work cannot.
+    from rmms.cli import generate_instance
+
+    calls = 0
+    pack = shares._pack
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return pack(*args)
+
+    monkeypatch.setattr(shares, "_pack", spy)
+    for kind, n in itertools.product(("additive", "capped_additive", "table"),
+                                     (3, 4)):
+        inst = generate_instance(1, n, n, 10, kind, 10)
+        for v in inst.valuations:
+            shares._record.cache_clear()
+            shares._mms.cache_clear()
+            shares._rmms.cache_clear()
+            mms(v, inst.all_items, n)
+            rmms(v, inst.all_items, n)
+    assert calls <= PACK_CALLS_AT_M_10
 
 
 def test_residual_check_fetches_the_record_once():
