@@ -5,6 +5,13 @@ agent meets her residual maximin share.
 Envy-cycle elimination and the completion pipeline touch valuations only
 through comparison queries; the share-threshold algorithm needs actual share
 values and therefore uses value queries as well.
+
+Inside the procedures bundles are raw bit masks, and queries go through
+``core._value`` and ``core._compare``, which charge the ledger exactly as
+``value_query`` and ``compare_query`` do but skip their range checks: every
+mask is a subset of the items of the instance, as the input allocation was
+validated against it. ``Bundle`` and ``PartialAllocation`` appear only at
+the API edge, in what the procedures take and return.
 """
 from __future__ import annotations
 
@@ -18,10 +25,10 @@ from .core import (
     PartialAllocation,
     PreconditionError,
     QueryLedger,
+    _compare,
+    _value,
     bits_of,
-    compare_query,
     submasks,
-    value_query,
 )
 from . import fairness
 from . import shares
@@ -67,18 +74,16 @@ def envy_cycle_run(
     ]
     pool = start.pool.mask
     trace = RunTrace(ledger=ledger)
-
-    def envies(i: int, j: int) -> bool:
-        return not compare_query(
-            inst.valuations[i],
-            Bundle(records[i]["mask"]),
-            Bundle(records[j]["mask"]),
-            ledger,
-        )
+    valuations = inst.valuations
 
     while pool:
         while True:
-            envy = [[i != j and envies(i, j) for j in range(n)] for i in range(n)]
+            masks = [r["mask"] for r in records]
+            envy = [
+                [i != j and not _compare(v, masks[i], masks[j], ledger)
+                 for j in range(n)]
+                for i, v in enumerate(valuations)
+            ]
             unenvied = next(
                 (j for j in range(n) if not any(envy[i][j] for i in range(n))), None
             )
@@ -173,17 +178,19 @@ def preprocess_singletons(
     swaps = 0
     while True:
         swapped = False
-        for i in range(n):
-            v = inst.valuations[i]
-            own = Bundle(bundles[i])
-            taken = None
-            for e in bits_of(pool):
-                if not compare_query(v, own, Bundle(1 << e), ledger):
-                    taken = e
+        for i, v in enumerate(inst.valuations):
+            own = bundles[i]
+            taken = 0
+            rest = pool
+            while rest:
+                bit = rest & -rest
+                if not _compare(v, own, bit, ledger):
+                    taken = bit
                     break
-            if taken is not None:
-                pool = (pool | bundles[i]) ^ (1 << taken)
-                bundles[i] = 1 << taken
+                rest ^= bit
+            if taken:
+                pool = (pool | own) ^ taken
+                bundles[i] = taken
                 swaps += 1
                 if swaps > n * m:
                     raise InvariantError("singleton preprocessing failed to converge")
@@ -283,7 +290,7 @@ def rmms_efx_partial(
     free = full
 
     def desires(a: int, mask: int) -> bool:
-        return value_query(inst.valuations[a], Bundle(mask), ledger) >= rmms_values[a]
+        return _value(inst.valuations[a], mask, ledger) >= rmms_values[a]
 
     def check_minimal(mask: int, poor: list[int]) -> None:
         # Allocated bundles with >= 2 items must be minimal: dropping any
@@ -339,9 +346,7 @@ def rmms_efx_partial(
                     break
                 for w in wealthy:
                     vw = inst.valuations[w]
-                    if value_query(vw, Bundle(S), ledger) > value_query(
-                        vw, Bundle(assigned[w]), ledger
-                    ):
+                    if _value(vw, S, ledger) > _value(vw, assigned[w], ledger):
                         upgrade = (w, S, pidx)
                         break
         if upgrade is not None:

@@ -5,11 +5,25 @@ disjointness tests, unions and subset enumeration are single integer ops.
 All values are non-negative integers; exact solvers elsewhere in the
 package rely on that (no floating point anywhere in the library). Integer
 fields are checked with ``type(x) is int``, which rejects bools and floats.
+
+Additive and capped valuations answer a point query v(S) with one table
+lookup per 8 items. Each chunk of 8 items keeps the 256 subset sums of its
+items, indexed by the chunk's byte of the mask, so v(S) is the sum of one
+entry per byte of S. Integer sums are exact, and the tables hold at most
+3 * 256 entries at ``MAX_EXACT_ITEMS`` = 20, never one per subset. They are
+built on first use and are not fields: equality, hashing, ``repr`` and the
+JSON form see only the item values.
+
+The counted queries ``value_query`` and ``compare_query`` check that their
+bundles lie inside the valuation's items and then charge the ledger through
+``_value`` and ``_compare``. The algorithms call those two directly on the
+raw masks of allocations already validated against the instance.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -129,6 +143,18 @@ def _check_item_values(values: tuple[int, ...]) -> list[str]:
     return problems
 
 
+def _chunk_sums(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per chunk of 8 items, the subset sums of its items, indexed by the
+    chunk's byte of a mask: at most 256 entries per chunk."""
+    chunks = []
+    for start in range(0, len(values), 8):
+        sums = [0]
+        for value in values[start:start + 8]:
+            sums += [s + value for s in sums]
+        chunks.append(tuple(sums))
+    return tuple(chunks)
+
+
 @dataclass(frozen=True)
 class Additive:
     """Additive valuation: v(S) = sum of per-item values."""
@@ -146,13 +172,19 @@ class Additive:
     def m(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def _chunks(self) -> tuple[tuple[int, ...], ...]:
+        return _chunk_sums(self.values)
+
     def value_of(self, mask: int) -> int:
-        total = 0
-        vs = self.values
+        """v(mask): one lookup in the chunk sums per byte of the mask (see
+        the module docstring). A bit beyond the items raises IndexError."""
+        chunks = self._chunks
+        total = i = 0
         while mask:
-            low = mask & -mask
-            total += vs[low.bit_length() - 1]
-            mask ^= low
+            total += chunks[i][mask & 255]
+            mask >>= 8
+            i += 1
         return total
 
 
@@ -181,17 +213,21 @@ class CappedAdditive:
     def m(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def _chunks(self) -> tuple[tuple[int, ...], ...]:
+        return _chunk_sums(self.values)
+
     def value_of(self, mask: int) -> int:
-        total = 0
-        vs = self.values
-        cap = self.cap
+        """min(sum, cap), the sum by one lookup in the chunk sums per byte of
+        the mask (see the module docstring). A bit beyond the items raises
+        IndexError."""
+        chunks = self._chunks
+        total = i = 0
         while mask:
-            low = mask & -mask
-            total += vs[low.bit_length() - 1]
-            if total >= cap:
-                return cap
-            mask ^= low
-        return total
+            total += chunks[i][mask & 255]
+            mask >>= 8
+            i += 1
+        return total if total < self.cap else self.cap
 
 
 def table_violations(values: tuple[int, ...]) -> list[str]:
@@ -317,16 +353,16 @@ class PartialAllocation:
     def __post_init__(self):
         object.__setattr__(self, "bundles", tuple(self.bundles))
         full = (1 << self.m) - 1
-        union = 0
-        total_bits = 0
+        union = overlap = 0
         for b in (self.pool, *self.bundles):
-            if b.mask & ~full:
+            mask = b.mask
+            if mask & ~full:
                 raise MalformedBundleError(
                     f"bundle {b.items()} outside item range [0, {self.m})"
                 )
-            union |= b.mask
-            total_bits += len(b)
-        if union != full or total_bits != self.m:
+            overlap |= union & mask
+            union |= mask
+        if union != full or overlap:
             raise ValueError("pool and bundles must partition the item set")
 
     @classmethod
@@ -357,19 +393,31 @@ def _check_range(v: Valuation, bundle: Bundle) -> None:
         )
 
 
+def _value(v: Valuation, mask: int, ledger: QueryLedger) -> int:
+    """v(mask), charged to the ledger as a value query. The mask must lie
+    inside v's items."""
+    ledger.value_queries += 1
+    return v.value_of(mask)
+
+
+def _compare(v: Valuation, s: int, t: int, ledger: QueryLedger) -> bool:
+    """v(s) >= v(t), charged to the ledger as a comparison query. The masks
+    must lie inside v's items."""
+    ledger.comparison_queries += 1
+    return v.value_of(s) >= v.value_of(t)
+
+
 def value_query(v: Valuation, S: Bundle, ledger: QueryLedger) -> int:
     """Answer a value query v(S) and charge it to the ledger."""
     _check_range(v, S)
-    ledger.value_queries += 1
-    return v.value_of(S.mask)
+    return _value(v, S.mask, ledger)
 
 
 def compare_query(v: Valuation, S: Bundle, T: Bundle, ledger: QueryLedger) -> bool:
     """Answer a comparison query v(S) >= v(T) and charge it to the ledger."""
     _check_range(v, S)
     _check_range(v, T)
-    ledger.comparison_queries += 1
-    return v.value_of(S.mask) >= v.value_of(T.mask)
+    return _compare(v, S.mask, T.mask, ledger)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,15 @@
 One pair kernel, ``_pair``, serves every predicate. For an ordered agent
 pair (i, j) it walks the items e of j's bundle B once, computing v_i(B - e)
 for each and v_i({e}) only where EFL still needs it, and returns EF1, EFL,
-EFX (with its lowest-index witness) and EF envy together. ``certificate``
+EFX (with its lowest-index witness) and EF envy together. ``_envious``
 makes one pass over the ordered pairs, valuing each agent's own bundle
-once; ``envy_between`` and the ``is_*`` predicates call the same kernel.
+once, and keeps the pairs with some envy; ``certificate`` and the ``is_*``
+predicates read that list, and ``envy_between`` calls the kernel directly.
 An allocation is EF1/EFL/EFX/EF when no pair exhibits the respective envy.
+
+The kernel works on raw bit masks and plain integers: the allocation was
+validated against its item range when it was built, and the shape check
+against the instance runs once per call at the API edge.
 
 Each notion is computed from its own definition rather than inferred from
 the hierarchy EFX => EFL => EF1, which needs monotone valuations: a table
@@ -24,7 +29,7 @@ monotone normalized valuations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import Instance, PartialAllocation, Valuation
 
@@ -49,6 +54,7 @@ def _pair(v: Valuation, own_val: int, other: int) -> tuple:
     """(EF1, EFL, EFX, EF, witness) envy toward the non-empty bundle
     ``other`` of an agent with valuation ``v`` whose own bundle is worth
     ``own_val``; the first four are bools, indexed as in ENVY_KINDS."""
+    value_of = v.value_of
     ef1 = True
     efl = other & (other - 1) != 0
     witness = None
@@ -56,14 +62,14 @@ def _pair(v: Valuation, own_val: int, other: int) -> tuple:
     while rest:
         bit = rest & -rest
         rest ^= bit
-        if own_val < v.value_of(other ^ bit):
+        if own_val < value_of(other ^ bit):
             if witness is None:
                 witness = bit.bit_length() - 1
         else:
             ef1 = False
-            if efl and own_val >= v.value_of(bit):
+            if efl and own_val >= value_of(bit):
                 efl = False
-    return ef1, efl, witness is not None, own_val < v.value_of(other), witness
+    return ef1, efl, witness is not None, own_val < value_of(other), witness
 
 
 def _strongest(envy: tuple) -> tuple[str, Optional[int]]:
@@ -79,16 +85,21 @@ def _check_shape(inst: Instance, alloc: PartialAllocation) -> None:
         raise ValueError("allocation does not match instance shape")
 
 
-def _pairs(inst: Instance, alloc: PartialAllocation) -> Iterator[tuple]:
-    """(i, j, envy) for every ordered pair whose envied bundle is non-empty,
-    in (i, j) order."""
+def _envious(inst: Instance, alloc: PartialAllocation) -> list[tuple]:
+    """(i, j, envy) for every ordered pair with envy of some kind, in (i, j)
+    order. Each notion comes from its own definition (see the module
+    docstring), so a pair counts if any of the four holds."""
     _check_shape(inst, alloc)
     masks = [b.mask for b in alloc.bundles]
+    found = []
     for i, v in enumerate(inst.valuations):
         own_val = v.value_of(masks[i])
         for j, other in enumerate(masks):
             if other and j != i:
-                yield i, j, _pair(v, own_val, other)
+                envy = _pair(v, own_val, other)
+                if envy[0] or envy[1] or envy[2] or envy[3]:
+                    found.append((i, j, envy))
+    return found
 
 
 def envy_between(
@@ -109,7 +120,7 @@ def envy_between(
 def _scan(inst, alloc, k: int) -> tuple[bool, list[EnvyVerdict]]:
     violations = [
         EnvyVerdict(i, j, *_strongest(envy))
-        for i, j, envy in _pairs(inst, alloc)
+        for i, j, envy in _envious(inst, alloc)
         if envy[k]
     ]
     return (not violations, violations)
@@ -137,16 +148,15 @@ def is_ef(inst: Instance, alloc: PartialAllocation):
 
 def certificate(inst: Instance, alloc: PartialAllocation) -> dict:
     """JSON-ready fairness certificate for an allocation."""
-    clear = [True, True, True, True]
+    ef1 = efl = efx = ef = True
     violations = []
-    for i, j, envy in _pairs(inst, alloc):
+    for i, j, envy in _envious(inst, alloc):
+        ef1 = ef1 and not envy[0]
+        efl = efl and not envy[1]
+        efx = efx and not envy[2]
+        ef = ef and not envy[3]
         kind, witness = _strongest(envy)
-        if kind != "none":
-            for k in range(4):
-                if envy[k]:
-                    clear[k] = False
-            violations.append(
-                {"envier": i, "envied": j, "kind": kind, "witness": witness}
-            )
-    ef1, efl, efx, ef = clear
+        violations.append(
+            {"envier": i, "envied": j, "kind": kind, "witness": witness}
+        )
     return {"ef1": ef1, "efl": efl, "efx": efx, "ef": ef, "violations": violations}

@@ -96,6 +96,10 @@ the waiting removals (only the maximal ones, when many wait) are searched
 in ascending order of remainder value, the likeliest to fail first, and
 the first failure ends the check.
 
+MMS records each pack it finds in ``packed``, so RMMS's first check, at
+t = MMS, finds (S, n) packed without a search; where RMMS = MMS, the MMS
+witness is the RMMS witness.
+
 RMMS gallops: it checks MMS, then steps down 1, 2, 4, ... candidates below
 the last infeasible check until one is feasible, and bisects between the
 two. Feasibility is monotone in t, so this finds the largest feasible
@@ -435,6 +439,8 @@ def _mms(v: Valuation, smask: int, n: int) -> ShareReport:
         else:
             best = min(map(rec.table.__getitem__, parts))
             lo = bisect_right(candidates, best, mid) - 1
+            if rec.packed.get((smask, n), -1) < best:
+                rec.packed[smask, n] = best
     witness = _partition(rec, smask, n, best)
     return ShareReport("MMS", best, _canonical(witness), None, n)
 
@@ -588,8 +594,12 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
             lo = mid
         else:
             hi = mid
-    witness = _partition(rec, smask, n, candidates[lo])
-    return ShareReport("RMMS", candidates[lo], _canonical(witness), None, n)
+    if lo == len(candidates) - 1:
+        # RMMS = MMS: the canonical partition at MMS is the MMS witness.
+        witness = _mms(v, smask, n).witness
+    else:
+        witness = _canonical(_partition(rec, smask, n, candidates[lo]))
+    return ShareReport("RMMS", candidates[lo], witness, None, n)
 
 
 def rmms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareReport:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from rmms.core import (
     PreconditionError,
     QueryLedger,
 )
-from rmms import algorithms, fairness, shares
+from rmms import algorithms, cli, fairness, oracle, shares
 from conftest import random_additive_instance, random_partial
 
 
@@ -270,3 +271,62 @@ class TestRmmsEflFull:
                     trace.partial.bundles[i].mask
                 )
                 assert vi.value_of(alloc.bundles[i].mask) >= trace.rmms_values[i]
+
+
+def _completion_digests(kind, n, m):
+    """sha256 digests of every EFL completion of one generated instance and
+    of the EFX partial runs on 40 of them: bundles and query counts, in run
+    order."""
+    inst = cli.generate_instance(2026, 0, n, m, kind, 10)
+    completions = []
+    for partial in oracle.enumerate_allocations(inst, partial=True):
+        if not fairness.is_efl(inst, partial)[0]:
+            continue
+        ledger = QueryLedger()
+        full, _ = algorithms.efl_complete(inst, partial, ledger)
+        completions.append(([b.mask for b in full.bundles],
+                            ledger.comparison_queries))
+    # Indices 0-39 take the EFX procedure through every kind of round,
+    # wealthy upgrades included.
+    partial_runs = []
+    for index in range(40):
+        inst = cli.generate_instance(2026, index, n, m, kind, 10)
+        ledger = QueryLedger()
+        alloc, _ = algorithms.rmms_efx_partial(inst, ledger)
+        partial_runs.append((alloc.pool.mask, [b.mask for b in alloc.bundles],
+                             ledger.value_queries, ledger.comparison_queries))
+    return (len(completions),
+            hashlib.sha256(repr(completions).encode()).hexdigest(),
+            hashlib.sha256(repr(partial_runs).encode()).hexdigest())
+
+
+# (EFL partial allocations, digest of their completions, digest of the EFX
+# partial runs) per generate_instance(2026, index, n, m, kind, 10): the
+# completions at index 0, the runs at indices 0-39. They pin the
+# completion's and the EFX procedure's query discipline: which bundles come
+# out and how many value and comparison queries it takes to get there.
+COMPLETION_GOLDEN = {
+    ("additive", 3, 5): (
+        176, "19039c6433abd2fcec8fc1287619da36a8159cddfd016dd803d833dbc4f78d44",
+        "d93898485ecb9b196f99db1a9b40df92ccee7f4cb87db038a5b709a3cd773414"),
+    ("additive", 4, 4): (
+        209, "7657fd6a061c5210d1f3f3e5ede145d2172ad3aaa932898f39ed029bd40e3ccd",
+        "c97a78000aa633758a2bb5a7c6ab86d64e99b2fe1b12c7f7147736bd44488edd"),
+    ("capped_additive", 3, 5): (
+        230, "1e6e8e1da1785024f03866a1f1405ed7484e7d075451b122c801bc65ebae5280",
+        "26aae96a1b78f9eb83f116be28c74ea54acb9f9aac164f9326b3da71368ad3c2"),
+    ("capped_additive", 4, 4): (
+        209, "c1274245b45fdad1db141ba78d32e63c5b8f1a81fc667c9329af8c9748591295",
+        "56cc290273684bf870cdc0f8cf437cc16f5b1c55f6dff435b326829b62bfe45c"),
+    ("table", 3, 5): (
+        180, "e43f6614cff0ea471bb4b0da1bebd621fcb484eab1c1fc5149576522654129b0",
+        "59e3b225764b700fa4f94c404d8bf9fee4283194cbfefdec1b5ec5d230dd0750"),
+    ("table", 4, 4): (
+        209, "edebb177f663478278495237bcd4e682064e8d5557afe74eeb414f33b81b90c5",
+        "ded30358148e389e6a05e7bb15122f9c506541167c1307835b50c156e3ad213e"),
+}
+
+
+@pytest.mark.parametrize("kind, n, m", sorted(COMPLETION_GOLDEN))
+def test_completion_queries_golden(kind, n, m):
+    assert _completion_digests(kind, n, m) == COMPLETION_GOLDEN[(kind, n, m)]

@@ -204,6 +204,21 @@ def test_bench_csv_golden(tmp_path, algorithm, kind):
     assert digest == BENCH_GOLDEN[(algorithm, kind)]
 
 
+@pytest.mark.parametrize("algorithm", ["envy-cycle", "rmms-efx", "rmms-efl"])
+def test_bench_jobs_matches_serial(tmp_path, algorithm):
+    # Two worker processes write the same rows, in the same order, as one.
+    outs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"bench_{jobs}.csv"
+        code, _ = run(["bench", "--agents", "3", "--items", "6", "--trials", "4",
+                       "--seed", "2026", "--algorithm", algorithm,
+                       "--jobs", str(jobs), "-o", str(out)])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 5
+
+
 class TestAllocateCheck:
     def test_pipeline(self, tmp_path):
         path = write_instance(tmp_path, SMALL)

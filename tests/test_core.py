@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -168,6 +169,9 @@ def test_partial_allocation_partition_enforced():
         PartialAllocation(3, Bundle(0), (Bundle(0b001), Bundle(0b010)))
     with pytest.raises(MalformedBundleError):
         PartialAllocation(2, Bundle(0b100), (Bundle(0b01), Bundle(0b10)))
+    # An item outside the range is reported before an overlap seen earlier.
+    with pytest.raises(MalformedBundleError, match=r"\[1, 2\] outside"):
+        PartialAllocation(2, Bundle(0b01), (Bundle(0b01), Bundle(0b110)))
 
 
 def test_instance_shape_checks():
@@ -229,3 +233,55 @@ def test_capped_is_subadditive_small():
     for s in range(16):
         for t in range(16):
             assert v.value_of(s) + v.value_of(t) >= v.value_of(s | t)
+
+
+def _bit_loop(values, mask):
+    return sum(values[j] for j in range(len(values)) if mask >> j & 1)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 20])
+def test_value_of_matches_bit_loop(m):
+    # The chunk lookup against the plain per-item sum, on both sides of each
+    # 8-item chunk boundary, with 0 and MAX_VALUE among the item values.
+    rng = random.Random(m)
+    draws = [rng.randint(0, MAX_VALUE) for _ in range(m)]
+    values = tuple([0, MAX_VALUE] + draws)[:m]
+    total = sum(values)
+    valuations = [Additive(values)] + [
+        CappedAdditive(values, cap)
+        for cap in (0, 1, min(total // 2, MAX_VALUE), MAX_VALUE)
+    ]
+    if m <= 9:
+        masks = range(1 << m)
+    else:
+        masks = [rng.getrandbits(m) for _ in range(2000)] + [0, (1 << m) - 1]
+    for v in valuations:
+        cap = getattr(v, "cap", None)
+        for mask in masks:
+            want = _bit_loop(values, mask)
+            if cap is not None:
+                want = min(want, cap)
+            assert v.value_of(mask) == want, (v, mask)
+        with pytest.raises(IndexError):
+            v.value_of(1 << m)
+        # One tuple per 8 items, never a table over all subsets.
+        assert [len(chunk) for chunk in v._chunks] == [
+            1 << min(8, m - start) for start in range(0, m, 8)
+        ]
+
+
+def test_value_lookup_stays_out_of_identity():
+    values = (0, 5, MAX_VALUE, 3, 1, 0, 7, 2, 9)
+    for make in (lambda: Additive(values), lambda: CappedAdditive(values, 12)):
+        built, fresh = make(), make()
+        built.value_of(0b101010101)
+        assert "_chunks" in vars(built) and "_chunks" not in vars(fresh)
+        copies = [fresh, pickle.loads(pickle.dumps(built)),
+                  pickle.loads(pickle.dumps(fresh))]
+        for other in copies:
+            assert built == other
+            assert hash(built) == hash(other)
+            assert repr(built) == repr(other)
+            assert other.value_of(0b101010101) == built.value_of(0b101010101)
+        assert instance_to_json(Instance(9, 1, (built,))) == instance_to_json(
+            Instance(9, 1, (fresh,)))

@@ -598,6 +598,40 @@ def test_packed_keeps_the_worst_part(monkeypatch):
     assert raised
 
 
+def test_rmms_reuses_the_mms_packs(monkeypatch):
+    # MMS leaves its packs in the record, so RMMS never searches (S, n) at
+    # t = MMS, and where RMMS = MMS it takes the MMS witness, the canonical
+    # partition at that value.
+    from rmms.cli import generate_instance
+
+    top = []
+    pack = shares._pack
+
+    def spy(table, sums, t, failed, remaining, parts):
+        if remaining == S.mask and parts == n:
+            top.append(t)
+        return pack(table, sums, t, failed, remaining, parts)
+
+    monkeypatch.setattr(shares, "_pack", spy)
+    S = full(10)
+    at_mms = 0
+    for index, kind, n in itertools.product(
+            range(3), ("additive", "capped_additive", "table"), (3, 4)):
+        inst = generate_instance(1, index, n, 10, kind, 10)
+        for v in inst.valuations:
+            shares._record.cache_clear()
+            shares._mms.cache_clear()
+            shares._rmms.cache_clear()
+            ceiling = mms(v, S, n).value
+            top.clear()
+            report = rmms(v, S, n)
+            assert ceiling not in top, (index, kind, n)
+            at_mms += report.value == ceiling
+            parts = shares.acceptable_partition(v, S, n, report.value)
+            assert report.witness == tuple(sorted(parts))
+    assert at_mms
+
+
 def test_rmms_checks_stay_logarithmic(monkeypatch):
     # With item values up to 100,000, RMMS is often many candidates below
     # MMS; the scan gallops down and bisects, O(log C) checks for C
