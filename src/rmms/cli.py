@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     Bundle,
     CapExceededError,
+    MAX_VALUE,
     Instance,
     InvariantError,
     PartialAllocation,
@@ -108,6 +109,11 @@ def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
     vals = tuple(
         generate_valuation(rng, kind, m, max_value, cap) for _ in range(n)
     )
+    # Generated tables are monotone, so v(all items) is the largest value.
+    top = max((v.values[-1] for v in vals if v.kind == "table"), default=0)
+    if top > MAX_VALUE:
+        raise ValueError(f"--max-value {max_value} gives table values up to "
+                         f"{top}, past {MAX_VALUE}")
     inst = Instance(m=m, n=n, valuations=vals)
     report = validate_instance(inst)
     if not report.ok:
@@ -118,6 +124,8 @@ def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
 
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     for idx in range(args.count):
@@ -253,7 +261,8 @@ def _bench_one(task) -> dict:
     started = time.perf_counter()
     try:
         # Agent by agent, so that RMMS runs on the pack memo MMS left and
-        # all three shares use one record per agent.
+        # all three shares use one record per agent; rmms_efx_partial reuses
+        # the RMMS values kept on the valuations.
         mms_vals, rmms_vals, mxs_vals = [], [], []
         for i, v in enumerate(inst.valuations):
             mms_vals.append(shares.mms(v, inst.all_items, n).value)
@@ -301,6 +310,9 @@ def _bench_one(task) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 0 or args.jobs < 1:
+        raise ValueError("--trials must be at least 0 and --jobs at least 1, "
+                         f"got {args.trials} and {args.jobs}")
     columns = list(BENCH_COLUMNS)
     if args.timings:
         columns.append("wall_time_us")
@@ -310,7 +322,7 @@ def cmd_bench(args) -> int:
         for idx in range(args.trials)
     ]
     if args.jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:
         rows = [_bench_one(task) for task in tasks]

@@ -330,3 +330,26 @@ COMPLETION_GOLDEN = {
 @pytest.mark.parametrize("kind, n, m", sorted(COMPLETION_GOLDEN))
 def test_completion_queries_golden(kind, n, m):
     assert _completion_digests(kind, n, m) == COMPLETION_GOLDEN[(kind, n, m)]
+
+
+@pytest.mark.parametrize("kind", ["additive", "capped_additive", "table"])
+def test_rmms_efx_partial_reuses_the_shares_computed_before(monkeypatch, kind):
+    # As in a bench row: MMS, RMMS and MXS per agent, then the algorithm on
+    # the same instance finds every RMMS value already kept on its valuation.
+    checks = 0
+    check = shares._residual_failure
+
+    def spy(*args, **kwargs):
+        nonlocal checks
+        checks += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(shares, "_residual_failure", spy)
+    inst = cli.generate_instance(3, 0, 3, 7, kind, 10)
+    for i, v in enumerate(inst.valuations):
+        shares.mms(v, inst.all_items, inst.n)
+        shares.rmms(v, inst.all_items, inst.n)
+        shares.mxs(inst, i)
+    before = checks
+    algorithms.rmms_efx_partial(inst, QueryLedger())
+    assert before and checks == before

@@ -535,6 +535,54 @@ def test_malformed_allocation_exits_2(tmp_path, capsys, case):
     assert_one_line_error(["check", path, str(alloc_path)], capsys)
 
 
+BAD_RUNS = {
+    # Generated table values reach about 2 * m * max-value, past the cap.
+    "gen_table_past_max_value": [
+        "gen", "--kind", "table", "--max-value", "1000000000"],
+    "bench_table_past_max_value": [
+        "bench", "--kind", "table", "--max-value", "1000000000",
+        "--trials", "1"],
+    "gen_negative_count": ["gen", "--count", "-1"],
+    "bench_negative_trials": ["bench", "--trials", "-1"],
+    "bench_no_jobs": ["bench", "--trials", "1", "--jobs", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUNS))
+def test_bad_generation_arguments_exit_2(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    argv = BAD_RUNS[case] + ["--agents", "2", "--items", "3", "-o", str(out)]
+    assert_one_line_error(argv, capsys)
+    assert not out.is_file() and not any(out.glob("*"))
+
+
+def test_bench_starts_at_most_one_worker_per_trial(tmp_path, monkeypatch):
+    # A stand-in pool records its size and maps in this process.
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    out = tmp_path / "bench.csv"
+    for trials, jobs in ((1, 64), (3, 64), (3, 2)):
+        code, _ = run(["bench", "--agents", "2", "--items", "3", "--trials",
+                       str(trials), "--jobs", str(jobs), "-o", str(out)])
+        assert code == 0
+        assert out.read_text().count("\n") == trials + 1
+    assert sizes == [1, 3, 2]
+
+
 FUZZ_INSTANCES = [
     SMALL,
     {

@@ -271,11 +271,20 @@ def test_value_of_matches_bit_loop(m):
 
 
 def test_value_lookup_stays_out_of_identity():
+    # Chunk sums and share results live in the valuation's own dict, outside
+    # its equality, hash, repr, pickled fields and JSON.
+    from rmms.shares import mms, rmms
+
     values = (0, 5, MAX_VALUE, 3, 1, 0, 7, 2, 9)
-    for make in (lambda: Additive(values), lambda: CappedAdditive(values, 12)):
+    table = tuple(min(bin(mask).count("1"), 3) for mask in range(1 << 9))
+    for make in (lambda: Additive(values), lambda: CappedAdditive(values, 12),
+                 lambda: Table(table)):
         built, fresh = make(), make()
         built.value_of(0b101010101)
-        assert "_chunks" in vars(built) and "_chunks" not in vars(fresh)
+        for share in (mms, rmms):
+            share(built, Bundle((1 << 9) - 1), 3)
+        kept = {"_shares"} | ({"_chunks"} if built.kind != "table" else set())
+        assert set(vars(built)) - set(vars(fresh)) == kept
         copies = [fresh, pickle.loads(pickle.dumps(built)),
                   pickle.loads(pickle.dumps(fresh))]
         for other in copies:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from math import inf
 
@@ -287,6 +289,12 @@ def memo_cases():
                       for smask in {everything, everything ^ (1 << (m // 2))}]
 
 
+def forget(v):
+    """Drop the share results kept on v, so that its next MMS and RMMS
+    search again."""
+    vars(v).pop("_shares", None)
+
+
 def fresh_pack(table, t, mask, q):
     """``_pack`` with an empty memo and a sum bound that never prunes."""
     return shares._pack(table, [inf] * len(table), t, {}, mask, q)
@@ -308,13 +316,12 @@ def test_pack_memo_is_order_independent():
                 shares._record.cache_clear()
                 checks[smask, n][t] = is_residual_feasible(v, S, n, t)
             shares._record.cache_clear()
-            shares._mms.cache_clear()
-            shares._rmms.cache_clear()
+            forget(v)
             reports[smask, n] = (mms(v, S, n), rmms(v, S, n))
             # The MMS witness is the first pack a fresh search finds at MMS.
             best = reports[smask, n][0]
             if best.value:
-                table = shares._value_table(v)
+                table = shares._record(v).table
                 fresh = fresh_pack(table, best.value, smask, n)
                 assert best.witness == shares._canonical(
                     tuple(Bundle(p) for p in fresh)), (v, smask, n)
@@ -327,8 +334,7 @@ def test_pack_memo_is_order_independent():
                 for t in order:
                     got = is_residual_feasible(v, S, n, t)
                     assert got == checks[smask, n][t], (v, smask, n, t)
-                shares._mms.cache_clear()
-                shares._rmms.cache_clear()
+                forget(v)
                 assert (mms(v, S, n), rmms(v, S, n)) == reports[smask, n]
         # Every call above searched on the one record.
         assert shares._record.cache_info().misses == 1
@@ -348,11 +354,10 @@ def test_mms_witness_after_a_jump(monkeypatch):
         return pack(table, sums, t, failed, remaining, parts)
 
     shares._record.cache_clear()
-    shares._mms.cache_clear()
     monkeypatch.setattr(shares, "_pack", spy)
     report = mms(v, S, n)
     assert (report.value, probes) == (3, [1, 4, 3])
-    table = shares._value_table(v)
+    table = shares._record(v).table
     fresh = fresh_pack(table, 3, S.mask, n)
     assert report.witness == shares._canonical(tuple(Bundle(p) for p in fresh))
 
@@ -378,7 +383,7 @@ def test_mms_probes_stay_logarithmic(monkeypatch, v, n):
         return pack(table, sums, t, failed, remaining, parts)
 
     shares._record.cache_clear()
-    shares._mms.cache_clear()
+    forget(v)
     candidates = shares._candidate_values(v, S.mask)
     monkeypatch.setattr(shares, "_pack", spy)
     report = mms(v, S, n)
@@ -386,7 +391,7 @@ def test_mms_probes_stay_logarithmic(monkeypatch, v, n):
     assert len(probes) <= 5 * len(candidates).bit_length() + 1
     # The value is the greatest candidate at which a fresh search packs,
     # and the witness is that search's first partition.
-    table = shares._value_table(v)
+    table = shares._record(v).table
     lo, hi = 0, len(candidates)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -620,8 +625,6 @@ def test_rmms_reuses_the_mms_packs(monkeypatch):
         inst = generate_instance(1, index, n, 10, kind, 10)
         for v in inst.valuations:
             shares._record.cache_clear()
-            shares._mms.cache_clear()
-            shares._rmms.cache_clear()
             ceiling = mms(v, S, n).value
             top.clear()
             report = rmms(v, S, n)
@@ -696,11 +699,27 @@ def test_pack_calls_stay_within_measured_work(monkeypatch):
         inst = generate_instance(1, n, n, 10, kind, 10)
         for v in inst.valuations:
             shares._record.cache_clear()
-            shares._mms.cache_clear()
-            shares._rmms.cache_clear()
             mms(v, inst.all_items, n)
             rmms(v, inst.all_items, n)
     assert calls <= PACK_CALLS_AT_M_10
+
+
+def test_share_results_go_with_the_valuation():
+    # Share results live on the valuation and the record keeps one entry,
+    # so once an instance is dropped and the record has moved on, nothing
+    # keeps its valuations, and their 2^m tables, alive.
+    from rmms.cli import generate_instance
+
+    inst = generate_instance(3, 0, 3, 10, "table", 10)
+    for i, v in enumerate(inst.valuations):
+        mms(v, inst.all_items, inst.n)
+        rmms(v, inst.all_items, inst.n)
+        mxs(inst, i)
+    refs = [weakref.ref(v) for v in inst.valuations]
+    mms(Additive((1, 2, 3)), full(3), 2)
+    del inst, v
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
 
 
 def test_residual_check_fetches_the_record_once():
@@ -721,8 +740,8 @@ def cover_ladder_families(rng):
     from rmms.cli import generate_instance
 
     for m in range(1, 9):
-        tables = [shares._value_table(generate_instance(
-            rng.randrange(10 ** 6), 0, 1, m, kind, 6).valuations[0])
+        tables = [shares._record(generate_instance(
+            rng.randrange(10 ** 6), 0, 1, m, kind, 6).valuations[0]).table
             for kind in ("additive", "capped_additive", "table")]
         tables.append(xos_table([[rng.choice((0, 0, 1, 3, 5))
                                   for _ in range(m)] for _ in range(3)]).values)
