@@ -105,6 +105,8 @@ def generate_valuation(rng: np.random.Generator, kind: str, m: int,
 
 def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
                       max_value: int, cap=None) -> Instance:
+    if max_value < 0:
+        raise ValueError(f"--max-value must be at least 0, got {max_value}")
     rng = _rng(seed, index)
     vals = tuple(
         generate_valuation(rng, kind, m, max_value, cap) for _ in range(n)

@@ -1,17 +1,30 @@
 """Envy predicates and allocation certificates.
 
-One pair kernel, ``_pair``, serves every predicate. For an ordered agent
-pair (i, j) it walks the items e of j's bundle B once, computing v_i(B - e)
-for each and v_i({e}) only where EFL still needs it, and returns EF1, EFL,
-EFX (with its lowest-index witness) and EF envy together. ``_envious``
-makes one pass over the ordered pairs, valuing each agent's own bundle
-once, and keeps the pairs with some envy; ``certificate`` and the ``is_*``
-predicates read that list, and ``envy_between`` calls the kernel directly.
-An allocation is EF1/EFL/EFX/EF when no pair exhibits the respective envy.
+Every predicate reads per-bundle envy thresholds. For an envied non-empty
+bundle B under a valuation v, an own bundle worth x has
 
-The kernel works on raw bit masks and plain integers: the allocation was
-validated against its item range when it was built, and the shape check
-against the instance runs once per call at the API edge.
+- EF1 envy iff x < min over e in B of v(B - e);
+- EFL envy iff |B| >= 2 and x < min over e of max(v(B - e), v({e}));
+- EFX envy iff x < max over e of v(B - e), with the witness the first e,
+  in ascending order, with x < v(B - e);
+- EF envy iff x < v(B).
+
+Each threshold is its definition's quantifier folded over the items of B,
+so it does not depend on x. ``_thresholds`` computes them once per
+(valuation, B) and keeps them in ``vars(v)["_envy"]`` by mask, the way
+``core`` keeps ``_chunks`` and ``shares`` its results: they live as long
+as the valuation, by identity, outside its equality, hash, repr and JSON,
+and a valuation holds at most one entry per non-empty bundle asked about,
+so at most 2^m - 1. Keying by own value as well would hold up to 2^m
+entries per distinct own value. ``_envious`` makes one pass over the
+ordered pairs and keeps those whose own value falls below some threshold;
+``certificate`` and the ``is_*`` predicates read that list, and
+``envy_between`` reads one pair's thresholds. An allocation is
+EF1/EFL/EFX/EF when no pair exhibits the respective envy.
+
+The thresholds work on raw bit masks and plain integers: the allocation
+was validated against its item range when it was built, and the shape
+check against the instance runs once per call at the API edge.
 
 Each notion is computed from its own definition rather than inferred from
 the hierarchy EFX => EFL => EF1, which needs monotone valuations: a table
@@ -24,7 +37,8 @@ monotone normalized valuations:
   predicates would otherwise hold vacuously);
 - a singleton envied bundle triggers no EFL envy (with one item there is no
   "less preferred" item to point at; without this exemption an allocation
-  could be EFX but not EFL).
+  could be EFX but not EFL). Its EFL threshold is -inf, not 0, since a
+  table built with ``validate=False`` may hold negative values.
 """
 from __future__ import annotations
 
@@ -34,6 +48,7 @@ from typing import Optional
 from .core import Instance, PartialAllocation, Valuation
 
 ENVY_KINDS = ("EF1", "EFL", "EFX", "EF", "none")
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -50,55 +65,92 @@ class EnvyVerdict:
     witness: Optional[int] = None
 
 
-def _pair(v: Valuation, own_val: int, other: int) -> tuple:
-    """(EF1, EFL, EFX, EF, witness) envy toward the non-empty bundle
-    ``other`` of an agent with valuation ``v`` whose own bundle is worth
-    ``own_val``; the first four are bools, indexed as in ENVY_KINDS."""
+def _memo(v: Valuation) -> dict:
+    """v's thresholds by bundle mask, kept in v's own dict. Callers try
+    ``vars(v).get("_envy")`` first, which saves a Python call."""
+    return vars(v).setdefault("_envy", {})
+
+
+def _thresholds(v: Valuation, other: int, memo: dict) -> tuple:
+    """The thresholds of the non-empty bundle B = ``other`` under ``v``,
+    stored in ``memo``: (some, EF1, EFL, EFX, EF, rests, bits), so the
+    threshold of ENVY_KINDS[k] sits at index k + 1.
+
+    An own bundle worth x shows a notion's envy iff x is below that
+    notion's threshold, and some envy iff x is below ``some``, the largest.
+    ``bits`` holds the item bits of B in ascending order and ``rests`` the
+    values v(B - e) in the same order, for the EFX witness.
+    """
     value_of = v.value_of
-    ef1 = True
-    efl = other & (other - 1) != 0
-    witness = None
+    efl = _INF if other & (other - 1) else -_INF
+    rests = []
+    bits = []
     rest = other
     while rest:
         bit = rest & -rest
         rest ^= bit
-        if own_val < value_of(other ^ bit):
-            if witness is None:
-                witness = bit.bit_length() - 1
-        else:
-            ef1 = False
-            if efl and own_val >= value_of(bit):
-                efl = False
-    return ef1, efl, witness is not None, own_val < value_of(other), witness
+        less = value_of(other ^ bit)
+        if not bits:
+            ef1 = efx = less
+        elif less < ef1:
+            ef1 = less
+        elif less > efx:
+            efx = less
+        if less < efl:
+            alone = value_of(bit)
+            if alone < efl:
+                efl = less if less > alone else alone
+        rests.append(less)
+        bits.append(bit)
+    ef = value_of(other)
+    found = memo[other] = (max(efl, efx, ef), ef1, efl, efx, ef, rests, bits)
+    return found
 
 
-def _strongest(envy: tuple) -> tuple[str, Optional[int]]:
-    """The strongest kind in a ``_pair`` result, with its EFX witness."""
-    for k in range(4):
-        if envy[k]:
-            return ENVY_KINDS[k], envy[4] if k == 2 else None
+def _witness(own_val: int, envy: tuple) -> int:
+    """The first item e, in ascending order, with own_val < v(B - e)."""
+    return next(bit for less, bit in zip(envy[5], envy[6])
+                if own_val < less).bit_length() - 1
+
+
+def _strongest(own_val: int, envy: tuple) -> tuple[str, Optional[int]]:
+    """The strongest envy of an own bundle worth ``own_val`` toward a bundle
+    with thresholds ``envy``, with its EFX witness."""
+    _, ef1, efl, efx, ef, _, _ = envy
+    if own_val < ef1:
+        return "EF1", None
+    if own_val < efl:
+        return "EFL", None
+    if own_val < efx:
+        return "EFX", _witness(own_val, envy)
+    if own_val < ef:
+        return "EF", None
     return "none", None
 
 
 def _check_shape(inst: Instance, alloc: PartialAllocation) -> None:
-    if alloc.m != inst.m or alloc.n != inst.n:
+    if alloc.m != inst.m or len(alloc.bundles) != inst.n:
         raise ValueError("allocation does not match instance shape")
 
 
 def _envious(inst: Instance, alloc: PartialAllocation) -> list[tuple]:
-    """(i, j, envy) for every ordered pair with envy of some kind, in (i, j)
-    order. Each notion comes from its own definition (see the module
-    docstring), so a pair counts if any of the four holds."""
+    """(i, j, v_i(own bundle), thresholds of j's bundle under v_i) for every
+    ordered pair with envy of some kind, in (i, j) order. Each notion comes
+    from its own definition (see the module docstring), so a pair counts if
+    its own value falls below any of the four thresholds."""
     _check_shape(inst, alloc)
     masks = [b.mask for b in alloc.bundles]
     found = []
     for i, v in enumerate(inst.valuations):
-        own_val = v.value_of(masks[i])
+        memo = vars(v).get("_envy") or _memo(v)
+        # An own bundle that has thresholds has its value among them.
+        own = memo.get(masks[i])
+        own_val = own[4] if own else v.value_of(masks[i])
         for j, other in enumerate(masks):
             if other and j != i:
-                envy = _pair(v, own_val, other)
-                if envy[0] or envy[1] or envy[2] or envy[3]:
-                    found.append((i, j, envy))
+                envy = memo.get(other) or _thresholds(v, other, memo)
+                if own_val < envy[0]:
+                    found.append((i, j, own_val, envy))
     return found
 
 
@@ -113,15 +165,16 @@ def envy_between(
     if other == 0:
         return EnvyVerdict(i, j, "none")
     v = inst.valuations[i]
-    envy = _pair(v, v.value_of(alloc.bundles[i].mask), other)
-    return EnvyVerdict(i, j, *_strongest(envy))
+    memo = vars(v).get("_envy") or _memo(v)
+    envy = memo.get(other) or _thresholds(v, other, memo)
+    return EnvyVerdict(i, j, *_strongest(v.value_of(alloc.bundles[i].mask), envy))
 
 
 def _scan(inst, alloc, k: int) -> tuple[bool, list[EnvyVerdict]]:
     violations = [
-        EnvyVerdict(i, j, *_strongest(envy))
-        for i, j, envy in _envious(inst, alloc)
-        if envy[k]
+        EnvyVerdict(i, j, *_strongest(own_val, envy))
+        for i, j, own_val, envy in _envious(inst, alloc)
+        if own_val < envy[k + 1]
     ]
     return (not violations, violations)
 
@@ -150,12 +203,27 @@ def certificate(inst: Instance, alloc: PartialAllocation) -> dict:
     """JSON-ready fairness certificate for an allocation."""
     ef1 = efl = efx = ef = True
     violations = []
-    for i, j, envy in _envious(inst, alloc):
-        ef1 = ef1 and not envy[0]
-        efl = efl and not envy[1]
-        efx = efx and not envy[2]
-        ef = ef and not envy[3]
-        kind, witness = _strongest(envy)
+    for i, j, own_val, envy in _envious(inst, alloc):
+        # _strongest unrolled, with the flags: a call per pair costs about
+        # a seventh of a certificate.
+        _, ef1_at, efl_at, efx_at, ef_at, _, _ = envy
+        witness = None
+        if own_val < ef1_at:
+            kind = "EF1"
+            ef1 = False
+        elif own_val < efl_at:
+            kind = "EFL"
+        elif own_val < efx_at:
+            kind = "EFX"
+            witness = _witness(own_val, envy)
+        else:  # _envious kept the pair, so own_val < ef_at
+            kind = "EF"
+        if own_val < efl_at:
+            efl = False
+        if own_val < efx_at:
+            efx = False
+        if own_val < ef_at:
+            ef = False
         violations.append(
             {"envier": i, "envied": j, "kind": kind, "witness": witness}
         )

@@ -509,6 +509,7 @@ def assert_one_line_error(argv, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
@@ -545,6 +546,9 @@ BAD_RUNS = {
     "gen_negative_count": ["gen", "--count", "-1"],
     "bench_negative_trials": ["bench", "--trials", "-1"],
     "bench_no_jobs": ["bench", "--trials", "1", "--jobs", "0"],
+    # numpy's own message for a negative bound, "high <= 0", names no flag.
+    "gen_negative_max_value": ["gen", "--max-value", "-1"],
+    "bench_negative_max_value": ["bench", "--max-value", "-1", "--trials", "1"],
 }
 
 
@@ -552,8 +556,21 @@ BAD_RUNS = {
 def test_bad_generation_arguments_exit_2(tmp_path, capsys, case):
     out = tmp_path / "out"
     argv = BAD_RUNS[case] + ["--agents", "2", "--items", "3", "-o", str(out)]
-    assert_one_line_error(argv, capsys)
+    err = assert_one_line_error(argv, capsys)
+    assert any(flag in err for flag in BAD_RUNS[case] if flag.startswith("--"))
     assert not out.is_file() and not any(out.glob("*"))
+
+
+def test_zero_max_value_generates_zero_items(tmp_path):
+    out = tmp_path / "gen"
+    assert run(["gen", "--agents", "2", "--items", "3", "--max-value", "0",
+                "-o", str(out)])[0] == 0
+    inst = instance_from_json(load_json(out / "instance_0_0.json"))
+    assert all(v.value_of((1 << 3) - 1) == 0 for v in inst.valuations)
+    csv = tmp_path / "bench.csv"
+    assert run(["bench", "--agents", "2", "--items", "3", "--max-value", "0",
+                "--trials", "2", "-o", str(csv)])[0] == 0
+    assert csv.read_text().count("\n") == 3
 
 
 def test_bench_starts_at_most_one_worker_per_trial(tmp_path, monkeypatch):

@@ -271,8 +271,9 @@ def test_value_of_matches_bit_loop(m):
 
 
 def test_value_lookup_stays_out_of_identity():
-    # Chunk sums and share results live in the valuation's own dict, outside
-    # its equality, hash, repr, pickled fields and JSON.
+    # Chunk sums, share results and envy thresholds live in the valuation's
+    # own dict, outside its equality, hash, repr, pickled fields and JSON.
+    from rmms import fairness
     from rmms.shares import mms, rmms
 
     values = (0, 5, MAX_VALUE, 3, 1, 0, 7, 2, 9)
@@ -283,7 +284,12 @@ def test_value_lookup_stays_out_of_identity():
         built.value_of(0b101010101)
         for share in (mms, rmms):
             share(built, Bundle((1 << 9) - 1), 3)
-        kept = {"_shares"} | ({"_chunks"} if built.kind != "table" else set())
+        pair = Instance(9, 2, (built, built))
+        for split in (0b1, 0b11010, 0b101010101, 0b111111110):
+            fairness.certificate(pair, PartialAllocation(
+                9, Bundle(), (Bundle(split), Bundle(split ^ 0b111111111))))
+        kept = {"_shares", "_envy"} | (
+            {"_chunks"} if built.kind != "table" else set())
         assert set(vars(built)) - set(vars(fresh)) == kept
         copies = [fresh, pickle.loads(pickle.dumps(built)),
                   pickle.loads(pickle.dumps(fresh))]

@@ -256,8 +256,40 @@ CERTIFICATES_GOLDEN = {
 @pytest.mark.parametrize("kind", ["additive", "capped_additive", "table"])
 @pytest.mark.parametrize("n,m", [(3, 5), (4, 4)])
 def test_certificates_golden(kind, n, m):
+    # The second pass reads the thresholds the first one left.
     inst = cli.generate_instance(47, 10 * n + m, n, m, kind, 6)
-    certs = [fairness.certificate(inst, alloc)
-             for alloc in oracle.enumerate_allocations(inst, partial=True)]
-    digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
-    assert digest == CERTIFICATES_GOLDEN[(kind, n, m)]
+    for _ in range(2):
+        certs = [fairness.certificate(inst, alloc)
+                 for alloc in oracle.enumerate_allocations(inst, partial=True)]
+        digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+        assert digest == CERTIFICATES_GOLDEN[(kind, n, m)]
+        # At most one entry per non-empty bundle.
+        for v in inst.valuations:
+            assert 0 < len(vars(v)["_envy"]) <= 2 ** m - 1
+
+
+def test_negative_table_singletons_show_no_efl_envy():
+    # validate=False admits negative values, so an own bundle can be worth
+    # less than 0; an EFL threshold of 0 for singletons would show EFL envy.
+    rng = random.Random(29)
+    below_zero = 0
+    for n, m in ((2, 3), (3, 3), (2, 4)):
+        for _ in range(4):
+            inst = Instance(m, n, tuple(
+                Table(tuple(rng.randint(-6, 3) for _ in range(1 << m)),
+                      validate=False)
+                for _ in range(n)))
+            for alloc in oracle.enumerate_allocations(inst, partial=True):
+                want, pairs = reference_certificate(inst, alloc)
+                assert fairness.certificate(inst, alloc) == want
+                for i, j, (kind, _, notions) in pairs:
+                    if len(alloc.bundles[j]) == 1:
+                        assert not notions["EFL"]
+                        got = fairness.envy_between(inst, alloc, i, j).kind
+                        assert got == kind and got != "EFL"
+                        below_zero += inst.valuations[i].value_of(
+                            alloc.bundles[i].mask) < 0
+                assert [(v.envier, v.envied) for v in
+                        fairness.is_efl(inst, alloc)[1]] == [
+                    (i, j) for i, j, (_, _, notions) in pairs if notions["EFL"]]
+    assert below_zero

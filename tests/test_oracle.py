@@ -9,6 +9,7 @@ from rmms.core import (
     CapExceededError,
     CappedAdditive,
     Instance,
+    PartialAllocation,
     Table,
 )
 from rmms import oracle, shares
@@ -29,6 +30,23 @@ def full(m):
     return Bundle((1 << m) - 1)
 
 
+def per_assignment_allocations(inst, partial):
+    """The enumeration as one loop over assignments, each allocation built
+    from scratch: the reference for the block enumeration."""
+    base = inst.n + 1 if partial else inst.n
+    for assignment in itertools.product(range(base), repeat=inst.m):
+        pool = 0
+        bundles = [0] * inst.n
+        for item, slot in enumerate(assignment):
+            if partial and slot == 0:
+                pool |= 1 << item
+            else:
+                bundles[slot - 1 if partial else slot] |= 1 << item
+        yield PartialAllocation(
+            inst.m, Bundle(pool), tuple(Bundle(b) for b in bundles)
+        )
+
+
 class TestEnumerateAllocations:
     def test_counts(self):
         one = Instance(1, 1, (Additive((1,)),))
@@ -41,6 +59,40 @@ class TestEnumerateAllocations:
         inst = Instance(3, 2, (Additive((1, 1, 1)), Additive((1, 1, 1))))
         allocs = list(enumerate_allocations(inst, partial=True))
         assert len(allocs) == len(set(allocs)) == 27
+
+    def test_matches_per_assignment_loop(self):
+        for n in range(1, 5):
+            for m in range(1, 7):
+                inst = Instance(m, n, tuple(
+                    Additive(tuple(range(m))) for _ in range(n)))
+                for partial in (False, True):
+                    assert list(enumerate_allocations(inst, partial)) == list(
+                        per_assignment_allocations(inst, partial)), (n, m, partial)
+
+    def test_one_agent_many_items(self):
+        # The base is 1, so the cap admits any m: nothing may be built per
+        # subset of the items.
+        inst = Instance(40, 1, (Additive((1,) * 40),))
+        allocs = list(enumerate_allocations(inst, partial=False))
+        assert allocs == [PartialAllocation(
+            40, Bundle(), (Bundle((1 << 40) - 1),))]
+
+    def test_yields_validated_allocations(self, monkeypatch):
+        checked = []
+        check = PartialAllocation.__post_init__
+
+        def counted(alloc):
+            check(alloc)
+            checked.append(alloc)
+
+        monkeypatch.setattr(PartialAllocation, "__post_init__", counted)
+        inst = Instance(4, 3, tuple(Additive((1, 2, 3, 4)) for _ in range(3)))
+        allocs = list(enumerate_allocations(inst, partial=True))
+        assert len(allocs) == 4 ** 4
+        assert [id(a) for a in checked] == [id(a) for a in allocs]
+        for alloc in allocs:
+            assert type(alloc) is PartialAllocation
+            assert all(type(b) is Bundle for b in (alloc.pool, *alloc.bundles))
 
     def test_cap(self):
         inst = Instance(
