@@ -243,13 +243,19 @@ def table_violations(values: tuple[int, ...]) -> list[str]:
         problems.append(f"not normalized: v(empty) = {values[0]}")
     # Types and ranges in Python, before any int64 conversion. A non-integer
     # stops the checks there: every smaller mask, and so every subset of
-    # a smaller mask, is checked first.
-    end = next((mask for mask, val in enumerate(values) if type(val) is not int),
-               size)
-    checked = list(values[:end])
-    # (mask, i, message), i = -1 for the range and the item for monotonicity.
-    found = [(mask, -1, f"subset {mask}: value {val} outside [0, {MAX_VALUE}]")
-             for mask, val in enumerate(checked) if val < 0 or val > MAX_VALUE]
+    # a smaller mask, is checked first. One pass over the types and min/max
+    # accept the usual table, all ints in range, without the scans by mask.
+    if (set(map(type, values)) == {int}
+            and min(values) >= 0 and max(values) <= MAX_VALUE):
+        end, checked, found = size, values, []
+    else:
+        end = next((mask for mask, val in enumerate(values)
+                    if type(val) is not int), size)
+        checked = list(values[:end])
+        # (mask, i, message): i = -1 for the range, the item for monotonicity.
+        found = [(mask, -1, f"subset {mask}: value {val} outside [0, {MAX_VALUE}]")
+                 for mask, val in enumerate(checked)
+                 if val < 0 or val > MAX_VALUE]
     # Masks from `end` on are padding: a violation at a mask below `end`
     # compares it only with smaller masks.
     table = np.zeros(size, dtype=object if found else np.int64)

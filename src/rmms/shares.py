@@ -19,20 +19,37 @@ Two searches and one lattice kernel do the work.
   every mask at once. For a downward-closed family over all 2^m masks it
   yields, for k = 1, 2, ..., the masks that are unions of at most k
   members, each step one zeta/Moebius cover product
-  (Bjorklund-Husfeldt-Koivisto). The residual check uses it for the
-  removals: parts inside S worth < t, that is <= t - 1. MXS uses it from
-  ``MXS_LADDER_ITEMS`` items up.
+  (Bjorklund-Husfeldt-Kaski-Koivisto). The residual check uses it for
+  the removals: parts inside S worth < t, that is <= t - 1. MXS uses it
+  from ``MXS_LADDER_ITEMS`` items up.
+
+The transforms are m in-place passes over an int64 array, one per item i,
+each adding (zeta) or subtracting (Moebius) the masks without i into the
+same masks with i. The ladder runs them in two work buffers, 16 bytes per
+mask, with each buffer's (with i, without i) views made once
+(``_bit_views``). Items 0 to 2 get one 1-D strided view per residue: as
+pair views of inner length 1, 2 or 4 they cost several normal passes
+each. ``np.multiply(..., out=)`` and ``np.copyto`` keep the rung products
+in the buffers, so a ladder allocates only the boolean rungs it yields.
+One RMMS or MXS computation builds the buffers at its first ladder and
+reuses them in the rest; a ladder holds them until it is closed, and one
+started meanwhile builds its own, so two live ladders never share. They
+go when the computation ends: kept on the search record, they were alive
+while the next agent's record was built, and raised the all-agent MMS +
+RMMS peak RSS at (3, 20) by 19.2 MiB, more than the 16 MiB they hold.
 
 Both searches scan the same way and remember every (mask, q) state that
-failed. Both also fail a state without a search when a state one item away
-has already failed and the family's closure passes that failure on. A
-coverer remembers for its lifetime. The pack memo lives in the search
-record (``_record``, one entry: the agent in hand) and spans thresholds, so
-MMS, the RMMS scan, every residual check and ``acceptable_partition`` share
-it. A state that fails at t fails at every t' > t, as parts worth >= t'
-are worth >= t, and a state that packs at t packs at every t' < t. So the
-memo keeps, per state, the least t known to fail (``failed``) and the
-greatest t known to pack (``packed``). The search itself reads only
+failed, keyed by the one int q * 2^m + mask, so the state one item away
+is the key with that item's bit set or cleared. Both also fail a state
+without a search when a state one item away has already failed and the
+family's closure passes that failure on. A coverer remembers for its
+lifetime. The pack memo lives in the search record (``_record``, one
+entry: the agent in hand) and spans thresholds, so MMS, the RMMS scan,
+every residual check and ``acceptable_partition`` share it. A state that
+fails at t fails at every t' > t, as parts worth >= t' are worth >= t,
+and a state that packs at t packs at every t' < t. So the memo keeps, per
+state, the least t known to fail (``failed``) and the greatest t known to
+pack (``packed``). The search itself reads only
 ``failed``, which holds only true failures at the t searched: pruning them
 cannot change which partition the scan finds first, so a witness taken
 from the shared memo is the one a fresh search gives. ``packed`` only
@@ -85,6 +102,16 @@ first t with an exact hit, and the lowest own bundle among the hits. One
 cover search for that own bundle gives the other bundles, so both paths
 give the same witness.
 
+MXS <= RMMS <= MMS, so when the agent's MMS of all items for n agents is
+already kept on the valuation (the CLI computes it first), the bisection
+looks only at candidates up to it; MMS is never computed just for this.
+The result is the same for any bound, right or wrong. If the predicate
+holds at some candidate up to the bound, the bisection finds the least
+such t as before. If it fails at every one, it fails at every t below the
+least t with an exact hit, as an exact hit satisfies it, so MXS lies above
+the bound, and the scan for exact hits, which starts at the bound and runs
+up to the last candidate, still stops at MXS.
+
 The residual check tests each removal R only at its binding k, the fewest
 parts worth < t that R splits into: the masks in rung k of the ladder and
 not in rung k - 1. This is exact. If S minus R splits into n - k0 parts
@@ -102,8 +129,9 @@ ascending order runs up to it, so the first failing R is unchanged.
 RMMS needs only yes or no, so its checks walk the same rungs without the
 first counterexample: a rung with any remainder worth < t fails at once,
 the waiting removals (only the maximal ones, when many wait) are searched
-in ascending order of remainder value, the likeliest to fail first, and
-the first failure ends the check.
+in ascending order of remainder value, the likeliest to fail first, when
+more than ``VALUE_ORDER_REMOVALS`` are left (in ascending mask order when
+fewer are), and the first failure ends the check.
 
 MMS records each pack it finds in ``packed``, so RMMS's first check, at
 t = MMS, finds (S, n) packed without a search; where RMMS = MMS, the MMS
@@ -173,20 +201,22 @@ class _Record(NamedTuple):
     of the pack bound, and the pack memo. ``sums[X]`` is the sum over j in
     X of a weight w_j, with sums[P] >= v(P) for every P, so a split of X
     into parts P has sum of v(P) <= sums[X]. ``failed`` maps a pack state
-    (mask, q) to the least t at which it is known to fail, ``packed`` to
-    the greatest t at which it is known to pack: the worst part of the
-    partition found."""
+    (mask, q), keyed ``q * 2^m + mask``, to the least t at which it is
+    known to fail; ``packed`` maps (mask, q) to the greatest t at which it
+    is known to pack: the worst part of the partition found."""
 
     table: tuple[int, ...]
     values: np.ndarray
     sums: tuple[int, ...]
-    failed: dict[tuple[int, int], int]
+    failed: dict[int, int]
     packed: dict[tuple[int, int], int]
 
 
 def _on_valuation(fn):
     """Memoize fn(v, *args) in v's own dict, as ``core`` keeps ``_chunks``:
-    by identity, as long as v lives, and outside v's equality and hash."""
+    by identity, as long as v lives, and outside v's equality and hash.
+    ``fn.kept(v, *args)`` returns the kept result, or None, computing
+    nothing."""
     @wraps(fn)
     def memoized(v: Valuation, *args):
         memo = vars(v).setdefault("_shares", {})
@@ -194,6 +224,11 @@ def _on_valuation(fn):
         if key not in memo:
             memo[key] = fn(v, *args)
         return memo[key]
+
+    def kept(v: Valuation, *args):
+        return vars(v).get("_shares", {}).get((fn.__name__, *args))
+
+    memoized.kept = kept
     return memoized
 
 
@@ -249,7 +284,7 @@ def _candidate_values(v: Valuation, smask: int) -> tuple[int, ...]:
 # collector runs instead of going as soon as the search is dropped.
 def _pack(
     table: tuple[int, ...], sums: tuple[int, ...], t: int,
-    failed: dict[tuple[int, int], int], remaining: int, parts: int,
+    failed: dict[int, int], remaining: int, parts: int,
 ) -> Optional[list[int]]:
     """The first split of ``remaining`` into ``parts`` parts each worth
     >= t > 0, as part masks, or None. Each part is anchored on the lowest
@@ -268,13 +303,16 @@ def _pack(
         return [remaining]
     if sums[remaining] < parts * t:
         return None
-    key = (remaining, parts)
+    # The state's key is parts * 2^m + remaining, so key | e is the key of
+    # the state with item e added.
+    size = len(table)
+    key = parts * size + remaining
     if failed.get(key, inf) <= t:
         return None
-    p = (len(table) - 1) ^ remaining
+    p = (size - 1) ^ remaining
     while p:
         e = p & -p
-        known = failed.get((remaining | e, parts), inf)
+        known = failed.get(key | e, inf)
         if known <= t:
             failed[key] = known
             return None
@@ -326,20 +364,22 @@ def _coverer(
 
 
 def _cover(
-    weights: Sequence[int], bound: int, failed: set[tuple[int, int]],
+    weights: Sequence[int], bound: int, failed: set[int],
     mask: int, parts: int,
 ) -> Optional[list[int]]:
     if mask == 0:
         return [0] * parts
     if parts == 1:
         return [mask] if weights[mask] <= bound else None
-    if (mask, parts) in failed:
+    # Keyed parts * 2^m + mask, as in ``_pack``: key ^ e drops item e.
+    key = parts * len(weights) + mask
+    if key in failed:
         return None
     p = mask
     while p:
         e = p & -p
-        if (mask ^ e, parts) in failed:
-            failed.add((mask, parts))
+        if key ^ e in failed:
+            failed.add(key)
             return None
         p ^= e
     low = mask & -mask
@@ -354,27 +394,44 @@ def _cover(
         if sub == rest:
             break
         sub = (sub - rest) & rest
-    failed.add((mask, parts))
+    failed.add(key)
     return None
 
 
-def _zeta(a: np.ndarray) -> np.ndarray:
-    """In place: a[X] becomes the sum of a over the submasks of X."""
+def _bit_views(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(masks holding item i, the same masks without i) view pairs of a
+    1-D array over all 2^m masks, for i = 0, 1, ..., m - 1 in turn. Items
+    0 to 2 get one 1-D strided pair per residue mod 2^(i + 1): as a pair
+    view ``a.reshape(-1, 2, 1 << i)`` their inner length of 1, 2 or 4
+    makes a pass several times dearer than a long one."""
+    views = []
     for i in range(a.size.bit_length() - 1):
-        pairs = a.reshape(-1, 2, 1 << i)
-        pairs[:, 1] += pairs[:, 0]
-    return a
+        if i < 3:
+            step = 2 << i
+            views += [(a[r + (1 << i)::step], a[r::step])
+                      for r in range(1 << i)]
+        else:
+            pairs = a.reshape(-1, 2, 1 << i)
+            views.append((pairs[:, 1], pairs[:, 0]))
+    return views
 
 
-def _moebius(a: np.ndarray) -> np.ndarray:
+def _zeta(views: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """In place, over the ``_bit_views`` of an array a: a[X] becomes the
+    sum of a over the submasks of X."""
+    for with_item, without in views:
+        np.add(with_item, without, out=with_item)
+
+
+def _moebius(views: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """In place: the inverse of ``_zeta``."""
-    for i in range(a.size.bit_length() - 1):
-        pairs = a.reshape(-1, 2, 1 << i)
-        pairs[:, 1] -= pairs[:, 0]
-    return a
+    for with_item, without in views:
+        np.subtract(with_item, without, out=with_item)
 
 
-def _cover_ladder(family: np.ndarray) -> Iterator[np.ndarray]:
+def _cover_ladder(
+    family: np.ndarray, work: Optional[list] = None
+) -> Iterator[np.ndarray]:
     """The cover search for every mask at once.
 
     ``family`` is a boolean array over all 2^m masks that marks a
@@ -386,18 +443,37 @@ def _cover_ladder(family: np.ndarray) -> Iterator[np.ndarray]:
     when asked for, as the cover product
     ``moebius(zeta(rung k) * zeta(family)) > 0``.
 
+    The transforms run in a workspace: two int64 buffers over all masks,
+    each with its ``_bit_views``. ``work`` holds at most one workspace that
+    no ladder is using. The ladder takes it, or builds one if there is
+    none, and puts it back when it is closed, so the ladders of one share
+    computation reuse one workspace and two live ladders never share one.
+    Each rung is a new array, so it stays valid after the ladder moves on.
+
     The arithmetic is exact in int64. A zeta value counts submasks, at most
     2^m, so a product is at most 4^m; each partial Moebius sum adds at most
     2^m such terms, so every intermediate value is at most
     8^m <= 2^60 at ``MAX_EXACT_ITEMS`` = 20.
     """
     yield family
-    members = _zeta(family.astype(np.int64))
-    counts = members  # zeta of rung 1
-    while True:
-        rung = _moebius(counts * members) > 0
-        yield rung
-        counts = _zeta(rung.astype(np.int64))
+    pool = [] if work is None else work
+    buffers = pool.pop() if pool else [
+        (a, _bit_views(a)) for a in np.empty((2, family.size), np.int64)]
+    try:
+        (members, member_views), (counts, count_views) = buffers
+        np.copyto(members, family)
+        _zeta(member_views)
+        np.copyto(counts, members)  # zeta of rung 1
+        while True:
+            np.multiply(counts, members, out=counts)
+            _moebius(count_views)
+            rung = counts > 0
+            yield rung
+            np.copyto(counts, rung)
+            _zeta(count_views)
+    finally:
+        if not pool:
+            pool.append(buffers)
 
 
 def _partition(
@@ -480,6 +556,15 @@ def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareRe
 # 10) 383 ms against 208, 203, 215; the same with values up to 1,000
 # 796 ms against 458, 453, 434.
 MAXIMAL_FIRST_REMOVALS = 128
+# The yes/no walk sorts the removals it searches by remainder value only
+# when more than this many are left: below it the sort costs more than the
+# searches it saves. Each yes/no call timed both ways from the same memo
+# (best of 5), summed, over MMS then RMMS of every agent of 720 generated
+# instances shaped like pipeline_small (n 3-4, m 6-8, seeds 0-39): always
+# sorting 211.7 ms, never 218.6, with this cutoff 202.6, with 8, 24 or 48
+# 206.0, 208.2, 214.5; the 12 m = 12 instances of seeds 1-2: 85.5 against
+# 93.6 never sorting, and the same 85.5 with this cutoff.
+VALUE_ORDER_REMOVALS = 16
 
 
 def _first_failing(
@@ -493,9 +578,10 @@ def _first_failing(
     and smask ^ R' packs, so does smask ^ R. Every waiting R lies under a
     waiting R' with no waiting R' + e: with many waiting, only those are
     searched. Without ``first`` they are searched in ascending order of
-    remainder value, so that likely failures come first, and the first
-    failure answers. With ``first`` they are searched in ascending order,
-    and if one fails, the scan in ascending order runs up to it."""
+    remainder value when more than ``VALUE_ORDER_REMOVALS`` are left, so
+    that likely failures come first, and the first failure answers. With
+    ``first`` they are searched in ascending order, and if one fails, the
+    scan in ascending order runs up to it."""
     removals = waiting
     filtered = waiting.size > MAXIMAL_FIRST_REMOVALS
     if filtered:
@@ -509,7 +595,7 @@ def _first_failing(
             np.logical_or(pairs[:, 0], marked.reshape(-1, 2, 1 << i)[:, 1],
                           out=pairs[:, 0])
         removals = waiting[~below[waiting]]
-    if not first:
+    if not first and removals.size > VALUE_ORDER_REMOVALS:
         removals = removals[np.argsort(rec.values[smask ^ removals],
                                        kind="stable")]
     last = next((R for R in removals.tolist()
@@ -524,13 +610,15 @@ def _first_failing(
 
 
 def _residual_failure(
-    rec: _Record, smask: int, n: int, t: int, first: bool
+    rec: _Record, smask: int, n: int, t: int, first: bool,
+    work: Optional[list] = None,
 ) -> Optional[tuple[int, int]]:
     """A (k, R) at which threshold t fails the residual check of (S, n), or
     None if t is residual feasible; (0, 0) when S itself does not split.
     With ``first``, the first (k, R) in (k ascending, R ascending) order.
     Without it, a rung with a remainder worth < t fails without a search,
-    and the first failure found answers."""
+    and the first failure found answers. ``work`` is passed to
+    ``_cover_ladder``."""
     if t == 0:
         # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
         # removals qualify for any k >= 1.
@@ -544,7 +632,7 @@ def _residual_failure(
     masks = np.arange(values.size)
     low = (values <= t - 1) & ((masks | smask) == smask)
     fewer = masks == 0
-    for k, rung in zip(range(1, n), _cover_ladder(low)):
+    for k, rung in zip(range(1, n), _cover_ladder(low, work)):
         removals = np.flatnonzero(rung & ~fewer)
         # A remainder worth < t has no part worth >= t: the first such R
         # fails, so only the removals before it need a search, and with one
@@ -588,10 +676,11 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     ceiling = _mms(v, smask, n).value
     candidates = [c for c in _candidate_values(v, smask) if c <= ceiling]
     rec = _record(v)
+    work: list = []  # the ladders' workspace, for this computation only
 
     def feasible(i: int) -> bool:
-        return _residual_failure(rec, smask, n, candidates[i],
-                                 first=False) is None
+        return _residual_failure(rec, smask, n, candidates[i], False,
+                                 work) is None
 
     # Feasibility is monotone in t: for t' < t, every removal that qualifies
     # at t' (parts worth < t') also qualifies at t, and a pack at t is also a
@@ -659,23 +748,29 @@ def _mxs_cover(rec: _Record, g: np.ndarray, n: int) -> tuple[int, int, list[int]
 
 
 def _mxs_ladder(
-    rec: _Record, g: np.ndarray, n: int, candidates: tuple[int, ...]
+    rec: _Record, g: np.ndarray, n: int, candidates: tuple[int, ...],
+    bound: float,
 ) -> tuple[int, int, list[int]]:
     """(MXS, own bundle, the other n - 1 bundles) by a scan over thresholds
-    on the cover ladder; the same result as ``_mxs_cover``."""
+    on the cover ladder; the same result as ``_mxs_cover``. The bisection
+    looks only at candidates up to ``bound``, the same result for any
+    bound."""
     values = rec.values
     full = values.size - 1
     own_value = values[::-1]  # own_value[X] = v(full ^ X)
     # Every X splits into its singletons, worth g = 0 and so never envied:
     # rung m holds every mask, and no rung above it is needed.
     k = min(n - 1, full.bit_length())
+    work: list = []  # the ladders' workspace, for this computation only
 
     @lru_cache(maxsize=None)
     def coverable(t: int) -> np.ndarray:
         """X splits into at most n - 1 parts the agent does not envy at t."""
-        return next(islice(_cover_ladder(g <= t), k - 1, None))
+        return next(islice(_cover_ladder(g <= t, work), k - 1, None))
 
-    lo, hi = 0, len(candidates) - 1
+    # If the predicate fails up to the bound, it fails below the least t
+    # with an exact hit, and the scan up from hi still stops there.
+    lo, hi = 0, bisect_right(candidates, bound) - 1
     while lo < hi:
         mid = (lo + hi) // 2
         t = candidates[mid]
@@ -724,7 +819,12 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
     # the agent EFX-envies. "Not envied" is downward-closed because g is
     # monotone, so empty parts are fine.
     if m >= MXS_LADDER_ITEMS:
-        value, own, others = _mxs_ladder(rec, g, n, _candidate_values(v, full))
+        # MXS <= MMS, so a kept MMS brackets the bisection; it is never
+        # computed just for this.
+        kept = _mms.kept(v, full, n)
+        bound = inf if kept is None else kept.value
+        value, own, others = _mxs_ladder(rec, g, n, _candidate_values(v, full),
+                                         bound)
     else:
         value, own, others = _mxs_cover(rec, g, n)
     bundles = others[:agent] + [own] + others[agent:]

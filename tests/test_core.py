@@ -1,3 +1,4 @@
+import collections
 import itertools
 import pickle
 import random
@@ -139,9 +140,12 @@ def loop_table_violations(values):
 
 def test_table_violations_match_the_loop():
     # Random tables, sorted (monotone) or not, with up to three faults each.
+    # Tables of ints in [0, MAX_VALUE] take the fast accept, the rest the
+    # scans by mask; both paths must occur.
     rng = random.Random(19)
-    faults = [True, 1.0, 2 ** 70, -2 ** 70, -1, MAX_VALUE + 1, 7]
+    faults = [True, 1.0, 2 ** 70, -2 ** 70, -1, MAX_VALUE + 1, 7, MAX_VALUE]
     reported = []
+    paths = collections.Counter()
     for _ in range(2000):
         m = rng.randint(0, 6)
         values = [rng.randint(0, 5) for _ in range(1 << m)]
@@ -153,12 +157,15 @@ def test_table_violations_match_the_loop():
         expected = loop_table_violations(values)
         assert table_violations(values) == expected, values
         reported += expected
+        paths[all(type(x) is int and 0 <= x <= MAX_VALUE for x in values),
+              MAX_VALUE in values] += 1
     for size in (0, 3, 6):
         assert table_violations((0,) * size) == loop_table_violations((0,) * size)
     reported = "\n".join(reported)
     for fault in ("not normalized", "not monotone", f"value {2 ** 70} outside",
                   "value True is not", "value 1.0 is not"):
         assert fault in reported
+    assert all(paths[key] for key in itertools.product((True, False), repeat=2))
 
 
 def test_partial_allocation_partition_enforced():

@@ -644,9 +644,9 @@ def test_rmms_checks_stay_logarithmic(monkeypatch):
     calls = []
     check = shares._residual_failure
 
-    def spy(rec, smask, n, t, first):
+    def spy(rec, smask, n, t, *args):
         calls.append(t)
-        return check(rec, smask, n, t, first)
+        return check(rec, smask, n, t, *args)
 
     beaten = 0
     for m, kind, n in itertools.product((8, 9, 10), ("additive",
@@ -768,6 +768,125 @@ def test_cover_ladder_matches_coverer():
 def test_cover_ladder_counts_fit_int64():
     # _cover_ladder's intermediate values are at most 8^m.
     assert 8 ** MAX_EXACT_ITEMS < 2 ** 63
+
+
+def plain_transform(a, sign):
+    """Zeta (sign 1) or Moebius (sign -1) as plain pair-view passes, item by
+    item: the reference for the strided views of the kernel."""
+    a = a.copy()
+    for i in range(a.size.bit_length() - 1):
+        pairs = a.reshape(-1, 2, 1 << i)
+        pairs[:, 1] += sign * pairs[:, 0]
+    return a
+
+
+def test_transforms_match_plain_passes():
+    rng = np.random.default_rng(5)
+    for m in range(15):
+        a = rng.integers(-2 ** 40, 2 ** 40, 1 << m, dtype=np.int64)
+        work = a.copy()
+        views = shares._bit_views(work)
+        shares._zeta(views)
+        assert np.array_equal(work, plain_transform(a, 1)), m
+        shares._moebius(views)
+        assert np.array_equal(work, a), m
+        shares._moebius(views)
+        assert np.array_equal(work, plain_transform(a, -1)), m
+
+
+def test_ladders_sharing_a_workspace_yield_their_own_rungs():
+    # One computation's ladders reuse one workspace, but only one ladder at
+    # a time holds it; a ladder started meanwhile must yield its own rungs.
+    from rmms.cli import generate_instance
+
+    table = np.array(generate_instance(4, 0, 1, 8, "table", 10).valuations[0]
+                     .values)
+    # Both ladders still grow at rung 5, and they differ at every rung.
+    families = [table <= 16, table <= 17]
+    expected = [list(itertools.islice(shares._cover_ladder(f), 5))
+                for f in families]
+    for rungs in expected:
+        assert not np.array_equal(rungs[3], rungs[4])
+    assert not any(map(np.array_equal, *expected))
+
+    work = []
+    first = shares._cover_ladder(families[0], work)
+    got = [[next(first), next(first)], []]
+    second = shares._cover_ladder(families[1], work)
+    for _ in range(5):
+        got[1].append(next(second))
+        if len(got[0]) < 5:
+            got[0].append(next(first))
+    for rungs, want in zip(got, expected):
+        assert [r.tolist() for r in rungs] == [w.tolist() for w in want]
+
+    # Closed, the ladders hand back one workspace, which the next one takes.
+    first.close()
+    second.close()
+    assert len(work) == 1
+    workspace = work[0]
+    third = shares._cover_ladder(families[0], work)
+    assert [r.tolist() for r in itertools.islice(third, 5)] == [
+        w.tolist() for w in expected[0]]
+    assert not work
+    third.close()
+    assert work == [workspace]
+
+
+def test_mxs_bracket_keeps_value_and_witness(monkeypatch):
+    # MXS with the agent's MMS kept on the valuation, without it, and with a
+    # bracket below the true MXS gives the same value and witness.
+    from rmms.cli import generate_instance
+
+    below = 0
+    for kind, n, m in itertools.product(
+            ("additive", "capped_additive", "table"), (2, 3, 4), (10, 11, 12)):
+        inst = generate_instance(23, m, n, m, kind, 10)
+        everything = inst.all_items.mask
+        for agent, v in enumerate(inst.valuations):
+            plain = mxs(inst, agent)
+            assert shares._mms.kept(v, everything, n) is None
+            ceiling = mms(v, inst.all_items, n).value
+            assert plain.value <= ceiling
+            assert mxs(inst, agent) == plain, (kind, n, m, agent)
+            candidates = shares._candidate_values(v, everything)
+            low = candidates[max(candidates.index(plain.value) - 1, 0)]
+            below += low < plain.value
+            with monkeypatch.context() as patch:
+                patch.setattr(shares._mms, "kept", lambda *args: shares.ShareReport(
+                    "MMS", low, None, None, n))
+                assert mxs(inst, agent) == plain, (kind, n, m, agent)
+    assert below
+
+
+# Ladder rungs past the first that MXS builds for every agent of
+# generate_instance(1, n, n, 12, kind, 10) for every kind and n 3-4, MMS
+# computed first, as the CLI does: 150 when this gate was set, against 204
+# when the bisection ran over every subset value up to v(all items).
+LADDER_RUNGS_AT_M_12 = 150
+
+
+def test_mxs_ladder_rungs_stay_within_measured_work(monkeypatch):
+    from rmms.cli import generate_instance
+
+    rungs = 0
+    ladder = shares._cover_ladder
+
+    def spy(*args):
+        nonlocal rungs
+        for k, rung in enumerate(ladder(*args)):
+            rungs += k > 0
+            yield rung
+
+    for kind, n in itertools.product(("additive", "capped_additive", "table"),
+                                     (3, 4)):
+        inst = generate_instance(1, n, n, 12, kind, 10)
+        for agent, v in enumerate(inst.valuations):
+            mms(v, inst.all_items, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(shares, "_cover_ladder", spy)
+                mxs(inst, agent)
+    assert 0 < rungs <= LADDER_RUNGS_AT_M_12
 
 
 def naive_mxs(inst, agent):
