@@ -34,9 +34,7 @@ in the buffers, so a ladder allocates only the boolean rungs it yields.
 One RMMS or MXS computation builds the buffers at its first ladder and
 reuses them in the rest; a ladder holds them until it is closed, and one
 started meanwhile builds its own, so two live ladders never share. They
-go when the computation ends: kept on the search record, they were alive
-while the next agent's record was built, and raised the all-agent MMS +
-RMMS peak RSS at (3, 20) by 19.2 MiB, more than the 16 MiB they hold.
+go when the computation ends.
 
 Both searches scan the same way and remember every (mask, q) state that
 failed, keyed by the one int q * 2^m + mask, so the state one item away
@@ -44,7 +42,7 @@ is the key with that item's bit set or cleared. Both also fail a state
 without a search when a state one item away has already failed and the
 family's closure passes that failure on. A coverer remembers for its
 lifetime. The pack memo lives in the search record (``_record``, one
-entry: the agent in hand) and spans thresholds, so MMS, the RMMS scan,
+slot: the agent in hand) and spans thresholds, so MMS, the RMMS scan,
 every residual check and ``acceptable_partition`` share it. A state that
 fails at t fails at every t' > t, as parts worth >= t' are worth >= t,
 and a state that packs at t packs at every t' < t. So the memo keeps, per
@@ -53,18 +51,19 @@ pack (``packed``). The search itself reads only
 ``failed``, which holds only true failures at the t searched: pruning them
 cannot change which partition the scan finds first, so a witness taken
 from the shared memo is the one a fresh search gives. ``packed`` only
-answers yes or no, in the residual check. A partition found at t packs its
-state at every t' up to its worst part, so ``packed`` keeps the worst part,
-not t, and checks higher up the RMMS search reuse it.
+answers yes or no, through ``_packs``, in MMS's probes and the residual
+check. A partition found at t packs its state at every t' up to its worst
+part, so ``packed`` keeps the worst part, not t: MMS jumps to it, and checks
+higher up the RMMS search reuse it.
 
 Results live on the valuation: ``_candidate_values``, ``_mms`` and
 ``_rmms`` keep them in its own dict (``_on_valuation``) and go with it.
 RMMS reuses the MMS ceiling and witness, and ``rmms_efx_partial`` the RMMS
-values of the same valuations computed before it. Module caches keyed by
-the whole valuation kept every table alive: ``ru_maxrss`` grew by 0.26 MB
-per agent over (3, 15) tables. The record stays one entry, as keeping every
-agent's raised the all-agent MMS + RMMS peak RSS at (3, 20), item values up
-to 1,000, from 150 to 228 MB.
+values of the same valuations computed before it. The record is not kept
+there, as keeping every agent's raised the all-agent MMS + RMMS peak RSS
+at (3, 20), item values up to 1,000, from 150 to 228 MB. It is kept in one
+slot, keyed by the valuation's identity, and the slot is emptied before
+the next record is built, so one record is alive at a time.
 
 The pack search also prunes by a sum bound (Korf 1998; Schreiber, Korf
 and Moffitt 2018). Each item j gets a weight w_j such that the additive
@@ -81,7 +80,9 @@ partition found is the same as without the bound, and ``failed`` still
 holds only true failures.
 
 MMS searches the distinct subset values of S. A pack found at t has a
-worst part worth p >= t, so every value up to p packs. The first probes
+worst part worth p >= t, kept in ``packed``, so every value up to p packs,
+and a pack an earlier residual check found answers a probe without a
+search. The first probes
 jump to the first value above p, and the first failure usually ends the
 search at MMS = p: only the probes that fail must search exhaustively, and
 the jumps skip most of them. A jump can gain a single value, so after
@@ -116,26 +117,25 @@ The residual check tests each removal R only at its binding k, the fewest
 parts worth < t that R splits into: the masks in rung k of the ladder and
 not in rung k - 1. This is exact. If S minus R splits into n - k0 parts
 worth >= t, merging parts gives a split into n - k parts for every
-k >= k0, so a larger k fails only where k0 already fails. The first failing
-(k, R) in (k ascending, R ascending) order is therefore the same as in a
-scan of every k. A remainder worth < t fails without a search, so in each
-rung only the removals before the first such R are searched, and none when
-n - k = 1. A remainder that packs has supersets that pack, so when many
-removals wait (``MAXIMAL_FIRST_REMOVALS``) the rung first searches those
-with no waiting removal one item larger. If they all pack, every waiting
-removal does, usually after far fewer searches. If one fails, the scan in
-ascending order runs up to it, so the first failing R is unchanged.
+k >= k0, so a larger k fails only where k0 already fails. One walk
+(``_residual_failure``) visits the rungs in ascending k and stops at the
+first rung with a failure, so its k is the least failing k. A rung with a
+remainder worth < t fails without a search, and none is needed when
+n - k = 1. Otherwise the walk searches the rung's removals until a
+remainder fails to pack. A remainder that packs has supersets that pack,
+so when many removals wait (``MAXIMAL_FIRST_REMOVALS``) only those with
+no waiting removal one item larger are searched: if they all pack, every
+waiting removal does, usually after far fewer searches. When more than
+``VALUE_ORDER_REMOVALS`` are left they are searched in ascending order of
+remainder value, the likeliest to fail first. RMMS needs only this yes or
+no. ``is_residual_feasible`` also returns the first failing (k, R) in
+(k ascending, R ascending) order: the walk's R fails, so the first failing
+R of its rung lies at or before it, and a rescan of the rung's removals in
+ascending order up to the walk's R finds it.
 
-RMMS needs only yes or no, so its checks walk the same rungs without the
-first counterexample: a rung with any remainder worth < t fails at once,
-the waiting removals (only the maximal ones, when many wait) are searched
-in ascending order of remainder value, the likeliest to fail first, when
-more than ``VALUE_ORDER_REMOVALS`` are left (in ascending mask order when
-fewer are), and the first failure ends the check.
-
-MMS records each pack it finds in ``packed``, so RMMS's first check, at
-t = MMS, finds (S, n) packed without a search; where RMMS = MMS, the MMS
-witness is the RMMS witness.
+MMS probes through ``_packs``, which records each pack in ``packed``, so
+RMMS's first check, at t = MMS, finds (S, n) packed without a search; where
+RMMS = MMS, the MMS witness is the RMMS witness.
 
 RMMS gallops: it checks MMS, then steps down 1, 2, 4, ... candidates below
 the last infeasible check until one is feasible, and bisects between the
@@ -163,6 +163,7 @@ from .core import (
     Instance,
     InvariantError,
     Valuation,
+    _check_range,
 )
 
 
@@ -232,12 +233,23 @@ def _on_valuation(fn):
     return memoized
 
 
-@lru_cache(maxsize=1)
+# The one record kept: [valuation, record], keyed by identity.
+_slot: list = [None, None]
+
+
 def _record(v: Valuation) -> _Record:
-    """The record of v. One entry is enough: callers ask about one agent
+    """The record of v. One slot is enough: callers ask about one agent
     many times in a row (its MMS probes, its MXS and the residual checks of
     its thresholds), so the record is rebuilt only when the agent changes.
-    Fetch it once per call: a lookup hashes the whole valuation."""
+    The slot is emptied first, so the old record is gone before the new one
+    is built."""
+    if _slot[0] is not v:
+        _slot[:] = None, None
+        _slot[:] = v, _build_record(v)
+    return _slot[1]
+
+
+def _build_record(v: Valuation) -> _Record:
     # In the pair view of item i, masks holding i sit at [:, 1] and the same
     # masks without i at [:, 0].
     if v.kind == "table":
@@ -501,6 +513,7 @@ def acceptable_partition(
     if t < 0:
         raise ValueError(f"threshold must be non-negative, got t={t}")
     _check_caps(v)
+    _check_range(v, S)
     return _partition(_record(v), S.mask, q, t)
 
 
@@ -513,29 +526,25 @@ def _mms(v: Valuation, smask: int, n: int) -> ShareReport:
     rec = _record(v)
     candidates = _candidate_values(v, smask)
     # candidates[lo] packs and candidates[hi], if any, fails. A pack at t has
-    # a worst part worth some p >= t, so every candidate up to p packs and lo
-    # moves to p. The first probes jump to the first candidate above p: the
-    # packs on the way are cheap, and the first failure usually ends the
-    # search. A jump can gain as little as one candidate, so after
-    # 4 * log2(C) probes, C candidates, the probes bisect. On generated
-    # m = 12 instances, item values up to 10, 1,000 and 100,000, the scan
-    # took at most 4.5 * log2(C) jumps, 1.5 * log2(C) on average.
-    best, lo, hi = 0, 0, len(candidates)
+    # a worst part worth some p >= t, kept in packed, so every candidate up
+    # to p packs and lo moves to p. The first probes jump to the first
+    # candidate above p: the packs on the way are cheap, and the first
+    # failure usually ends the search. A jump can gain as little as one
+    # candidate, so after 4 * log2(C) probes, C candidates, the probes
+    # bisect. On generated m = 12 instances, item values up to 10, 1,000 and
+    # 100,000, the scan took at most 4.5 * log2(C) jumps, 1.5 * log2(C) on
+    # average.
+    lo, hi = 0, len(candidates)
     jumps, probes = 4 * len(candidates).bit_length(), 0
     while hi - lo > 1:
         mid = lo + 1 if probes < jumps else (lo + hi) // 2
         probes += 1
-        parts = _pack(rec.table, rec.sums, candidates[mid], rec.failed,
-                      smask, n)
-        if parts is None:
-            hi = mid
+        if _packs(rec, smask, n, candidates[mid]):
+            lo = bisect_right(candidates, rec.packed[smask, n], mid) - 1
         else:
-            best = min(map(rec.table.__getitem__, parts))
-            lo = bisect_right(candidates, best, mid) - 1
-            if rec.packed.get((smask, n), -1) < best:
-                rec.packed[smask, n] = best
-    witness = _partition(rec, smask, n, best)
-    return ShareReport("MMS", best, _canonical(witness), None, n)
+            hi = mid
+    witness = _partition(rec, smask, n, candidates[lo])
+    return ShareReport("MMS", candidates[lo], _canonical(witness), None, n)
 
 
 def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareReport:
@@ -543,6 +552,7 @@ def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareRe
     if n < 1:
         raise ValueError(f"need at least one agent, got n={n}")
     _check_caps(v)
+    _check_range(v, S)
     return replace(_mms(v, S.mask, n), agent=agent)
 
 
@@ -567,24 +577,21 @@ MAXIMAL_FIRST_REMOVALS = 128
 VALUE_ORDER_REMOVALS = 16
 
 
-def _first_failing(
-    rec: _Record, smask: int, q: int, t: int, waiting: np.ndarray, first: bool
+def _failing(
+    rec: _Record, smask: int, q: int, t: int, waiting: np.ndarray
 ) -> Optional[int]:
     """A removal R of ``waiting`` (ascending masks inside smask) whose
     remainder smask ^ R does not split into q parts worth >= t, or None if
-    every remainder splits. With ``first``, the first such R.
+    every remainder splits.
 
     A remainder that packs has supersets that pack, so if R is inside R'
     and smask ^ R' packs, so does smask ^ R. Every waiting R lies under a
     waiting R' with no waiting R' + e: with many waiting, only those are
-    searched. Without ``first`` they are searched in ascending order of
-    remainder value when more than ``VALUE_ORDER_REMOVALS`` are left, so
-    that likely failures come first, and the first failure answers. With
-    ``first`` they are searched in ascending order, and if one fails, the
-    scan in ascending order runs up to it."""
+    searched. They are searched in ascending order of remainder value when
+    more than ``VALUE_ORDER_REMOVALS`` are left, so that likely failures
+    come first, and the first failure answers."""
     removals = waiting
-    filtered = waiting.size > MAXIMAL_FIRST_REMOVALS
-    if filtered:
+    if waiting.size > MAXIMAL_FIRST_REMOVALS:
         marked = np.zeros(rec.values.size, dtype=bool)
         marked[waiting] = True
         # One pass per item i: a mask without i at [:, 0] has the mask with
@@ -595,36 +602,28 @@ def _first_failing(
             np.logical_or(pairs[:, 0], marked.reshape(-1, 2, 1 << i)[:, 1],
                           out=pairs[:, 0])
         removals = waiting[~below[waiting]]
-    if not first and removals.size > VALUE_ORDER_REMOVALS:
+    if removals.size > VALUE_ORDER_REMOVALS:
         removals = removals[np.argsort(rec.values[smask ^ removals],
                                        kind="stable")]
-    last = next((R for R in removals.tolist()
+    return next((R for R in removals.tolist()
                  if not _packs(rec, smask ^ R, q, t)), None)
-    if last is None or not first or not filtered:
-        return last
-    for R in waiting[:np.searchsorted(waiting, last, "right")].tolist():
-        if not _packs(rec, smask ^ R, q, t):
-            return R
-    raise InvariantError(
-        f"the remainder of removal {last} failed to split, then split")
 
 
 def _residual_failure(
-    rec: _Record, smask: int, n: int, t: int, first: bool,
-    work: Optional[list] = None,
-) -> Optional[tuple[int, int]]:
-    """A (k, R) at which threshold t fails the residual check of (S, n), or
-    None if t is residual feasible; (0, 0) when S itself does not split.
-    With ``first``, the first (k, R) in (k ascending, R ascending) order.
-    Without it, a rung with a remainder worth < t fails without a search,
-    and the first failure found answers. ``work`` is passed to
-    ``_cover_ladder``."""
+    rec: _Record, smask: int, n: int, t: int, work: Optional[list] = None,
+) -> Optional[tuple[int, np.ndarray, int]]:
+    """(k, removals, R) at which threshold t fails the residual check of
+    (S, n), or None if t is residual feasible. k is the least failing k,
+    removals the ascending removals whose binding k is k, and R one of them
+    whose remainder fails; (0, [0], 0) when S itself does not split. A rung
+    with a remainder worth < t fails without a search, and the first
+    failure found answers. ``work`` is passed to ``_cover_ladder``."""
     if t == 0:
         # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
         # removals qualify for any k >= 1.
         return None
     if not _packs(rec, smask, n, t):
-        return 0, 0
+        return 0, np.zeros(1, dtype=np.int64), 0
     # The removals split into parts inside S worth < t, that is <= t - 1:
     # values are integers. Rung k minus rung k - 1 holds the removals whose
     # binding k is k; rung 0 is R = 0 alone, checked above.
@@ -634,19 +633,15 @@ def _residual_failure(
     fewer = masks == 0
     for k, rung in zip(range(1, n), _cover_ladder(low, work)):
         removals = np.flatnonzero(rung & ~fewer)
-        # A remainder worth < t has no part worth >= t: the first such R
-        # fails, so only the removals before it need a search, and with one
-        # part left none of them does.
+        # A remainder worth < t has no part worth >= t, so it fails without
+        # a search, and with one part left no other remainder can fail.
         short = np.flatnonzero(values[smask ^ removals] < t)
-        if short.size and not first:
-            return k, int(removals[short[0]])
-        stop = int(short[0]) if short.size else removals.size
-        if n - k > 1:
-            R = _first_failing(rec, smask, n - k, t, removals[:stop], first)
-            if R is not None:
-                return k, R
         if short.size:
-            return k, int(removals[stop])
+            return k, removals, int(removals[short[0]])
+        if n - k > 1:
+            R = _failing(rec, smask, n - k, t, removals)
+            if R is not None:
+                return k, removals, R
         fewer = rung
     return None
 
@@ -664,11 +659,20 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
     if t < 0:
         raise ValueError(f"threshold must be non-negative, got t={t}")
     _check_caps(v)
-    failure = _residual_failure(_record(v), S.mask, n, t, first=True)
+    _check_range(v, S)
+    rec = _record(v)
+    failure = _residual_failure(rec, S.mask, n, t)
     if failure is None:
         return ResidualCheck(True)
-    k, R = failure
-    return ResidualCheck(False, k, Bundle(R))
+    # The walk's k is the least failing k, and the first failing R of its
+    # rung lies at or before the walk's R. A remainder worth < t fails
+    # ``_packs`` without a search.
+    k, removals, last = failure
+    for R in removals[:np.searchsorted(removals, last, "right")].tolist():
+        if not _packs(rec, S.mask ^ R, n - k, t):
+            return ResidualCheck(False, k, Bundle(R))
+    raise InvariantError(
+        f"the remainder of removal {last} failed to split, then split")
 
 
 @_on_valuation
@@ -679,8 +683,7 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     work: list = []  # the ladders' workspace, for this computation only
 
     def feasible(i: int) -> bool:
-        return _residual_failure(rec, smask, n, candidates[i], False,
-                                 work) is None
+        return _residual_failure(rec, smask, n, candidates[i], work) is None
 
     # Feasibility is monotone in t: for t' < t, every removal that qualifies
     # at t' (parts worth < t') also qualifies at t, and a pack at t is also a
@@ -718,6 +721,7 @@ def rmms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareR
     if n < 1:
         raise ValueError(f"need at least one agent, got n={n}")
     _check_caps(v)
+    _check_range(v, S)
     return replace(_rmms(v, S.mask, n), agent=agent)
 
 

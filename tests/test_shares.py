@@ -18,6 +18,7 @@ from rmms.core import (
     CappedAdditive,
     Instance,
     InvariantError,
+    MalformedBundleError,
     Table,
 )
 from rmms import shares
@@ -83,6 +84,19 @@ class TestMms:
     def test_item_cap(self):
         with pytest.raises(CapExceededError):
             mms(Additive(tuple([1] * 21)), Bundle((1 << 21) - 1), 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v, S: mms(v, S, 2),
+    lambda v, S: rmms(v, S, 2),
+    lambda v, S: is_residual_feasible(v, S, 2, 1),
+    lambda v, S: acceptable_partition(v, S, 2, 1),
+], ids=["mms", "rmms", "is_residual_feasible", "acceptable_partition"])
+def test_bundle_outside_the_items_is_rejected(call):
+    # Item 3 does not exist: no witness may hold it, and no IndexError
+    # from the value array gets out.
+    with pytest.raises(MalformedBundleError):
+        call(Additive((1, 2, 3)), Bundle(0b1000))
 
 
 class TestAcceptablePartition:
@@ -295,6 +309,11 @@ def forget(v):
     vars(v).pop("_shares", None)
 
 
+def fresh_record():
+    """Empty the record slot, so that the next search builds a new record."""
+    shares._slot[:] = None, None
+
+
 def fresh_pack(table, t, mask, q):
     """``_pack`` with an empty memo and a sum bound that never prunes."""
     return shares._pack(table, [inf] * len(table), t, {}, mask, q)
@@ -313,9 +332,9 @@ def test_pack_memo_is_order_independent():
             candidates = list(shares._candidate_values(v, smask))
             checks[smask, n] = {}
             for t in candidates + [candidates[-1] + 1]:
-                shares._record.cache_clear()
+                fresh_record()
                 checks[smask, n][t] = is_residual_feasible(v, S, n, t)
-            shares._record.cache_clear()
+            fresh_record()
             forget(v)
             reports[smask, n] = (mms(v, S, n), rmms(v, S, n))
             # The MMS witness is the first pack a fresh search finds at MMS.
@@ -325,7 +344,8 @@ def test_pack_memo_is_order_independent():
                 fresh = fresh_pack(table, best.value, smask, n)
                 assert best.witness == shares._canonical(
                     tuple(Bundle(p) for p in fresh)), (v, smask, n)
-        shares._record.cache_clear()
+        fresh_record()
+        rec = shares._record(v)
         for smask, n in cases:
             S = Bundle(smask)
             thresholds = list(checks[smask, n])
@@ -337,7 +357,7 @@ def test_pack_memo_is_order_independent():
                 forget(v)
                 assert (mms(v, S, n), rmms(v, S, n)) == reports[smask, n]
         # Every call above searched on the one record.
-        assert shares._record.cache_info().misses == 1
+        assert shares._record(v) is rec
 
 
 def test_mms_witness_after_a_jump(monkeypatch):
@@ -353,7 +373,7 @@ def test_mms_witness_after_a_jump(monkeypatch):
             probes.append(t)
         return pack(table, sums, t, failed, remaining, parts)
 
-    shares._record.cache_clear()
+    fresh_record()
     monkeypatch.setattr(shares, "_pack", spy)
     report = mms(v, S, n)
     assert (report.value, probes) == (3, [1, 4, 3])
@@ -382,7 +402,7 @@ def test_mms_probes_stay_logarithmic(monkeypatch, v, n):
             probes.append(t)
         return pack(table, sums, t, failed, remaining, parts)
 
-    shares._record.cache_clear()
+    fresh_record()
     forget(v)
     candidates = shares._candidate_values(v, S.mask)
     monkeypatch.setattr(shares, "_pack", spy)
@@ -492,21 +512,28 @@ def test_residual_check_on_maximal_removals_matches_plain_scan(monkeypatch,
     from rmms.cli import generate_instance
 
     monkeypatch.setattr(shares, "MAXIMAL_FIRST_REMOVALS", cutoff)
-    first_failing = shares._first_failing
-    runs = set()
+    failing, walk = shares._failing, shares._residual_failure
+    runs, walked = set(), []
 
-    def spy(rec, smask, q, t, waiting, first):
-        R = first_failing(rec, smask, q, t, waiting, first)
+    def spy(rec, smask, q, t, waiting):
+        R = failing(rec, smask, q, t, waiting)
         runs.add((waiting.size > cutoff, R is not None))
         return R
 
-    monkeypatch.setattr(shares, "_first_failing", spy)
+    def walk_spy(*args):
+        failure = walk(*args)
+        walked.append(None if failure is None else failure[2])
+        return failure
+
+    monkeypatch.setattr(shares, "_failing", spy)
+    monkeypatch.setattr(shares, "_residual_failure", walk_spy)
+    rescanned = False
     for m, kind, n in itertools.product((10, 11, 12), ("additive",
                                         "capped_additive", "table"), (3, 4)):
         v = generate_instance(n, m, n, m, kind, 10).valuations[0]
         S = full(m)
         # A record of its own, whose bound never prunes.
-        reference = shares._record.__wrapped__(v)
+        reference = shares._build_record(v)
         reference = reference._replace(sums=[inf] * len(reference.table))
         ceiling = mms(v, S, n).value
         for t in shares._candidate_values(v, S.mask):
@@ -516,22 +543,23 @@ def test_residual_check_on_maximal_removals_matches_plain_scan(monkeypatch,
             removed = None if check.removed is None else check.removed.mask
             assert (check.feasible, check.k, removed) == plain_residual_scan(
                 reference, S.mask, n, t), (m, kind, n, t)
+            rescanned |= walked[-1] != removed
     # The filter ran, found every maximal remainder packing, and found one
-    # failing and rescanned up to it.
+    # failing; and some counterexample came from the rescan, not the walk.
     assert {(True, False), (True, True)} <= runs
+    assert rescanned
     if cutoff:
         assert (False, False) in runs
 
 
 def test_maximal_removal_that_fails_once_raises(monkeypatch):
-    # A maximal removal whose remainder fails, then packs in the rescan,
-    # is a broken search: an exception, not an assert stripped by -O.
-    answers = iter([False])
-    monkeypatch.setattr(shares, "MAXIMAL_FIRST_REMOVALS", 0)
-    monkeypatch.setattr(shares, "_packs", lambda *args: next(answers, True))
-    rec = shares._record(Additive((1,) * 4))
+    # A removal whose remainder fails in the walk, then packs in the
+    # rescan, is a broken search: an exception, not an assert stripped by
+    # -O. Every remainder of these removals is worth >= 1 and packs.
+    monkeypatch.setattr(shares, "_residual_failure",
+                        lambda *args: (1, np.array([1, 2, 3]), 3))
     with pytest.raises(InvariantError, match="removal 3"):
-        shares._first_failing(rec, 0b1111, 2, 1, np.array([1, 2, 3]), True)
+        is_residual_feasible(Additive((1,) * 4), full(4), 2, 1)
 
 
 def test_yes_no_residual_walk_matches_the_check():
@@ -540,14 +568,13 @@ def test_yes_no_residual_walk_matches_the_check():
     # below MAXIMAL_FIRST_REMOVALS.
     from rmms.cli import generate_instance
 
-    first_failing = shares._first_failing
+    failing = shares._failing
     runs = set()
 
-    def spy(rec, smask, q, t, waiting, first):
-        R = first_failing(rec, smask, q, t, waiting, first)
-        if not first:
-            runs.add((waiting.size > shares.MAXIMAL_FIRST_REMOVALS,
-                      R is not None))
+    def spy(rec, smask, q, t, waiting):
+        R = failing(rec, smask, q, t, waiting)
+        runs.add((waiting.size > shares.MAXIMAL_FIRST_REMOVALS,
+                  R is not None))
         return R
 
     for m, kind, n in itertools.product((10, 11, 12), ("additive",
@@ -558,12 +585,12 @@ def test_yes_no_residual_walk_matches_the_check():
         for t in shares._candidate_values(v, S.mask):
             if t > ceiling:
                 break
-            shares._record.cache_clear()
+            fresh_record()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(shares, "_first_failing", spy)
+                patch.setattr(shares, "_failing", spy)
                 walk = shares._residual_failure(shares._record(v), S.mask, n,
-                                                t, False)
-            shares._record.cache_clear()
+                                                t)
+            fresh_record()
             check = is_residual_feasible(v, S, n, t)
             assert (walk is None) == check.feasible, (m, kind, n, t)
     assert {(True, False), (True, True), (False, False), (False, True)} <= runs
@@ -588,7 +615,7 @@ def test_packed_keeps_the_worst_part(monkeypatch):
         v = generate_instance(3, n, 1, 8, kind, 10).valuations[0]
         S = full(8)
         for t in shares._candidate_values(v, S.mask)[1:]:
-            shares._record.cache_clear()
+            fresh_record()
             rec = shares._record(v)
             if not shares._packs(rec, S.mask, n, t):
                 break
@@ -624,7 +651,7 @@ def test_rmms_reuses_the_mms_packs(monkeypatch):
             range(3), ("additive", "capped_additive", "table"), (3, 4)):
         inst = generate_instance(1, index, n, 10, kind, 10)
         for v in inst.valuations:
-            shares._record.cache_clear()
+            fresh_record()
             ceiling = mms(v, S, n).value
             top.clear()
             report = rmms(v, S, n)
@@ -698,7 +725,7 @@ def test_pack_calls_stay_within_measured_work(monkeypatch):
                                      (3, 4)):
         inst = generate_instance(1, n, n, 10, kind, 10)
         for v in inst.valuations:
-            shares._record.cache_clear()
+            fresh_record()
             mms(v, inst.all_items, n)
             rmms(v, inst.all_items, n)
     assert calls <= PACK_CALLS_AT_M_10
@@ -722,15 +749,40 @@ def test_share_results_go_with_the_valuation():
     assert [ref() for ref in refs] == [None] * 3
 
 
-def test_residual_check_fetches_the_record_once():
-    # A lookup hashes the whole valuation, so it must not happen per removal.
-    # At t = 2 every set of at most 3 of the 8 unit items is a removal, 92 in
-    # all, and each remainder packs.
+def test_residual_check_fetches_the_record_once(monkeypatch):
+    # The walk and its searches take the record as an argument: it is
+    # fetched once per check, not per removal. At t = 2 every set of at most
+    # 3 of the 8 unit items is a removal, 92 in all, and each remainder
+    # packs.
     v, S, n = Additive((1,) * 8), full(8), 4
-    info = shares._record.cache_info()
+    fetches = []
+    record = shares._record
+
+    def spy(v):
+        fetches.append(v)
+        return record(v)
+
+    monkeypatch.setattr(shares, "_record", spy)
     assert is_residual_feasible(v, S, n, 2).feasible
-    after = shares._record.cache_info()
-    assert after.hits + after.misses - info.hits - info.misses <= 2
+    assert len(fetches) <= 2
+
+
+def test_record_is_built_with_the_slot_empty(monkeypatch):
+    # The old record goes before the next one is built, so at large m the
+    # peak holds one record, not two. The slot is keyed by identity: an
+    # equal valuation gets a record of its own.
+    build = shares._build_record
+    slots = []
+
+    def spy(v):
+        slots.append(list(shares._slot))
+        return build(v)
+
+    monkeypatch.setattr(shares, "_build_record", spy)
+    a, b = Additive((1, 2, 3)), Additive((1, 2, 3))
+    rec = shares._record(a)
+    assert shares._record(a) is rec and shares._record(b) is not rec
+    assert slots == [[None, None]] * 2
 
 
 def cover_ladder_families(rng):

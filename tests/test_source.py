@@ -33,7 +33,7 @@ def test_library_has_only_the_allowed_caches():
                          and any(map(names_a_cache, d.decorator_list)))
             if isinstance(node, ast.Assign) and names_a_cache(node.value):
                 found.update(f"{stem}.{t.id}" for t in node.targets)
-    assert found == {"shares._record", "cli._parser"}
+    assert found == {"cli._parser"}
 
 
 def test_library_has_no_assert():
