@@ -232,9 +232,9 @@ def _minimal_desired_shrink(part, poor, desires):
     progress = True
     while progress:
         progress = False
+        # Items leave cur only as they are reached, so every item of the
+        # snapshot is still in cur when its turn comes.
         for e in list(bits_of(cur)):
-            if not (cur >> e) & 1:
-                continue
             cand = cur ^ (1 << e)
             if cand and any(desires(a, cand) for a in poor):
                 cur = cand
@@ -242,10 +242,18 @@ def _minimal_desired_shrink(part, poor, desires):
     return cur
 
 
-def _max_matching(num_parts: int, adj: list[list[int]]) -> list[int]:
+def _max_matching(
+    num_parts: int, adj: list[list[int]]
+) -> tuple[list[int], Optional[set[int]]]:
     """Augmenting-path maximum matching; adj[p] lists agents desiring part p.
 
-    Returns match_of_part (agent index or -1), deterministic for fixed input.
+    Returns (match_of_part, hall): match_of_part holds each part's agent
+    index or -1, deterministic for fixed input. hall is None when every part
+    is matched. Otherwise it is the set of agents one more augmenting search
+    from the lowest unmatched part reaches. That search fails, as the
+    matching is maximum, so it has explored every alternating path from the
+    part: hall is the set of agents those paths reach, each matched to a
+    reached part, and the reached parts are desired by no one else.
     """
     match_of_part = [-1] * num_parts
     match_of_agent: dict[int, int] = {}
@@ -263,7 +271,12 @@ def _max_matching(num_parts: int, adj: list[list[int]]) -> list[int]:
 
     for p in range(num_parts):
         augment(p, set())
-    return match_of_part
+    if -1 not in match_of_part:
+        return match_of_part, None
+    hall: set[int] = set()
+    if augment(match_of_part.index(-1), hall):
+        raise InvariantError("augmenting path missed by matching")
+    return match_of_part, hall
 
 
 def rmms_efx_partial(
@@ -276,7 +289,11 @@ def rmms_efx_partial(
     subsets desired by some poor agent; either one wealthy agent upgrades to
     a minimal strictly-preferred strict subset of a part (freeing her old
     items), or poor agents are matched to parts they desire, completing a
-    perfect matching or the deficiency-maximal partial one.
+    perfect matching or the deficiency-maximal partial one. The deficiency
+    set is the Hall set ``_max_matching`` returns: the agents a failed
+    augmenting search from the lowest unmatched part reaches. They take
+    their matched parts, and the reached parts, one more than those agents,
+    are desired by no other poor agent.
     """
     n, m = inst.n, inst.m
     full = (1 << m) - 1
@@ -323,34 +340,23 @@ def rmms_efx_partial(
                 "residual feasibility promised an acceptable partition of the "
                 "free items and none was found"
             )
-        shrunk = []
-        for P in parts:
-            if P.mask == 0:
-                shrunk.append(0)
-            else:
-                shrunk.append(_minimal_desired_shrink(P.mask, poor, desires))
+        shrunk = [_minimal_desired_shrink(P.mask, poor, desires) for P in parts]
 
         # Wealthy upgrade: first (part, strict subset, agent) hit in
         # (part index, cardinality, mask, agent index) order.
         wealthy = [a for a in range(n) if assigned[a] is not None]
-        upgrade = None
-        for pidx, pmask in enumerate(shrunk):
-            if upgrade is not None:
-                break
-            subsets = sorted(
-                (s for s in submasks(pmask) if s != pmask),
-                key=lambda s: (s.bit_count(), s),
-            )
-            for S in subsets:
-                if upgrade is not None:
-                    break
-                for w in wealthy:
-                    vw = inst.valuations[w]
-                    if _value(vw, S, ledger) > _value(vw, assigned[w], ledger):
-                        upgrade = (w, S, pidx)
-                        break
+        upgrade = next(
+            ((w, S)
+             for pmask in shrunk
+             for S in sorted((s for s in submasks(pmask) if s != pmask),
+                             key=lambda s: (s.bit_count(), s))
+             for w in wealthy
+             if _value(inst.valuations[w], S, ledger)
+             > _value(inst.valuations[w], assigned[w], ledger)),
+            None,
+        )
         if upgrade is not None:
-            w, S, pidx = upgrade
+            w, S = upgrade
             if inst.valuations[w].value_of(S) < rmms_values[w]:
                 raise InvariantError(
                     "upgraded wealthy bundle fell below the agent's share"
@@ -364,59 +370,28 @@ def rmms_efx_partial(
             continue
 
         adj = [[a for a in poor if desires(a, pmask)] for pmask in shrunk]
-        match_of_part = _max_matching(n_r, adj)
-        matched = sum(1 for a in match_of_part if a != -1)
-        if matched == n_r:
-            for pidx, a in enumerate(match_of_part):
-                check_minimal(shrunk[pidx], poor)
-                assigned[a] = shrunk[pidx]
-                free &= ~shrunk[pidx]
-            trace.rounds.append(
-                {
-                    "kind": "final-matching",
-                    "assigned": {a: sorted(bits_of(shrunk[p]))
-                                 for p, a in enumerate(match_of_part)},
-                }
-            )
+        match_of_part, hall = _max_matching(n_r, adj)
+        if hall is None:
+            kind, winners = "final-matching", enumerate(match_of_part)
         else:
-            # Deficiency round: alternating reachability from the lowest
-            # unmatched part yields parts T desired by exactly |T| - 1 poor
-            # agents; those agents keep their matched parts.
-            match_of_agent = {
-                a: p for p, a in enumerate(match_of_part) if a != -1
-            }
-            start = next(p for p in range(n_r) if match_of_part[p] == -1)
-            part_reach = {start}
-            agent_reach: set[int] = set()
-            frontier = [start]
-            while frontier:
-                p = frontier.pop(0)
-                for a in adj[p]:
-                    if a in agent_reach:
-                        continue
-                    agent_reach.add(a)
-                    mp = match_of_agent.get(a)
-                    if mp is None:
-                        raise InvariantError("augmenting path missed by matching")
-                    if mp not in part_reach:
-                        part_reach.add(mp)
-                        frontier.append(mp)
-            if len(part_reach) < 2:
+            # The reached parts T are desired by exactly the |T| - 1 agents
+            # of the Hall set; those agents keep their matched parts.
+            if not hall:
                 raise InvariantError("every part is desired by some poor agent")
-            if len(agent_reach) != len(part_reach) - 1:
+            winners = [(match_of_part.index(a), a) for a in sorted(hall)]
+            reached = [match_of_part.index(-1)] + [p for p, _ in winners]
+            if set().union(*(adj[p] for p in reached)) != hall:
                 raise InvariantError(
                     "deficiency set does not certify Hall violation"
                 )
-            assigned_now = {}
-            for a in sorted(agent_reach):
-                pidx = match_of_agent[a]
-                check_minimal(shrunk[pidx], poor)
-                assigned[a] = shrunk[pidx]
-                free &= ~shrunk[pidx]
-                assigned_now[a] = sorted(bits_of(shrunk[pidx]))
-            trace.rounds.append(
-                {"kind": "deficiency-matching", "assigned": assigned_now}
-            )
+            kind = "deficiency-matching"
+        assigned_now = {}
+        for p, a in winners:
+            check_minimal(shrunk[p], poor)
+            assigned[a] = shrunk[p]
+            free &= ~shrunk[p]
+            assigned_now[a] = sorted(bits_of(shrunk[p]))
+        trace.rounds.append({"kind": kind, "assigned": assigned_now})
 
     result = PartialAllocation(
         m, Bundle(free), tuple(Bundle(b if b is not None else 0) for b in assigned)

@@ -10,7 +10,7 @@ Two searches and one lattice kernel do the work.
   family is upward-closed. ``acceptable_partition``, MMS and the residual
   check all use it. Failure is inherited by subsets: a mask with no
   q-partition has no subset with one.
-- **cover** (``_coverer``): split a mask into at most q parts P with
+- **cover** (``_cover``): split a mask into at most q parts P with
   weights[P] <= bound. The family is downward-closed, so failure is
   inherited by supersets. MXS uses it for the other agents' bundles (parts
   the agent does not EFX-envy), with weights g(P), the most the agent
@@ -40,11 +40,12 @@ Both searches scan the same way and remember every (mask, q) state that
 failed, keyed by the one int q * 2^m + mask, so the state one item away
 is the key with that item's bit set or cleared. Both also fail a state
 without a search when a state one item away has already failed and the
-family's closure passes that failure on. A coverer remembers for its
-lifetime. The pack memo lives in the search record (``_record``, one
-slot: the agent in hand) and spans thresholds, so MMS, the RMMS scan,
-every residual check and ``acceptable_partition`` share it. A state that
-fails at t fails at every t' > t, as parts worth >= t' are worth >= t,
+family's closure passes that failure on. A cover search remembers in the
+failed set its caller passes, for as long as the caller keeps it. The
+pack memo lives in the search record (``_record``, one slot: the agent in
+hand) and spans thresholds, so MMS, the RMMS scan, every residual check
+and ``acceptable_partition`` share it. A state that fails at t fails at
+every t' > t, as parts worth >= t' are worth >= t,
 and a state that packs at t packs at every t' < t. So the memo keeps, per
 state, the least t known to fail (``failed``) and the greatest t known to
 pack (``packed``). The search itself reads only
@@ -129,9 +130,12 @@ waiting removal does, usually after far fewer searches. When more than
 ``VALUE_ORDER_REMOVALS`` are left they are searched in ascending order of
 remainder value, the likeliest to fail first. RMMS needs only this yes or
 no. ``is_residual_feasible`` also returns the first failing (k, R) in
-(k ascending, R ascending) order: the walk's R fails, so the first failing
-R of its rung lies at or before it, and a rescan of the rung's removals in
-ascending order up to the walk's R finds it.
+(k ascending, R ascending) order. The walk's R fails, so the first failing
+R of its rung lies at or before it. The same search (``_failing``) then
+runs again over the rung's removals below the current R, taking each
+failing R it returns as the new current R, until it returns None: every
+removal below the current R then packs, so the current R is the first.
+Each run keeps the maximal-first filter and the value order.
 
 MMS probes through ``_packs``, which records each pack in ``packed``, so
 RMMS's first check, at t = MMS, finds (S, n) packed without a search; where
@@ -149,10 +153,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 from itertools import groupby, islice
 from math import inf
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -359,26 +363,21 @@ def _packs(rec: _Record, mask: int, q: int, t: int) -> bool:
     return True
 
 
-def _coverer(
-    weights: Sequence[int], bound: int
-) -> Callable[[int, int], Optional[list[int]]]:
-    """The cover search for the parts P with ``weights[P] <= bound``.
-
-    ``cover(mask, q)`` returns the first split of ``mask`` into q parts from
-    that family, as part masks, or None. Empty parts are allowed, so this
-    asks for at most q non-empty parts. Each part is anchored on the lowest
-    remaining item and candidate parts are scanned in ascending mask order.
-    Failed (mask, q) states are kept for the coverer's lifetime; a state
-    also fails, without a search, when the state with one item fewer did.
-    ``weights`` must be monotone, so that the family is downward-closed.
-    """
-    return partial(_cover, weights, bound, set())
-
-
 def _cover(
     weights: Sequence[int], bound: int, failed: set[int],
     mask: int, parts: int,
 ) -> Optional[list[int]]:
+    """The first split of ``mask`` into ``parts`` parts P with
+    ``weights[P] <= bound``, as part masks, or None. Empty parts are
+    allowed, so this asks for at most ``parts`` non-empty parts. Each part
+    is anchored on the lowest remaining item and candidate parts are scanned
+    in ascending mask order.
+
+    ``failed`` holds the failed (mask, parts) states for these weights and
+    this bound, for as long as the caller keeps it; pass ``set()`` for a
+    fresh search. A state also fails, without a search,
+    when the state with one item fewer did. ``weights`` must be monotone,
+    so that the family is downward-closed."""
     if mask == 0:
         return [0] * parts
     if parts == 1:
@@ -450,7 +449,7 @@ def _cover_ladder(
     downward-closed family (so it holds the empty mask). Yields, for
     k = 1, 2, ..., as many rungs as the caller takes, the boolean array
     "X is a union of at most k members". As the family is downward-closed,
-    that is "X splits into at most k members", the question ``_coverer``
+    that is "X splits into at most k members", the question ``_cover``
     answers for one X. Rung 1 is the family; rung k + 1 is computed only
     when asked for, as the cover product
     ``moebius(zeta(rung k) * zeta(family)) > 0``.
@@ -664,15 +663,18 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
     failure = _residual_failure(rec, S.mask, n, t)
     if failure is None:
         return ResidualCheck(True)
-    # The walk's k is the least failing k, and the first failing R of its
-    # rung lies at or before the walk's R. A remainder worth < t fails
-    # ``_packs`` without a search.
-    k, removals, last = failure
-    for R in removals[:np.searchsorted(removals, last, "right")].tolist():
-        if not _packs(rec, S.mask ^ R, n - k, t):
-            return ResidualCheck(False, k, Bundle(R))
-    raise InvariantError(
-        f"the remainder of removal {last} failed to split, then split")
+    # The walk's k is the least failing k. A search of the removals below
+    # the current R returns a failing one, strictly below it, or None when
+    # every one of them packs: then the current R is the first. A remainder
+    # worth < t fails ``_packs`` without a search.
+    k, removals, first = failure
+    if _packs(rec, S.mask ^ first, n - k, t):
+        raise InvariantError(
+            f"the remainder of removal {first} failed to split, then split")
+    while (R := _failing(rec, S.mask, n - k, t,
+                         removals[removals < first])) is not None:
+        first = R
+    return ResidualCheck(False, k, Bundle(first))
 
 
 @_on_valuation
@@ -740,12 +742,12 @@ def _mxs_cover(rec: _Record, g: np.ndarray, n: int) -> tuple[int, int, list[int]
     full = len(table) - 1
     weights = g.tolist()
     # The cover search depends only on the own bundle's value, so one
-    # coverer serves all own bundles of that value.
+    # failure memo serves all own bundles of that value.
     order = np.argsort(rec.values, kind="stable").tolist()
     for value, owns in groupby(order, key=table.__getitem__):
-        cover = _coverer(weights, value)
+        failed: set[int] = set()
         for own in owns:
-            others = cover(full ^ own, n - 1)
+            others = _cover(weights, value, failed, full ^ own, n - 1)
             if others is not None:
                 return value, own, others
     raise InvariantError("own = all items always admits an envy-free remainder")
@@ -786,7 +788,7 @@ def _mxs_ladder(
         hits = np.flatnonzero(coverable(t) & (own_value == t))
         if hits.size:
             own = full ^ int(hits[-1])
-            return t, own, _coverer(g.tolist(), t)(full ^ own, n - 1)
+            return t, own, _cover(g.tolist(), t, set(), full ^ own, n - 1)
     raise InvariantError("own = all items always admits an envy-free remainder")
 
 

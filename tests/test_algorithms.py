@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmms.core import (
     Additive,
@@ -227,6 +229,40 @@ class TestRmmsEfxPartial:
         inst = Instance(2, 2, (Additive((1, 1)), Additive((1, 1))))
         with pytest.raises(InvariantError, match="acceptable partition"):
             algorithms.rmms_efx_partial(inst, QueryLedger())
+
+
+def _alternating_reach(match_of_part, adj):
+    """The agents an alternating BFS from the lowest unmatched part reaches:
+    the reference for the Hall set of ``_max_matching``."""
+    match_of_agent = {a: p for p, a in enumerate(match_of_part) if a != -1}
+    start = match_of_part.index(-1)
+    part_reach, agent_reach, frontier = {start}, set(), [start]
+    while frontier:
+        p = frontier.pop(0)
+        for a in adj[p]:
+            if a in agent_reach:
+                continue
+            agent_reach.add(a)
+            mp = match_of_agent[a]  # an unmatched agent: augmenting path
+            if mp not in part_reach:
+                part_reach.add(mp)
+                frontier.append(mp)
+    return agent_reach
+
+
+@given(st.integers(1, 6).flatmap(lambda parts: st.lists(
+    st.lists(st.integers(0, 5), unique=True), min_size=parts,
+    max_size=parts)))
+@settings(max_examples=400, deadline=None)
+def test_hall_set_is_the_alternating_reach(adj):
+    match_of_part, hall = algorithms._max_matching(len(adj), adj)
+    matched = [a for a in match_of_part if a != -1]
+    assert len(set(matched)) == len(matched)
+    assert all(a == -1 or a in adj[p] for p, a in enumerate(match_of_part))
+    if hall is None:
+        assert -1 not in match_of_part
+    else:
+        assert hall == _alternating_reach(match_of_part, adj)
 
 
 class TestRmmsEflFull:

@@ -204,6 +204,34 @@ def test_bench_csv_golden(tmp_path, algorithm, kind):
     assert digest == BENCH_GOLDEN[(algorithm, kind)]
 
 
+# sha256 over indices 0-19 of `rmms allocate --algorithm rmms-efx --trace
+# FILE` on generate_instance(2026, index, n, m, kind, 10). Each set takes
+# final-matching, deficiency-matching and upgrade rounds, so they pin every
+# kind of EFX round byte for byte: its agents, bundles and field order, the
+# RMMS values and both query counts.
+EFX_TRACE_GOLDEN = {
+    ("additive", 3, 7): "1be4f58cff7f4af25e66e5927c22aaa544e1734a9236789d827d44d88868afee",
+    ("capped_additive", 4, 7): "8de99a854fcda8adbee3ba44d7ff27b1afc12c88ff170e190058429d7dd498a3",
+    ("table", 5, 8): "b1665fefd860f7d483cfcc4a24b4bcc456afb861d7fd1e86752071d9f588b59b",
+}
+
+
+@pytest.mark.parametrize("kind, n, m", sorted(EFX_TRACE_GOLDEN))
+def test_efx_trace_golden(tmp_path, kind, n, m):
+    digest, kinds = hashlib.sha256(), set()
+    trace = tmp_path / "trace.json"
+    for index in range(20):
+        inst = cli.generate_instance(2026, index, n, m, kind, 10)
+        path = write_instance(tmp_path, instance_to_json(inst))
+        assert run(["allocate", path, "--algorithm", "rmms-efx",
+                    "-o", str(tmp_path / "alloc.json"),
+                    "--trace", str(trace)])[0] == 0
+        digest.update(trace.read_bytes())
+        kinds |= {r["kind"] for r in load_json(trace)["rounds"]}
+    assert kinds == {"final-matching", "deficiency-matching", "upgrade"}
+    assert digest.hexdigest() == EFX_TRACE_GOLDEN[(kind, n, m)]
+
+
 @pytest.mark.parametrize("algorithm", ["envy-cycle", "rmms-efx", "rmms-efl"])
 def test_bench_jobs_matches_serial(tmp_path, algorithm):
     # Two worker processes write the same rows, in the same order, as one.

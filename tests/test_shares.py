@@ -514,14 +514,23 @@ def test_residual_check_on_maximal_removals_matches_plain_scan(monkeypatch,
     monkeypatch.setattr(shares, "MAXIMAL_FIRST_REMOVALS", cutoff)
     failing, walk = shares._failing, shares._residual_failure
     runs, walked = set(), []
+    # Searches of the walk, and of the check's loop below the walk's R.
+    walking, looped, most_looped = False, 0, 0
 
     def spy(rec, smask, q, t, waiting):
+        nonlocal looped
         R = failing(rec, smask, q, t, waiting)
-        runs.add((waiting.size > cutoff, R is not None))
+        if walking:
+            runs.add((waiting.size > cutoff, R is not None))
+        else:
+            looped += 1
         return R
 
     def walk_spy(*args):
+        nonlocal walking, looped
+        walking, looped = True, 0
         failure = walk(*args)
+        walking = False
         walked.append(None if failure is None else failure[2])
         return failure
 
@@ -544,10 +553,14 @@ def test_residual_check_on_maximal_removals_matches_plain_scan(monkeypatch,
             assert (check.feasible, check.k, removed) == plain_residual_scan(
                 reference, S.mask, n, t), (m, kind, n, t)
             rescanned |= walked[-1] != removed
+            most_looped = max(most_looped, looped)
     # The filter ran, found every maximal remainder packing, and found one
-    # failing; and some counterexample came from the rescan, not the walk.
+    # failing; and some counterexample came from the search below the
+    # walk's R, not the walk, and took that search more than once: at least
+    # one failing R below the walk's, then None below the first.
     assert {(True, False), (True, True)} <= runs
     assert rescanned
+    assert most_looped >= 2
     if cutoff:
         assert (False, False) in runs
 
@@ -803,15 +816,16 @@ def cover_ladder_families(rng):
                 yield table, values[i]
 
 
-def test_cover_ladder_matches_coverer():
+def test_cover_ladder_matches_cover():
     # Rung k holds X iff the cover search splits X into at most k parts.
     grows_at_4 = False
     for table, bound in cover_ladder_families(random.Random(13)):
         ladder = shares._cover_ladder(np.array(table) <= bound)
         rungs = [None] + list(itertools.islice(ladder, 4))
-        cover = shares._coverer(table, bound)
+        failed = set()
         for k in range(1, 5):
-            expected = [cover(X, k) is not None for X in range(len(table))]
+            expected = [shares._cover(table, bound, failed, X, k) is not None
+                        for X in range(len(table))]
             assert rungs[k].tolist() == expected, (table, bound, k)
         grows_at_4 |= not np.array_equal(rungs[4], rungs[3])
     assert grows_at_4
@@ -1032,7 +1046,7 @@ def test_mxs_ladder_scans_up_from_its_lower_bound(monkeypatch):
     weights = [max([vals[P ^ (1 << e)] for e in range(4) if P >> e & 1],
                    default=0) for P in range(16)]
     bound = min(t for t in vals if any(
-        shares._coverer(weights, t)(15 ^ own, 1) is not None
+        shares._cover(weights, t, set(), 15 ^ own, 1) is not None
         for own in range(16) if vals[own] <= t))
     assert (bound, mxs(inst, 0).value) == (12, 14)
 
