@@ -11,7 +11,10 @@ Inside the procedures bundles are raw bit masks, and queries go through
 ``value_query`` and ``compare_query`` do but skip their range checks: every
 mask is a subset of the items of the instance, as the input allocation was
 validated against it. ``Bundle`` and ``PartialAllocation`` appear only at
-the API edge, in what the procedures take and return.
+the API edge, in what the procedures take and return. Envy-cycle
+elimination is the exception: it keeps each agent's values of the current
+bundles across rounds and charges each envy matrix as the n(n - 1)
+comparison queries it stands for.
 """
 from __future__ import annotations
 
@@ -75,14 +78,26 @@ def envy_cycle_run(
     pool = start.pool.mask
     trace = RunTrace(ledger=ledger)
     valuations = inst.valuations
+    # worth[i][j] is agent i's value of the bundle agent j holds. A grant
+    # changes one bundle and a rotation only moves bundles, so the table is
+    # kept across rounds: it is built at the first envy matrix, the next
+    # grant recomputes one column, and a rotation permutes the columns along
+    # the cycle. Each envy matrix is still charged as the n(n - 1)
+    # comparison queries ``_compare`` would make.
+    worth: list[list[int]] = []
 
     while pool:
+        if worth:
+            for v, row in zip(valuations, worth):
+                row[unenvied] = v.value_of(records[unenvied]["mask"])
+        else:
+            worth = [[v.value_of(r["mask"]) for r in records]
+                     for v in valuations]
         while True:
-            masks = [r["mask"] for r in records]
+            ledger.comparison_queries += n * (n - 1)
             envy = [
-                [i != j and not _compare(v, masks[i], masks[j], ledger)
-                 for j in range(n)]
-                for i, v in enumerate(valuations)
+                [i != j and row[i] < row[j] for j in range(n)]
+                for i, row in enumerate(worth)
             ]
             unenvied = next(
                 (j for j in range(n) if not any(envy[i][j] for i in range(n))), None
@@ -99,10 +114,13 @@ def envy_cycle_run(
                 cur = next(i for i in range(n) if envy[i][cur])
             cycle = path[seen[cur]:]
             # Each cycle member envies the one before it (cycle[0] envies
-            # cycle[-1]) and takes that member's bundle.
-            old = [records[a] for a in cycle]
+            # cycle[-1]) and takes that member's bundle; agent j ends up
+            # with the bundle of agent taken[j].
+            taken = list(range(n))
             for idx, agent in enumerate(cycle):
-                records[agent] = old[idx - 1]
+                taken[agent] = cycle[idx - 1]
+            records = [records[j] for j in taken]
+            worth = [[row[j] for j in taken] for row in worth]
             trace.rounds.append({"kind": "rotate", "agents": list(cycle)})
         item = (pool & -pool).bit_length() - 1
         pool ^= 1 << item

@@ -141,12 +141,28 @@ MMS probes through ``_packs``, which records each pack in ``packed``, so
 RMMS's first check, at t = MMS, finds (S, n) packed without a search; where
 RMMS = MMS, the MMS witness is the RMMS witness.
 
-RMMS gallops: it checks MMS, then steps down 1, 2, 4, ... candidates below
-the last infeasible check until one is feasible, and bisects between the
-two. Feasibility is monotone in t, so this finds the largest feasible
-candidate in O(log C) checks for C candidates, however far RMMS lies below
-MMS, and the packs found at one threshold answer the same remainders at
-every threshold below it.
+RMMS gallops: it checks its upper bound, then steps down 1, 2, 4, ...
+candidates below the last infeasible check until one is feasible, and
+bisects between the two. Feasibility is monotone in t, so this finds the
+largest feasible candidate in O(log C) checks for C candidates, however far
+RMMS lies below the bound, and the packs found at one threshold answer the
+same remainders at every threshold below it.
+
+The bound is MMS, and for tables from ``RMMS_BOUND_ITEMS`` items up
+min(MMS, mFS). mFS, the min-max fair share (Bouveret and Lemaitre 2016), is
+the least c such that S splits into at most n parts worth <= c. Every
+t > mFS fails the residual check at k = n - 1: removing n - 1 of those
+parts, each worth < t, leaves one worth < t. S splits so iff some R in rung
+n - 1 of the ladder of the parts inside S worth <= c leaves v(S - R) <= c
+(``_split_rungs``). That test runs once at the candidate just below MMS
+and, if it holds there, bisects below it: O(log C) ladders and no pack
+search. On generated tables RMMS mostly equals mFS or lies one candidate
+below, so one or two checks remain, where the gallop from MMS made about 8
+at m = 12. The ladder at candidates[i - 1] is the residual check's at
+candidates[i], so the last probe that fails to split hands its rungs to
+the first check. Additive and capped valuations always have
+mFS >= MMS, so they are not probed: n parts worth <= c < MMS <= cap hold
+items summing to < n * MMS, and the items of S sum to at least n * MMS.
 """
 from __future__ import annotations
 
@@ -191,6 +207,11 @@ class ResidualCheck(NamedTuple):
     feasible: bool
     k: Optional[int] = None
     removed: Optional[Bundle] = None
+
+
+def _check_agent(agent: Optional[int], n: int) -> None:
+    if agent is not None and not 0 <= agent < n:
+        raise ValueError(f"agent must lie in [0, {n}), got agent={agent}")
 
 
 def _check_caps(v: Valuation) -> None:
@@ -550,6 +571,7 @@ def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareRe
     """Maximin share of S under v for n agents, with a witness partition."""
     if n < 1:
         raise ValueError(f"need at least one agent, got n={n}")
+    _check_agent(agent, n)
     _check_caps(v)
     _check_range(v, S)
     return replace(_mms(v, S.mask, n), agent=agent)
@@ -608,15 +630,25 @@ def _failing(
                  if not _packs(rec, smask ^ R, q, t)), None)
 
 
+def _parts_within(rec: _Record, smask: int, bound: int) -> np.ndarray:
+    """The masks inside smask worth <= bound, over all 2^m masks: a
+    downward-closed family, as values are monotone."""
+    masks = np.arange(rec.values.size)
+    return (rec.values <= bound) & ((masks | smask) == smask)
+
+
 def _residual_failure(
     rec: _Record, smask: int, n: int, t: int, work: Optional[list] = None,
+    rungs: Optional[list[np.ndarray]] = None,
 ) -> Optional[tuple[int, np.ndarray, int]]:
     """(k, removals, R) at which threshold t fails the residual check of
     (S, n), or None if t is residual feasible. k is the least failing k,
     removals the ascending removals whose binding k is k, and R one of them
     whose remainder fails; (0, [0], 0) when S itself does not split. A rung
     with a remainder worth < t fails without a search, and the first
-    failure found answers. ``work`` is passed to ``_cover_ladder``."""
+    failure found answers. ``work`` is passed to ``_cover_ladder``;
+    ``rungs``, if given, are rungs 1 to n - 1 of the ladder of the parts
+    inside S worth < t, already built, and the walk reads them instead."""
     if t == 0:
         # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
         # removals qualify for any k >= 1.
@@ -627,10 +659,10 @@ def _residual_failure(
     # values are integers. Rung k minus rung k - 1 holds the removals whose
     # binding k is k; rung 0 is R = 0 alone, checked above.
     values = rec.values
-    masks = np.arange(values.size)
-    low = (values <= t - 1) & ((masks | smask) == smask)
-    fewer = masks == 0
-    for k, rung in zip(range(1, n), _cover_ladder(low, work)):
+    if rungs is None:
+        rungs = _cover_ladder(_parts_within(rec, smask, t - 1), work)
+    fewer = np.arange(values.size) == 0
+    for k, rung in zip(range(1, n), rungs):
         removals = np.flatnonzero(rung & ~fewer)
         # A remainder worth < t has no part worth >= t, so it fails without
         # a search, and with one part left no other remainder can fail.
@@ -677,25 +709,75 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
     return ResidualCheck(False, k, Bundle(first))
 
 
+def _split_rungs(
+    rec: _Record, smask: int, n: int, c: int, work: list,
+) -> tuple[list[np.ndarray], bool]:
+    """Rungs 1 to n - 1 of the ladder of the parts inside S worth <= c, and
+    whether S splits into at most n parts worth <= c: whether some R in
+    rung n - 1 leaves v(S - R) <= c. The ladder is closed, so its workspace
+    goes back to ``work``."""
+    ladder = _cover_ladder(_parts_within(rec, smask, c), work)
+    rungs = list(islice(ladder, n - 1))
+    ladder.close()
+    removals = np.flatnonzero(rungs[-1])
+    return rungs, bool((rec.values[smask ^ removals] <= c).any())
+
+
+# RMMS of a table is bounded by the min-max split from this many items up.
+# Below it the ladder probes cost more than the checks they save. All
+# agents of generate_instance(1, idx, n, m, "table", 10), n 3-4, idx < 9,
+# MMS first, RMMS CPU s without against with the bound, best of 7: m = 8
+# 0.0240 against 0.0275, m = 9 0.0486 against 0.0519, m = 10 0.0836
+# against 0.0656, m = 12 0.324 against 0.213; with item values up to 1,000
+# (seed 2) m = 9 0.067 against 0.070, m = 10 0.111 against 0.091.
+# Additive and capped valuations are never probed: their bound is never
+# below MMS, and probing them changed their RMMS time at m 10-14 by -6% to
+# +21% (+7% in the median of ten points like those above).
+RMMS_BOUND_ITEMS = 10
+
+
 @_on_valuation
 def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     ceiling = _mms(v, smask, n).value
     candidates = [c for c in _candidate_values(v, smask) if c <= ceiling]
     rec = _record(v)
     work: list = []  # the ladders' workspace, for this computation only
+    top, rungs = len(candidates) - 1, None
 
-    def feasible(i: int) -> bool:
-        return _residual_failure(rec, smask, n, candidates[i], work) is None
+    # The bound (see the module docstring): one probe just below MMS and,
+    # if it splits S, a bisection below it for mFS. The probe at
+    # candidates[i - 1] builds the ladder of the check at candidates[i], as
+    # the parts worth <= candidates[i - 1] are those worth < candidates[i].
+    # So the last probe that does not split, at top - 1, hands its rungs to
+    # the first check, at top; the other probes' rungs are dropped.
+    if (n > 1 and top > 0 and v.kind == "table"
+            and v.m >= RMMS_BOUND_ITEMS):
+        rungs, split = _split_rungs(rec, smask, n, candidates[top - 1], work)
+        if split:
+            lo, top, rungs = 0, top - 1, None
+            while lo < top:
+                mid = (lo + top) // 2
+                probed, split = _split_rungs(rec, smask, n, candidates[mid],
+                                             work)
+                if split:
+                    top = mid
+                else:
+                    lo, rungs = mid + 1, probed
+
+    def feasible(i: int, rungs: Optional[list] = None) -> bool:
+        return _residual_failure(rec, smask, n, candidates[i], work,
+                                 rungs) is None
 
     # Feasibility is monotone in t: for t' < t, every removal that qualifies
     # at t' (parts worth < t') also qualifies at t, and a pack at t is also a
-    # pack at t'. So a gallop down from MMS (steps 1, 2, 4, ...) and a
+    # pack at t'. So a gallop down from the bound (steps 1, 2, 4, ...) and a
     # bisection find the largest feasible candidate in O(log C) checks.
     # Galloping pays only because feasible checks are cheap, the check
     # searching the maximal removals of a rung first. candidates[hi] is
     # infeasible; hi = len(candidates) stands for a threshold above MMS.
-    hi, lo, step = len(candidates), len(candidates) - 1, 1
-    while not feasible(lo):
+    hi, lo, step = top + 1, top, 1
+    while not feasible(lo, rungs):
+        rungs = None
         if lo == 0:
             raise InvariantError("t = 0 is always residual feasible")
         hi, lo, step = lo, max(lo - step, 0), 2 * step
@@ -722,6 +804,7 @@ def rmms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareR
     """
     if n < 1:
         raise ValueError(f"need at least one agent, got n={n}")
+    _check_agent(agent, n)
     _check_caps(v)
     _check_range(v, S)
     return replace(_rmms(v, S.mask, n), agent=agent)
@@ -800,6 +883,7 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
     allocation hands her everything.
     """
     n, m = inst.n, inst.m
+    _check_agent(agent, n)
     v = inst.valuations[agent]
     _check_caps(v)
     full = (1 << m) - 1

@@ -14,7 +14,7 @@ from rmms.core import (
     PreconditionError,
     QueryLedger,
 )
-from rmms import algorithms, cli, fairness, oracle, shares
+from rmms import algorithms, cli, core, fairness, oracle, shares
 from conftest import random_additive_instance, random_partial
 
 
@@ -96,6 +96,64 @@ class TestEnvyCycleRun:
                 inst, start, alloc, trace
             )
             assert not failures, failures
+
+    def test_kept_values_match_a_run_that_compares_every_pair(self):
+        # The run keeps each agent's values of the current bundles across
+        # grants and rotations. The reference compares every ordered pair
+        # through the ledger in every envy matrix, as the run's ledger
+        # charges.
+        def reference(inst, start, ledger):
+            n = inst.n
+            records = [{"mask": b.mask, "origin": idx, "last": None}
+                       for idx, b in enumerate(start.bundles)]
+            pool, rounds = start.pool.mask, []
+            while pool:
+                while True:
+                    masks = [r["mask"] for r in records]
+                    envy = [[i != j and not core._compare(
+                                v, masks[i], masks[j], ledger)
+                             for j in range(n)]
+                            for i, v in enumerate(inst.valuations)]
+                    unenvied = next((j for j in range(n) if not any(
+                        envy[i][j] for i in range(n))), None)
+                    if unenvied is not None:
+                        break
+                    seen, cur, path = {}, 0, []
+                    while cur not in seen:
+                        seen[cur] = len(path)
+                        path.append(cur)
+                        cur = next(i for i in range(n) if envy[i][cur])
+                    cycle = path[seen[cur]:]
+                    old = [records[a] for a in cycle]
+                    for idx, agent in enumerate(cycle):
+                        records[agent] = old[idx - 1]
+                    rounds.append({"kind": "rotate", "agents": list(cycle)})
+                item = (pool & -pool).bit_length() - 1
+                pool ^= 1 << item
+                records[unenvied]["mask"] |= 1 << item
+                records[unenvied]["last"] = item
+                rounds.append({"kind": "grant", "agent": unenvied,
+                               "item": item})
+            return ([r["mask"] for r in records], rounds,
+                    [r["origin"] for r in records],
+                    [r["last"] for r in records])
+
+        rng = random.Random(16)
+        rotations = 0
+        for trial in range(300):
+            kind = ("additive", "capped_additive", "table")[trial % 3]
+            n, m = rng.randint(1, 5), rng.randint(1, 8)
+            inst = cli.generate_instance(16, trial, n, m, kind, 6)
+            start = random_partial(rng, inst)
+            ledger, expected_ledger = QueryLedger(), QueryLedger()
+            alloc, trace = algorithms.envy_cycle_run(inst, start, ledger)
+            expected = reference(inst, start, expected_ledger)
+            got = ([b.mask for b in alloc.bundles], trace.rounds,
+                   trace.matching, trace.last_added)
+            assert got == expected, (trial, kind, n, m)
+            assert ledger == expected_ledger, (trial, kind, n, m)
+            rotations += any(r["kind"] == "rotate" for r in trace.rounds)
+        assert rotations
 
 
 class TestPreprocessSingletons:

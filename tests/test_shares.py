@@ -99,6 +99,28 @@ def test_bundle_outside_the_items_is_rejected(call):
         call(Additive((1, 2, 3)), Bundle(0b1000))
 
 
+@pytest.mark.parametrize("agent", [-1, 3, 7])
+@pytest.mark.parametrize("share", ["mms", "rmms", "mxs"])
+def test_agent_outside_the_instance_is_rejected(share, agent):
+    # Agent -1 once came back labelled -1 from mxs, with its own bundle in
+    # the wrong slot, and agent n raised a bare IndexError.
+    from rmms.cli import generate_instance
+
+    inst = generate_instance(1, 0, 3, 6, "additive", 10)
+    calls = {
+        "mms": lambda a: mms(inst.valuations[0], inst.all_items, 3, agent=a),
+        "rmms": lambda a: rmms(inst.valuations[0], inst.all_items, 3,
+                               agent=a),
+        "mxs": lambda a: mxs(inst, a),
+    }
+    with pytest.raises(ValueError, match="agent"):
+        calls[share](agent)
+    for a in range(3):
+        assert calls[share](a).agent == a
+    if share != "mxs":
+        assert calls[share](None).agent is None
+
+
 class TestAcceptablePartition:
     def test_zero_threshold(self):
         parts = acceptable_partition(Additive((1, 1)), full(2), 3, 0)
@@ -711,6 +733,115 @@ def test_rmms_checks_stay_logarithmic(monkeypatch):
         # A descending scan would take len(candidates) - index checks.
         beaten += len(candidates) - index > bound
     assert beaten
+
+
+def min_max_split(table, smask, n):
+    """The least c such that smask splits into at most n parts worth <= c:
+    the most valuable part of each split, minimised over every split."""
+    subsets = [X for X in range(len(table)) if X | smask == smask]
+    best = {X: table[X] for X in subsets}  # at most one part
+    for _ in range(n - 1):
+        fewer, best = best, {}
+        for X in subsets:
+            best[X], P = fewer[X], X
+            while P:
+                best[X] = min(best[X], max(table[P], fewer[X ^ P]))
+                P = (P - 1) & X
+    return best[smask]
+
+
+def test_split_probe_matches_a_brute_force_min_max_split():
+    # At every candidate c the probe splits S iff mFS <= c, and its rungs,
+    # handed to the residual check at the next candidate, give the walk
+    # the lazy ladder gives. RMMS never exceeds mFS.
+    from rmms.cli import generate_instance
+
+    rng = random.Random(23)
+    valuations = [generate_instance(23, m, 1, m, kind, 6).valuations[0]
+                  for m, kind in itertools.product(
+                      range(1, 9), ("additive", "capped_additive", "table"))]
+    valuations += [xos_table([[rng.choice((0, 0, 1, 3, 5)) for _ in range(m)]
+                              for _ in range(3)]) for m in range(2, 9)]
+    below = 0
+    for v, n in itertools.product(valuations, (2, 3, 4)):
+        everything = (1 << v.m) - 1
+        for smask in {everything, everything ^ (1 << (v.m // 2))}:
+            fresh_record()
+            rec = shares._record(v)
+            split = min_max_split(rec.table, smask, n)
+            candidates = shares._candidate_values(v, smask)
+            for i, c in enumerate(candidates):
+                rungs, splits = shares._split_rungs(rec, smask, n, c, [])
+                assert len(rungs) == n - 1
+                assert splits == (split <= c), (v, smask, n, c)
+                if i + 1 < len(candidates):
+                    t = candidates[i + 1]
+                    lazy = shares._residual_failure(rec, smask, n, t)
+                    handed = shares._residual_failure(rec, smask, n, t, None,
+                                                      rungs)
+                    assert (lazy is None) == (handed is None)
+                    if lazy is not None:
+                        assert lazy[::2] == handed[::2]
+                        assert np.array_equal(lazy[1], handed[1])
+            forget(v)
+            value = rmms(v, Bundle(smask), n).value
+            assert value <= split, (v, smask, n)
+            below += split < mms(v, Bundle(smask), n).value
+    assert below
+
+
+def test_table_rmms_at_the_min_max_split_takes_one_check(monkeypatch):
+    # On these tables mFS lies below MMS and RMMS equals mFS, so the first
+    # check, at the bound, is feasible and ends the search. A gallop down
+    # from MMS made 6 to 8 checks per agent here.
+    from rmms.cli import generate_instance
+
+    calls = []
+    check = shares._residual_failure
+
+    def spy(rec, smask, n, t, *args):
+        calls.append(t)
+        return check(rec, smask, n, t, *args)
+
+    monkeypatch.setattr(shares, "_residual_failure", spy)
+    for n in (3, 4):
+        inst = generate_instance(1, 2, n, shares.RMMS_BOUND_ITEMS, "table", 10)
+        for v in inst.valuations:
+            ceiling = mms(v, inst.all_items, n).value
+            split = min_max_split(shares._record(v).table,
+                                  inst.all_items.mask, n)
+            calls.clear()
+            value = rmms(v, inst.all_items, n).value
+            assert split < ceiling and value == split
+            assert calls == [split], n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bound_probes_stay_logarithmic(monkeypatch, n):
+    # One probe just below MMS, then a bisection below it: at most
+    # bit_length(C) + 1 ladders for C candidates up to MMS.
+    from rmms.cli import generate_instance
+
+    probes = []
+    probe = shares._split_rungs
+
+    def spy(rec, smask, n, c, work):
+        probes.append(c)
+        return probe(rec, smask, n, c, work)
+
+    for index in range(3):
+        inst = generate_instance(7, index, n, shares.RMMS_BOUND_ITEMS,
+                                 "table", 100_000)
+        for v in inst.valuations:
+            S = inst.all_items
+            ceiling = mms(v, S, n).value
+            candidates = [c for c in shares._candidate_values(v, S.mask)
+                          if c <= ceiling]
+            probes.clear()
+            monkeypatch.setattr(shares, "_split_rungs", spy)
+            rmms(v, S, n)
+            monkeypatch.undo()
+            assert 2 <= len(probes) <= len(candidates).bit_length() + 1
 
 
 # _pack calls, recursive ones included, for MMS + RMMS of every agent of
