@@ -192,13 +192,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_allocate(args) -> int:
+    if args.start and args.algorithm != "envy-cycle":
+        raise ValueError("--start applies to --algorithm envy-cycle only, "
+                         f"not {args.algorithm}")
     inst = _load_instance(args.instance)
     ledger = QueryLedger()
-    if args.start:
-        start = allocation_from_json(load_json(args.start), inst.m)
-    else:
-        start = PartialAllocation.empty(inst.m, inst.n)
     if args.algorithm == "envy-cycle":
+        start = (allocation_from_json(load_json(args.start), inst.m)
+                 if args.start else PartialAllocation.empty(inst.m, inst.n))
         alloc, trace = algorithms.envy_cycle_run(inst, start, ledger)
     elif args.algorithm == "rmms-efx":
         alloc, trace = algorithms.rmms_efx_partial(inst, ledger)

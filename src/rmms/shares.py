@@ -397,8 +397,11 @@ def _cover(
     ``failed`` holds the failed (mask, parts) states for these weights and
     this bound, for as long as the caller keeps it; pass ``set()`` for a
     fresh search. A state also fails, without a search,
-    when the state with one item fewer did. ``weights`` must be monotone,
-    so that the family is downward-closed."""
+    when the state with one item fewer did. ``weights``, any int sequence
+    indexed by mask, must be monotone, so that the family is
+    downward-closed. MXS passes ``memoryview(g)``, which reads Python ints
+    in place: a list would copy all 2^m (40 MiB at m = 20), and the array
+    itself yields numpy scalars, slower to compare."""
     if mask == 0:
         return [0] * parts
     if parts == 1:
@@ -810,7 +813,6 @@ def rmms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareR
     return replace(_rmms(v, S.mask, n), agent=agent)
 
 
-MXS_MAX_ITEMS = 16
 # MXS scans thresholds on the cover ladder from this many items up. Below
 # it the cover searches are cheaper. All agents of 24 generated instances
 # (n 3-4, every kind), CPU s, cover against ladder: 0.085 against 0.113 at
@@ -823,7 +825,7 @@ def _mxs_cover(rec: _Record, g: np.ndarray, n: int) -> tuple[int, int, list[int]
     own bundle, in (value, mask) order."""
     table = rec.table
     full = len(table) - 1
-    weights = g.tolist()
+    weights = memoryview(g)
     # The cover search depends only on the own bundle's value, so one
     # failure memo serves all own bundles of that value.
     order = np.argsort(rec.values, kind="stable").tolist()
@@ -871,7 +873,7 @@ def _mxs_ladder(
         hits = np.flatnonzero(coverable(t) & (own_value == t))
         if hits.size:
             own = full ^ int(hits[-1])
-            return t, own, _cover(g.tolist(), t, set(), full ^ own, n - 1)
+            return t, own, _cover(memoryview(g), t, set(), full ^ own, n - 1)
     raise InvariantError("own = all items always admits an envy-free remainder")
 
 
@@ -889,10 +891,6 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
     full = (1 << m) - 1
     if n == 1:
         return ShareReport("MXS", v.value_of(full), (Bundle(full),), agent, 1)
-    if m > MXS_MAX_ITEMS:
-        raise CapExceededError(
-            f"mxs supports at most {MXS_MAX_ITEMS} items, got {m}"
-        )
 
     # g[P] is the most the agent values P with one item taken out, so she
     # has no EFX envy toward P iff g[P] <= v(own).

@@ -127,25 +127,29 @@ class TestShares:
         assert code == 3
 
     def test_mxs_beyond_former_allocation_cap(self, tmp_path):
-        # 4^13 allocations: more than the 2^24 that MXS once refused.
-        inst = cli.generate_instance(2026, 0, 4, 13, "additive", 10)
-        path = write_instance(tmp_path, instance_to_json(inst))
-        out = tmp_path / "shares.json"
-        assert run(["shares", path, "--share", "all", "-o", str(out)])[0] == 0
-        rows = [r for r in load_json(out) if r["share"] == "mxs"]
-        assert [r["agent"] for r in rows] == list(range(4))
-        for row in rows:
-            v = inst.valuations[row["agent"]]
-            masks = [sum(1 << e for e in items) for items in row["witness"]]
-            assert len(masks) == 4
-            items = sorted(e for bundle in row["witness"] for e in bundle)
-            assert items == list(range(13))
-            own = v.value_of(masks[row["agent"]])
-            assert own == row["value"]
-            for mask in masks:
-                for e in range(13):
-                    if mask >> e & 1:
-                        assert v.value_of(mask ^ (1 << e)) <= own
+        # (4, 13): 4^13 allocations, more than the 2^24 that MXS once
+        # refused. (3, 17): one item past the item cap MXS once had.
+        for n, m in ((4, 13), (3, 17)):
+            inst = cli.generate_instance(2026, 0, n, m, "additive", 10)
+            path = write_instance(tmp_path, instance_to_json(inst))
+            out = tmp_path / "shares.json"
+            assert run(["shares", path, "--share", "all",
+                        "-o", str(out)])[0] == 0
+            rows = [r for r in load_json(out) if r["share"] == "mxs"]
+            assert [r["agent"] for r in rows] == list(range(n))
+            for row in rows:
+                v = inst.valuations[row["agent"]]
+                masks = [sum(1 << e for e in items)
+                         for items in row["witness"]]
+                assert len(masks) == n
+                items = sorted(e for bundle in row["witness"] for e in bundle)
+                assert items == list(range(m))
+                own = v.value_of(masks[row["agent"]])
+                assert own == row["value"]
+                for mask in masks:
+                    for e in range(m):
+                        if mask >> e & 1:
+                            assert v.value_of(mask ^ (1 << e)) <= own
 
 
 # sha256 of `rmms shares --share all -o FILE` on generate_instance(2026,
@@ -314,6 +318,18 @@ class TestAllocateCheck:
         assert code == 0
         assert load_json(alloc_path)["pool"] == []
 
+    @pytest.mark.parametrize("algorithm", ["rmms-efx", "rmms-efl"])
+    def test_start_with_another_algorithm_exits_2(self, tmp_path, capsys,
+                                                  algorithm):
+        path = write_instance(tmp_path, SMALL)
+        start_path = tmp_path / "start.json"
+        dump_json({"pool": [0, 1], "bundles": [[2], []]}, start_path)
+        err = assert_one_line_error([
+            "allocate", path, "--algorithm", algorithm,
+            "--start", str(start_path),
+        ], capsys)
+        assert "--start" in err
+
     def test_missing_file_exits_2(self):
         code, _ = run(["shares", "/nonexistent/inst.json"])
         assert code == 2
@@ -400,6 +416,35 @@ class TestBench:
             assert row["status"] == "ok"
             assert row["efl"] == "1" and row["ef1"] == "1"
             assert int(row["comparison_queries"]) >= 0
+
+    def test_rows_past_the_former_mxs_cap(self, tmp_path):
+        # MXS once refused m = 17, and the row lost its MMS and RMMS too.
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--agents", "2", "--items", "17",
+                    "--trials", "1", "-o", str(out)])[0] == 0
+        import csv
+
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "ok"
+        for share in ("mms", "mxs", "rmms"):
+            assert len(row[share].split("|")) == 2, share
+            assert all(value.isdigit() for value in row[share].split("|"))
+
+    def test_rows_past_the_item_cap_are_skipped(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        summary_path = tmp_path / "summary.json"
+        assert run(["bench", "--agents", "2", "--items", "21",
+                    "--kind", "additive", "--trials", "1", "-o", str(out),
+                    "--summary", str(summary_path)])[0] == 0
+        import csv
+
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "skipped"
+        assert row["mms"] == row["mxs"] == row["rmms"] == ""
+        summary = load_json(summary_path)
+        assert (summary["skipped"], summary["completed"]) == (1, 0)
 
     def test_timings_column_opt_in(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -1152,10 +1152,11 @@ def test_mxs_matches_naive_cover(monkeypatch):
 
 
 def test_mxs_paths_agree_at_m_10_and_11(monkeypatch):
-    # Sizes from the switch up, where naive_mxs is too slow.
+    # Sizes from the switch up, where naive_mxs is too slow, and one past
+    # the item cap MXS once had.
     from rmms.cli import generate_instance
 
-    for m, n in ((10, 4), (11, 3)):
+    for m, n in ((10, 4), (11, 3), (17, 2)):
         for kind in ("additive", "capped_additive", "table"):
             inst = generate_instance(31, m, n, m, kind, 10)
             results = []
@@ -1247,9 +1248,10 @@ class TestMxs:
         assert all(k in ("none", "EF") for k in verdicts)
 
     def test_cap(self):
-        inst = Instance(
-            20, 3, tuple(Additive(tuple([1] * 20)) for _ in range(3))
-        )
+        # MXS refuses only past MAX_EXACT_ITEMS, the item cap of every exact
+        # share.
+        m = MAX_EXACT_ITEMS + 1
+        inst = Instance(m, 3, tuple(Additive((1,) * m) for _ in range(3)))
         with pytest.raises(CapExceededError):
             mxs(inst, 0)
 
