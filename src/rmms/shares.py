@@ -15,26 +15,34 @@ Two searches and one lattice kernel do the work.
   inherited by supersets. MXS uses it for the other agents' bundles (parts
   the agent does not EFX-envy), with weights g(P), the most the agent
   values P minus one item, computed once per agent.
-- **cover ladder** (``_cover_ladder``): the same question as cover for
-  every mask at once. For a downward-closed family over all 2^m masks it
-  yields, for k = 1, 2, ..., the masks that are unions of at most k
-  members, each step one zeta/Moebius cover product
-  (Bjorklund-Husfeldt-Kaski-Koivisto). The residual check uses it for
-  the removals: parts inside S worth < t, that is <= t - 1. MXS uses it
-  from ``MXS_LADDER_ITEMS`` items up.
+- **cover ladder** (``_CoverLadder``): the same question as cover for
+  every mask at once. For a downward-closed family F over all 2^m masks,
+  rung k holds the masks that are unions of at most k members. It is a
+  cover product (Bjorklund-Husfeldt-Kaski-Koivisto): one zeta transform
+  of F, then one Moebius transform of zeta(F)^k per rung read, rung 1
+  being F itself. The residual check uses it for the removals: parts
+  inside S worth < t, that is <= t - 1. MXS uses it from
+  ``MXS_LADDER_ITEMS`` items up, and the RMMS bound for tables reads one
+  of its rungs at S alone.
 
 The transforms are m in-place passes over an int64 array, one per item i,
 each adding (zeta) or subtracting (Moebius) the masks without i into the
-same masks with i. The ladder runs them in two work buffers, 16 bytes per
-mask, with each buffer's (with i, without i) views made once
+same masks with i. The Moebius value of zeta(F)^k at X counts the k-tuples
+of members whose union is X, at most (2^k - 1)^m. int64 arithmetic is
+exact modulo 2^64, so that count is read exactly while it stays below
+2^63, even where the power itself wraps: up to ``_exact_factors(m)``
+factors, 5 at m = 12 and 3 at m = 20. A rung further up starts from the
+highest rung within reach, zeta-transformed, as a new base. The ladder
+runs the transforms in two work buffers, zeta(F) and the product, 16
+bytes per mask, with each buffer's (with i, without i) views made once
 (``_bit_views``). Items 0 to 2 get one 1-D strided view per residue: as
 pair views of inner length 1, 2 or 4 they cost several normal passes
-each. ``np.multiply(..., out=)`` and ``np.copyto`` keep the rung products
-in the buffers, so a ladder allocates only the boolean rungs it yields.
-One RMMS or MXS computation builds the buffers at its first ladder and
-reuses them in the rest; a ladder holds them until it is closed, and one
-started meanwhile builds its own, so two live ladders never share. They
-go when the computation ends.
+each. ``out=`` arguments keep the products in the buffers, so a ladder
+allocates only the boolean rungs it returns, and the base of a rebased
+ladder. One RMMS or MXS computation builds the buffers at its first ladder
+and reuses them in the rest; a ladder holds them until it is closed, and
+one started meanwhile builds its own, so two live ladders never share.
+They go when the computation ends.
 
 Both searches scan the same way and remember every (mask, q) state that
 failed, keyed by the one int q * 2^m + mask, so the state one item away
@@ -94,7 +102,7 @@ MXS is the least t = v(own) at which the complement of own splits into
 n - 1 parts with g <= t. Below ``MXS_LADDER_ITEMS`` items it runs one cover
 search per own bundle in (value, mask) order. From there up it works over
 the distinct values t of v. With C_t, rung n - 1 of the ladder of
-{P : g(P) <= t}, it bisects for the least t at which some X in C_t has
+{P : g(P) <= t}, read without the rungs below it, it bisects for the least t at which some X in C_t has
 v(full ^ X) <= t. That predicate grows with t, as C_t does. Any t with an
 exact hit, some X in C_t with v(full ^ X) == t, satisfies it, so its least
 t is an exact lower bound on MXS. It can be lower than MXS: the own
@@ -102,7 +110,9 @@ bundle that satisfies it may be worth less than t, and its complement need
 not split at that lower value. A scan upward from the bound then takes the
 first t with an exact hit, and the lowest own bundle among the hits. One
 cover search for that own bundle gives the other bundles, so both paths
-give the same witness.
+give the same witness. The scan may read again the rungs at which the
+bisection's predicate held, all at or above its final bound, so those are
+kept; the others are not.
 
 MXS <= RMMS <= MMS, so when the agent's MMS of all items for n agents is
 already kept on the valuation (the CLI computes it first), the bisection
@@ -152,15 +162,18 @@ The bound is MMS, and for tables from ``RMMS_BOUND_ITEMS`` items up
 min(MMS, mFS). mFS, the min-max fair share (Bouveret and Lemaitre 2016), is
 the least c such that S splits into at most n parts worth <= c. Every
 t > mFS fails the residual check at k = n - 1: removing n - 1 of those
-parts, each worth < t, leaves one worth < t. S splits so iff some R in rung
-n - 1 of the ladder of the parts inside S worth <= c leaves v(S - R) <= c
-(``_split_rungs``). That test runs once at the candidate just below MMS
-and, if it holds there, bisects below it: O(log C) ladders and no pack
-search. On generated tables RMMS mostly equals mFS or lies one candidate
-below, so one or two checks remain, where the gallop from MMS made about 8
-at m = 12. The ladder at candidates[i - 1] is the residual check's at
-candidates[i], so the last probe that fails to split hands its rungs to
-the first check. Additive and capped valuations always have
+parts, each worth < t, leaves one worth < t. S splits so iff S lies in
+rung n of the ladder of the parts inside S worth <= c (``_split_probe``):
+the Moebius value of zeta(F)^n at S alone, one zeta transform and one
+signed sum over the subsets of S, with the signs built once per RMMS.
+Past the exact limit the ladder climbs to a lower rung first. That test
+runs once at the candidate just below MMS and, if it holds there, bisects
+below it: O(log C) ladders and no pack search. On generated tables RMMS
+mostly equals mFS or lies one candidate below, so one or two checks
+remain, where the gallop from MMS made about 8 at m = 12. The ladder at
+candidates[i - 1] is the residual check's at candidates[i], so the last
+probe that fails to split hands its ladder, zeta(F) made, to the first
+check. Additive and capped valuations always have
 mFS >= MMS, so they are not probed: n parts worth <= c < MMS <= cap hold
 items summing to < n * MMS, and the items of S sum to at least n * MMS.
 """
@@ -169,10 +182,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, wraps
-from itertools import groupby, islice
+from functools import wraps
+from itertools import groupby
 from math import inf
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -464,51 +477,133 @@ def _moebius(views: list[tuple[np.ndarray, np.ndarray]]) -> None:
         np.subtract(with_item, without, out=with_item)
 
 
-def _cover_ladder(
-    family: np.ndarray, work: Optional[list] = None
-) -> Iterator[np.ndarray]:
+def _exact_factors(m: int) -> int:
+    """The most zeta factors a cover product over m items may have and
+    still be read exactly from int64: the largest j, up to 63, with
+    (2^j - 1)^m < 2^63."""
+    j = 1
+    while j < 63 and (2 ** (j + 1) - 1) ** m < 2 ** 63:
+        j += 1
+    return j
+
+
+def _moebius_signs(smask: int, m: int) -> np.ndarray:
+    """(-1)^|S - Y| at every mask Y inside S = smask and 0 elsewhere, over
+    all 2^m masks: the dot product of these signs with an array is the
+    Moebius transform of that array at S alone."""
+    signs = np.ones(1 << m, dtype=np.int64)
+    for i in range(m):
+        pairs = signs.reshape(-1, 2, 1 << i)
+        if smask >> i & 1:
+            np.negative(pairs[:, 0], out=pairs[:, 0])
+        else:
+            pairs[:, 1] = 0
+    return signs
+
+
+class _CoverLadder:
     """The cover search for every mask at once.
 
     ``family`` is a boolean array over all 2^m masks that marks a
-    downward-closed family (so it holds the empty mask). Yields, for
-    k = 1, 2, ..., as many rungs as the caller takes, the boolean array
-    "X is a union of at most k members". As the family is downward-closed,
-    that is "X splits into at most k members", the question ``_cover``
-    answers for one X. Rung 1 is the family; rung k + 1 is computed only
-    when asked for, as the cover product
-    ``moebius(zeta(rung k) * zeta(family)) > 0``.
+    downward-closed family F (so it holds the empty mask). Rung k is the
+    boolean array "X is a union of at most k members". As F is
+    downward-closed, that is "X splits into at most k members", the
+    question ``_cover`` answers for one X. Rung 1 is F itself. Rungs are
+    computed only when asked for, in any order, each as one Moebius
+    transform of a product of zeta transforms (Bjorklund, Husfeldt, Kaski
+    and Koivisto 2007): ``moebius(zeta(F)^k) > 0``. ``holds`` reads one
+    rung at one mask alone, with a signed sum in place of the transform.
+
+    The product is exact although it wraps. Moebius(zeta(F)^k) at X counts
+    the k-tuples of members whose union is X: each item of X lies in at
+    least one of the k, so the count is at most (2^k - 1)^|X|. Products,
+    sums and differences of int64 arrays are exact modulo 2^64, so a
+    count below 2^63 is read exactly even where zeta(F)^k wraps. That
+    holds for up to ``_exact_factors(m)`` factors: 3 at
+    ``MAX_EXACT_ITEMS`` = 20, 5 at m = 12. A rung further up starts from
+    a lower rung B, the highest one reachable, as the new base: rung
+    b + i is ``moebius(zeta(B) * zeta(F)^i) > 0``, with i + 1 factors.
 
     The transforms run in a workspace: two int64 buffers over all masks,
-    each with its ``_bit_views``. ``work`` holds at most one workspace that
-    no ladder is using. The ladder takes it, or builds one if there is
-    none, and puts it back when it is closed, so the ladders of one share
-    computation reuse one workspace and two live ladders never share one.
-    Each rung is a new array, so it stays valid after the ladder moves on.
-
-    The arithmetic is exact in int64. A zeta value counts submasks, at most
-    2^m, so a product is at most 4^m; each partial Moebius sum adds at most
-    2^m such terms, so every intermediate value is at most
-    8^m <= 2^60 at ``MAX_EXACT_ITEMS`` = 20.
+    zeta(F) and the product, each with its ``_bit_views``. ``work`` holds
+    at most one workspace that no ladder is using. The ladder takes it at
+    its first product, or builds one if there is none, and puts it back
+    when it is closed, so the ladders of one share computation reuse one
+    workspace and two live ladders never share one. A rebased ladder also
+    keeps zeta(B) in a buffer of its own. Each rung is a new array, so it
+    stays valid after the ladder moves on.
     """
-    yield family
-    pool = [] if work is None else work
-    buffers = pool.pop() if pool else [
-        (a, _bit_views(a)) for a in np.empty((2, family.size), np.int64)]
-    try:
-        (members, member_views), (counts, count_views) = buffers
-        np.copyto(members, family)
-        _zeta(member_views)
-        np.copyto(counts, members)  # zeta of rung 1
-        while True:
-            np.multiply(counts, members, out=counts)
-            _moebius(count_views)
-            rung = counts > 0
-            yield rung
-            np.copyto(counts, rung)
-            _zeta(count_views)
-    finally:
-        if not pool:
-            pool.append(buffers)
+
+    def __init__(self, family: np.ndarray, work: Optional[list] = None):
+        self.family = family
+        self._pool = [] if work is None else work
+        self._buffers = None  # the workspace, from the first product on
+        self._limit = _exact_factors(family.size.bit_length() - 1)
+        self._base = None  # zeta(B) with its views, once rebased
+        self._at = 1  # the rung whose zeta is the base; 1 is zeta(F)
+        self._last = 1, family  # the last rung computed, and its k
+
+    def __enter__(self) -> _CoverLadder:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Put the workspace back in ``work``, if ``work`` holds none."""
+        if self._buffers is not None and not self._pool:
+            self._pool.append(self._buffers)
+        self._buffers = None
+
+    def _product(self, k: int) -> tuple[np.ndarray, list]:
+        """The product buffer and its views. The buffer now holds
+        zeta(B) * zeta(F)^(k - b) for the base B, rung b, whose Moebius
+        transform counts exactly and is positive on rung k alone."""
+        if self._buffers is None:
+            self._buffers = self._pool.pop() if self._pool else [
+                (a, _bit_views(a)) for a in np.empty((2, self.family.size),
+                                                     np.int64)]
+            members, views = self._buffers[0]
+            np.copyto(members, self.family)
+            _zeta(views)
+        (members, _), (product, views) = self._buffers
+        if k < self._at:
+            self._at = 1
+        while k - self._at >= self._limit:
+            self._rebase(self._at + self._limit - 1)
+        np.copyto(product, members if self._at == 1 else self._base[0])
+        for _ in range(k - self._at):
+            np.multiply(product, members, out=product)
+        return product, views
+
+    def _rebase(self, k: int) -> None:
+        """Make rung k the base."""
+        last, rung = self._last
+        if last != k:
+            rung = self.rung(k)
+        if self._base is None:
+            base = np.empty_like(self._buffers[0][0])
+            self._base = base, _bit_views(base)
+        base, views = self._base
+        np.copyto(base, rung)
+        _zeta(views)
+        self._at = k
+
+    def rung(self, k: int) -> np.ndarray:
+        """Rung k >= 1: "X is a union of at most k members", for every X."""
+        if k == 1:
+            return self.family
+        product, views = self._product(k)
+        _moebius(views)
+        rung = product > 0
+        self._last = k, rung
+        return rung
+
+    def holds(self, k: int, signs: np.ndarray) -> bool:
+        """Whether S lies in rung k, for the S of ``signs``, its
+        ``_moebius_signs``: one signed sum over the subsets of S."""
+        product, _ = self._product(k)
+        return bool(np.dot(signs, product) > 0)
 
 
 def _partition(
@@ -642,41 +737,45 @@ def _parts_within(rec: _Record, smask: int, bound: int) -> np.ndarray:
 
 def _residual_failure(
     rec: _Record, smask: int, n: int, t: int, work: Optional[list] = None,
-    rungs: Optional[list[np.ndarray]] = None,
+    ladder: Optional[_CoverLadder] = None,
 ) -> Optional[tuple[int, np.ndarray, int]]:
     """(k, removals, R) at which threshold t fails the residual check of
     (S, n), or None if t is residual feasible. k is the least failing k,
     removals the ascending removals whose binding k is k, and R one of them
     whose remainder fails; (0, [0], 0) when S itself does not split. A rung
     with a remainder worth < t fails without a search, and the first
-    failure found answers. ``work`` is passed to ``_cover_ladder``;
-    ``rungs``, if given, are rungs 1 to n - 1 of the ladder of the parts
-    inside S worth < t, already built, and the walk reads them instead."""
+    failure found answers. ``work`` is passed to ``_CoverLadder``.
+    ``ladder``, if given for t > 0, is the ladder of the parts inside S
+    worth < t, already started, and the walk reads it instead of building
+    one. The walk closes the ladder it reads."""
     if t == 0:
         # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
         # removals qualify for any k >= 1.
         return None
-    if not _packs(rec, smask, n, t):
-        return 0, np.zeros(1, dtype=np.int64), 0
     # The removals split into parts inside S worth < t, that is <= t - 1:
     # values are integers. Rung k minus rung k - 1 holds the removals whose
-    # binding k is k; rung 0 is R = 0 alone, checked above.
+    # binding k is k; rung 0 is R = 0 alone, checked first.
+    if ladder is None:
+        ladder = _CoverLadder(_parts_within(rec, smask, t - 1), work)
     values = rec.values
-    if rungs is None:
-        rungs = _cover_ladder(_parts_within(rec, smask, t - 1), work)
-    fewer = np.arange(values.size) == 0
-    for k, rung in zip(range(1, n), rungs):
-        removals = np.flatnonzero(rung & ~fewer)
-        # A remainder worth < t has no part worth >= t, so it fails without
-        # a search, and with one part left no other remainder can fail.
-        short = np.flatnonzero(values[smask ^ removals] < t)
-        if short.size:
-            return k, removals, int(removals[short[0]])
-        if n - k > 1:
-            R = _failing(rec, smask, n - k, t, removals)
-            if R is not None:
-                return k, removals, R
-        fewer = rung
+    with ladder:
+        if not _packs(rec, smask, n, t):
+            return 0, np.zeros(1, dtype=np.int64), 0
+        fewer = np.arange(values.size) == 0
+        for k in range(1, n):
+            rung = ladder.rung(k)
+            removals = np.flatnonzero(rung & ~fewer)
+            # A remainder worth < t has no part worth >= t, so it fails
+            # without a search, and with one part left no other remainder
+            # can fail.
+            short = np.flatnonzero(values[smask ^ removals] < t)
+            if short.size:
+                return k, removals, int(removals[short[0]])
+            if n - k > 1:
+                R = _failing(rec, smask, n - k, t, removals)
+                if R is not None:
+                    return k, removals, R
+            fewer = rung
     return None
 
 
@@ -712,18 +811,14 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
     return ResidualCheck(False, k, Bundle(first))
 
 
-def _split_rungs(
-    rec: _Record, smask: int, n: int, c: int, work: list,
-) -> tuple[list[np.ndarray], bool]:
-    """Rungs 1 to n - 1 of the ladder of the parts inside S worth <= c, and
-    whether S splits into at most n parts worth <= c: whether some R in
-    rung n - 1 leaves v(S - R) <= c. The ladder is closed, so its workspace
-    goes back to ``work``."""
-    ladder = _cover_ladder(_parts_within(rec, smask, c), work)
-    rungs = list(islice(ladder, n - 1))
-    ladder.close()
-    removals = np.flatnonzero(rungs[-1])
-    return rungs, bool((rec.values[smask ^ removals] <= c).any())
+def _split_probe(
+    rec: _Record, smask: int, n: int, c: int, signs: np.ndarray, work: list,
+) -> tuple[_CoverLadder, bool]:
+    """The ladder of the parts inside S worth <= c, open, and whether S
+    splits into at most n parts worth <= c: whether S lies in rung n, read
+    at S alone through ``signs``, the ``_moebius_signs`` of S."""
+    ladder = _CoverLadder(_parts_within(rec, smask, c), work)
+    return ladder, ladder.holds(n, signs)
 
 
 # RMMS of a table is bounded by the min-max split from this many items up.
@@ -745,31 +840,36 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     candidates = [c for c in _candidate_values(v, smask) if c <= ceiling]
     rec = _record(v)
     work: list = []  # the ladders' workspace, for this computation only
-    top, rungs = len(candidates) - 1, None
+    top, kept = len(candidates) - 1, None
 
     # The bound (see the module docstring): one probe just below MMS and,
     # if it splits S, a bisection below it for mFS. The probe at
     # candidates[i - 1] builds the ladder of the check at candidates[i], as
     # the parts worth <= candidates[i - 1] are those worth < candidates[i].
-    # So the last probe that does not split, at top - 1, hands its rungs to
-    # the first check, at top; the other probes' rungs are dropped.
+    # So the last probe that does not split, at top - 1, hands its ladder,
+    # with zeta(F) made, to the first check, at top; the others are closed.
     if (n > 1 and top > 0 and v.kind == "table"
             and v.m >= RMMS_BOUND_ITEMS):
-        rungs, split = _split_rungs(rec, smask, n, candidates[top - 1], work)
+        signs = _moebius_signs(smask, v.m)
+        kept, split = _split_probe(rec, smask, n, candidates[top - 1], signs,
+                                   work)
         if split:
-            lo, top, rungs = 0, top - 1, None
+            kept.close()
+            lo, top, kept = 0, top - 1, None
             while lo < top:
                 mid = (lo + top) // 2
-                probed, split = _split_rungs(rec, smask, n, candidates[mid],
-                                             work)
+                probed, split = _split_probe(rec, smask, n, candidates[mid],
+                                             signs, work)
                 if split:
-                    top = mid
+                    top, dropped = mid, probed
                 else:
-                    lo, rungs = mid + 1, probed
+                    lo, kept, dropped = mid + 1, probed, kept
+                if dropped is not None:
+                    dropped.close()
 
-    def feasible(i: int, rungs: Optional[list] = None) -> bool:
+    def feasible(i: int, ladder: Optional[_CoverLadder] = None) -> bool:
         return _residual_failure(rec, smask, n, candidates[i], work,
-                                 rungs) is None
+                                 ladder) is None
 
     # Feasibility is monotone in t: for t' < t, every removal that qualifies
     # at t' (parts worth < t') also qualifies at t, and a pack at t is also a
@@ -779,8 +879,8 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     # searching the maximal removals of a rung first. candidates[hi] is
     # infeasible; hi = len(candidates) stands for a threshold above MMS.
     hi, lo, step = top + 1, top, 1
-    while not feasible(lo, rungs):
-        rungs = None
+    while not feasible(lo, kept):
+        kept = None
         if lo == 0:
             raise InvariantError("t = 0 is always residual feasible")
         hi, lo, step = lo, max(lo - step, 0), 2 * step
@@ -853,11 +953,18 @@ def _mxs_ladder(
     # rung m holds every mask, and no rung above it is needed.
     k = min(n - 1, full.bit_length())
     work: list = []  # the ladders' workspace, for this computation only
+    # The rungs at which the predicate held: all at t >= candidates[hi], so
+    # the scan up from candidates[lo] may read them again. A rung at which
+    # it failed lies below the new lo, and is dropped.
+    kept: dict[int, np.ndarray] = {}
 
-    @lru_cache(maxsize=None)
     def coverable(t: int) -> np.ndarray:
         """X splits into at most n - 1 parts the agent does not envy at t."""
-        return next(islice(_cover_ladder(g <= t, work), k - 1, None))
+        rung = kept.pop(t, None)
+        if rung is None:
+            with _CoverLadder(g <= t, work) as ladder:
+                rung = ladder.rung(k)
+        return rung
 
     # If the predicate fails up to the bound, it fails below the least t
     # with an exact hit, and the scan up from hi still stops there.
@@ -865,8 +972,9 @@ def _mxs_ladder(
     while lo < hi:
         mid = (lo + hi) // 2
         t = candidates[mid]
-        if (coverable(t) & (own_value <= t)).any():
-            hi = mid
+        rung = coverable(t)
+        if (rung & (own_value <= t)).any():
+            hi, kept[t] = mid, rung
         else:
             lo = mid + 1
     for t in candidates[lo:]:

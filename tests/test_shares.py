@@ -518,8 +518,9 @@ def plain_residual_scan(rec, smask, n, t):
         return False, 0, 0
     masks = np.arange(rec.values.size)
     low = (rec.values < t) & ((masks | smask) == smask)
-    for k, rung in zip(range(1, n), shares._cover_ladder(low)):
-        for R in np.flatnonzero(rung).tolist():
+    ladder = shares._CoverLadder(low)
+    for k in range(1, n):
+        for R in np.flatnonzero(ladder.rung(k)).tolist():
             if R and not shares._packs(rec, smask ^ R, n - k, t):
                 return False, k, R
     return True, None, None
@@ -751,9 +752,11 @@ def min_max_split(table, smask, n):
 
 
 def test_split_probe_matches_a_brute_force_min_max_split():
-    # At every candidate c the probe splits S iff mFS <= c, and its rungs,
-    # handed to the residual check at the next candidate, give the walk
-    # the lazy ladder gives. RMMS never exceeds mFS.
+    # At every candidate c the probe splits S iff mFS <= c, and its ladder,
+    # handed to the residual check at the next candidate, gives the walk
+    # the lazy ladder gives. RMMS never exceeds mFS. At m = 8 a product of
+    # more than 7 zeta factors is not exact, so at n = 9 the probe's ladder
+    # climbs to a lower rung first and reads rung 9 from there.
     from rmms.cli import generate_instance
 
     rng = random.Random(23)
@@ -762,23 +765,29 @@ def test_split_probe_matches_a_brute_force_min_max_split():
                       range(1, 9), ("additive", "capped_additive", "table"))]
     valuations += [xos_table([[rng.choice((0, 0, 1, 3, 5)) for _ in range(m)]
                               for _ in range(3)]) for m in range(2, 9)]
+    assert shares._exact_factors(8) < 9
+    cases = list(itertools.product(valuations, (2, 3, 4)))
+    cases += [(v, 9) for v in valuations if v.m == 8]
     below = 0
-    for v, n in itertools.product(valuations, (2, 3, 4)):
+    for v, n in cases:
         everything = (1 << v.m) - 1
         for smask in {everything, everything ^ (1 << (v.m // 2))}:
             fresh_record()
             rec = shares._record(v)
             split = min_max_split(rec.table, smask, n)
             candidates = shares._candidate_values(v, smask)
+            signs = shares._moebius_signs(smask, v.m)
             for i, c in enumerate(candidates):
-                rungs, splits = shares._split_rungs(rec, smask, n, c, [])
-                assert len(rungs) == n - 1
+                ladder, splits = shares._split_probe(rec, smask, n, c, signs,
+                                                     [])
+                assert np.array_equal(ladder.family,
+                                      shares._parts_within(rec, smask, c))
                 assert splits == (split <= c), (v, smask, n, c)
                 if i + 1 < len(candidates):
                     t = candidates[i + 1]
                     lazy = shares._residual_failure(rec, smask, n, t)
                     handed = shares._residual_failure(rec, smask, n, t, None,
-                                                      rungs)
+                                                      ladder)
                     assert (lazy is None) == (handed is None)
                     if lazy is not None:
                         assert lazy[::2] == handed[::2]
@@ -823,11 +832,11 @@ def test_bound_probes_stay_logarithmic(monkeypatch, n):
     from rmms.cli import generate_instance
 
     probes = []
-    probe = shares._split_rungs
+    probe = shares._split_probe
 
-    def spy(rec, smask, n, c, work):
+    def spy(rec, smask, n, c, *args):
         probes.append(c)
-        return probe(rec, smask, n, c, work)
+        return probe(rec, smask, n, c, *args)
 
     for index in range(3):
         inst = generate_instance(7, index, n, shares.RMMS_BOUND_ITEMS,
@@ -838,7 +847,7 @@ def test_bound_probes_stay_logarithmic(monkeypatch, n):
             candidates = [c for c in shares._candidate_values(v, S.mask)
                           if c <= ceiling]
             probes.clear()
-            monkeypatch.setattr(shares, "_split_rungs", spy)
+            monkeypatch.setattr(shares, "_split_probe", spy)
             rmms(v, S, n)
             monkeypatch.undo()
             assert 2 <= len(probes) <= len(candidates).bit_length() + 1
@@ -930,41 +939,72 @@ def test_record_is_built_with_the_slot_empty(monkeypatch):
 
 
 def cover_ladder_families(rng):
-    """(table, bound) pairs: generated additive, capped and table valuations
-    and XOS tables with m <= 8, each at its least, largest and two middle
-    distinct values as bounds."""
+    """(table, bound, top) triples: generated additive, capped and table
+    valuations and XOS tables with m <= 8, each at its least, largest and
+    two middle distinct values as bounds, to be read up to rung 4; and
+    generated valuations with m = 10 at their two least positive distinct
+    values, and ten items worth 1 at bounds 1 and 2, whose rungs grow up to
+    rung 10, to be read up to rung 8."""
     from rmms.cli import generate_instance
 
+    kinds = ("additive", "capped_additive", "table")
     for m in range(1, 9):
         tables = [shares._record(generate_instance(
             rng.randrange(10 ** 6), 0, 1, m, kind, 6).valuations[0]).table
-            for kind in ("additive", "capped_additive", "table")]
+            for kind in kinds]
         tables.append(xos_table([[rng.choice((0, 0, 1, 3, 5))
                                   for _ in range(m)] for _ in range(3)]).values)
         for table in tables:
             values = sorted(set(table))
             for i in (0, len(values) // 3, 2 * len(values) // 3, -1):
-                yield table, values[i]
+                yield table, values[i], 4
+    for kind in kinds:
+        table = shares._record(generate_instance(
+            rng.randrange(10 ** 6), 0, 1, 10, kind, 6).valuations[0]).table
+        values = sorted(set(table))
+        for i in (1, 2):
+            yield table, values[i], 8
+    for bound in (1, 2):
+        yield shares._record(Additive((1,) * 10)).table, bound, 8
 
 
 def test_cover_ladder_matches_cover():
-    # Rung k holds X iff the cover search splits X into at most k parts.
-    grows_at_4 = False
-    for table, bound in cover_ladder_families(random.Random(13)):
-        ladder = shares._cover_ladder(np.array(table) <= bound)
-        rungs = [None] + list(itertools.islice(ladder, 4))
+    # Rung k holds X iff the cover search splits X into at most k parts,
+    # whether the rungs are read upward or downward, and ``holds`` reads
+    # the same rung at one mask. At m = 10 a product of more than 6 zeta
+    # factors is not exact (127^10 > 2^63), so rungs 7 and 8 are read from
+    # a lower rung.
+    assert shares._exact_factors(10) == 6
+    grows = {4: False, 8: False}
+    for table, bound, top in cover_ladder_families(random.Random(13)):
+        family = np.array(table) <= bound
+        ladder = shares._CoverLadder(family)
+        rungs = [None] + [ladder.rung(k) for k in range(1, top + 1)]
         failed = set()
-        for k in range(1, 5):
+        for k in range(1, top + 1):
             expected = [shares._cover(table, bound, failed, X, k) is not None
                         for X in range(len(table))]
             assert rungs[k].tolist() == expected, (table, bound, k)
-        grows_at_4 |= not np.array_equal(rungs[4], rungs[3])
-    assert grows_at_4
+        downward = shares._CoverLadder(family)
+        m = len(table).bit_length() - 1
+        for k in reversed(range(1, top + 1)):
+            assert np.array_equal(downward.rung(k), rungs[k]), (table, k)
+            for X in {len(table) - 1, len(table) // 2}:
+                signs = shares._moebius_signs(X, m)
+                assert downward.holds(k, signs) == rungs[k][X], (table, k, X)
+        grows[top] |= not np.array_equal(rungs[top], rungs[top - 1])
+    assert all(grows.values())
 
 
 def test_cover_ladder_counts_fit_int64():
-    # _cover_ladder's intermediate values are at most 8^m.
-    assert 8 ** MAX_EXACT_ITEMS < 2 ** 63
+    # The ladder reads a product of j zeta factors exactly while its counts,
+    # at most (2^j - 1)^m, stay below 2^63; _exact_factors is the largest
+    # such j, so one more factor would not fit.
+    for m in range(1, MAX_EXACT_ITEMS + 1):
+        j = shares._exact_factors(m)
+        assert (2 ** j - 1) ** m < 2 ** 63 <= (2 ** (j + 1) - 1) ** m, m
+    assert shares._exact_factors(MAX_EXACT_ITEMS) == 3
+    assert shares._exact_factors(12) == 5
 
 
 def plain_transform(a, sign):
@@ -1000,20 +1040,20 @@ def test_ladders_sharing_a_workspace_yield_their_own_rungs():
                      .values)
     # Both ladders still grow at rung 5, and they differ at every rung.
     families = [table <= 16, table <= 17]
-    expected = [list(itertools.islice(shares._cover_ladder(f), 5))
+    expected = [[shares._CoverLadder(f).rung(k) for k in range(1, 6)]
                 for f in families]
     for rungs in expected:
         assert not np.array_equal(rungs[3], rungs[4])
     assert not any(map(np.array_equal, *expected))
 
     work = []
-    first = shares._cover_ladder(families[0], work)
-    got = [[next(first), next(first)], []]
-    second = shares._cover_ladder(families[1], work)
-    for _ in range(5):
-        got[1].append(next(second))
+    first = shares._CoverLadder(families[0], work)
+    got = [[first.rung(1), first.rung(2)], []]
+    second = shares._CoverLadder(families[1], work)
+    for k in range(1, 6):
+        got[1].append(second.rung(k))
         if len(got[0]) < 5:
-            got[0].append(next(first))
+            got[0].append(first.rung(len(got[0]) + 1))
     for rungs, want in zip(got, expected):
         assert [r.tolist() for r in rungs] == [w.tolist() for w in want]
 
@@ -1022,8 +1062,8 @@ def test_ladders_sharing_a_workspace_yield_their_own_rungs():
     second.close()
     assert len(work) == 1
     workspace = work[0]
-    third = shares._cover_ladder(families[0], work)
-    assert [r.tolist() for r in itertools.islice(third, 5)] == [
+    third = shares._CoverLadder(families[0], work)
+    assert [third.rung(k).tolist() for k in range(1, 6)] == [
         w.tolist() for w in expected[0]]
     assert not work
     third.close()
@@ -1059,7 +1099,8 @@ def test_mxs_bracket_keeps_value_and_witness(monkeypatch):
 # Ladder rungs past the first that MXS builds for every agent of
 # generate_instance(1, n, n, 12, kind, 10) for every kind and n 3-4, MMS
 # computed first, as the CLI does: 150 when this gate was set, against 204
-# when the bisection ran over every subset value up to v(all items).
+# when the bisection ran over every subset value up to v(all items). Since
+# MXS reads rung n - 1 without building the rungs below it, 96.
 LADDER_RUNGS_AT_M_12 = 150
 
 
@@ -1067,13 +1108,12 @@ def test_mxs_ladder_rungs_stay_within_measured_work(monkeypatch):
     from rmms.cli import generate_instance
 
     rungs = 0
-    ladder = shares._cover_ladder
+    rung = shares._CoverLadder.rung
 
-    def spy(*args):
+    def spy(ladder, k):
         nonlocal rungs
-        for k, rung in enumerate(ladder(*args)):
-            rungs += k > 0
-            yield rung
+        rungs += k > 1
+        return rung(ladder, k)
 
     for kind, n in itertools.product(("additive", "capped_additive", "table"),
                                      (3, 4)):
@@ -1081,9 +1121,40 @@ def test_mxs_ladder_rungs_stay_within_measured_work(monkeypatch):
         for agent, v in enumerate(inst.valuations):
             mms(v, inst.all_items, n)
             with monkeypatch.context() as patch:
-                patch.setattr(shares, "_cover_ladder", spy)
+                patch.setattr(shares._CoverLadder, "rung", spy)
                 mxs(inst, agent)
     assert 0 < rungs <= LADDER_RUNGS_AT_M_12
+
+
+# Zeta and Moebius transforms for MMS, RMMS and MXS of every agent of the
+# instances above: 287 when this gate was set, against 488 when each rung
+# past the second took a zeta and a Moebius transform, the split probes
+# built rung n - 1 and MXS built every rung up to n - 1.
+TRANSFORMS_AT_M_12 = 287
+
+
+def test_ladder_transforms_stay_within_measured_work(monkeypatch):
+    from rmms.cli import generate_instance
+
+    transforms = 0
+
+    def counted(transform):
+        def spy(views):
+            nonlocal transforms
+            transforms += 1
+            transform(views)
+        return spy
+
+    monkeypatch.setattr(shares, "_zeta", counted(shares._zeta))
+    monkeypatch.setattr(shares, "_moebius", counted(shares._moebius))
+    for kind, n in itertools.product(("additive", "capped_additive", "table"),
+                                     (3, 4)):
+        inst = generate_instance(1, n, n, 12, kind, 10)
+        for agent, v in enumerate(inst.valuations):
+            mms(v, inst.all_items, n)
+            rmms(v, inst.all_items, n)
+            mxs(inst, agent)
+    assert 0 < transforms <= TRANSFORMS_AT_M_12
 
 
 def naive_mxs(inst, agent):
@@ -1149,6 +1220,25 @@ def test_mxs_matches_naive_cover(monkeypatch):
                                              sum(1 for b in others if b))
         # Some witness splits the complement into two or more non-empty parts.
         assert most_parts >= 2
+
+
+def test_mxs_ladder_matches_naive_cover_at_large_n(monkeypatch):
+    # Rung n - 1 needs more zeta factors than are exact at m = 8 and 9 (7)
+    # for n = 9, and at m = 10 (6) for n 8-9, so the ladder reads it from
+    # a lower rung there.
+    from rmms.cli import generate_instance
+
+    monkeypatch.setattr(shares, "MXS_LADDER_ITEMS", MXS_PATHS["ladder"])
+    rebased = 0
+    for m, n in itertools.product((8, 9, 10), (7, 8, 9)):
+        rebased += n - 1 > shares._exact_factors(m)
+        for kind in ("additive", "capped_additive", "table"):
+            inst = generate_instance(5, m, n, m, kind, 10)
+            for agent in range(n):
+                report = mxs(inst, agent)
+                got = report.value, [b.mask for b in report.witness]
+                assert got == naive_mxs(inst, agent), (m, n, kind, agent)
+    assert rebased == 4
 
 
 def test_mxs_paths_agree_at_m_10_and_11(monkeypatch):
