@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     Bundle,
     CapExceededError,
+    MAX_EXACT_ITEMS,
     MAX_VALUE,
     Instance,
     InvariantError,
@@ -107,6 +108,13 @@ def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
                       max_value: int, cap=None) -> Instance:
     if max_value < 0:
         raise ValueError(f"--max-value must be at least 0, got {max_value}")
+    # Refused before any draw: a table's generation takes memory in 2^m
+    # (154 MB at m = 21).
+    if m < 1:
+        raise ValueError(f"--items must be at least 1, got {m}")
+    if kind == "table" and m > MAX_EXACT_ITEMS:
+        raise CapExceededError(
+            f"table valuations support at most {MAX_EXACT_ITEMS} items, got {m}")
     rng = _rng(seed, index)
     vals = tuple(
         generate_valuation(rng, kind, m, max_value, cap) for _ in range(n)

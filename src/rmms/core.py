@@ -464,11 +464,19 @@ def valuation_to_json(v: Valuation) -> dict:
     raise TypeError(f"unknown valuation type {type(v)!r}")
 
 
-def _json_list(d, key: str) -> list:
-    """``d[key]``, checked to be a list inside a JSON object."""
+def _json_key(d, key: str):
+    """``d[key]`` of a JSON object, or a ValueError naming what is
+    missing."""
     if not isinstance(d, dict):
         raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-    value = d[key]
+    if key not in d:
+        raise ValueError(f"missing key {key!r}")
+    return d[key]
+
+
+def _json_list(d, key: str) -> list:
+    """``d[key]``, checked to be a list inside a JSON object."""
+    value = _json_key(d, key)
     if not isinstance(value, list):
         raise ValueError(f"{key!r} must be a JSON list, got {type(value).__name__}")
     return value
@@ -480,7 +488,7 @@ def valuation_from_json(d: dict, validate: bool = True) -> Valuation:
     if kind == "additive":
         return Additive(values)
     if kind == "capped_additive":
-        return CappedAdditive(values, d["cap"])
+        return CappedAdditive(values, _json_key(d, "cap"))
     if kind == "table":
         return Table(values, validate=validate)
     raise ValueError(f"unknown valuation kind {kind!r}")
@@ -497,8 +505,8 @@ def instance_to_json(inst: Instance) -> dict:
 def instance_from_json(d: dict, validate: bool = True) -> Instance:
     valuations = _json_list(d, "valuations")
     return Instance(
-        m=d["m"],
-        n=d["n"],
+        m=_json_key(d, "m"),
+        n=_json_key(d, "n"),
         valuations=tuple(valuation_from_json(v, validate) for v in valuations),
     )
 
@@ -526,7 +534,7 @@ def allocation_from_json(d: dict, m: int) -> PartialAllocation:
     bundles = _json_list(d, "bundles")
     return PartialAllocation(
         m,
-        _bundle_from_json(d["pool"], m),
+        _bundle_from_json(_json_key(d, "pool"), m),
         tuple(_bundle_from_json(b, m) for b in bundles),
     )
 

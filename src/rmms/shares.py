@@ -88,6 +88,28 @@ than (parts - 1) * t is skipped. Neither holds a partition, so the first
 partition found is the same as without the bound, and ``failed`` still
 holds only true failures.
 
+Both scans also jump over blocks of candidate parts that hold no split
+(the dominance pruning of bin completion, in its exact, order-keeping
+form). The scan takes the submasks sub of the items above the anchor in
+ascending order, so the candidates after sub and below sub + lowbit(sub)
+are sub plus items below lowbit(sub): each holds the part of sub and adds
+lower items. When a pack candidate worth >= t leaves a remainder that
+fails, worth < t, under the sum bound or with no split into the parts
+left, every candidate of its block leaves a subset of that remainder,
+which fails too: pack failure passes to subsets, and the item weights are
+non-negative. When a cover candidate is too heavy, every candidate of its
+block holds it and is as heavy, as the weights are monotone. Either way
+the scan jumps to (sub + ~rest + lowbit(sub)) & rest, the first candidate
+past the block, and stops when that wraps to 0, which covers sub = 0: the
+anchor alone. The candidates skipped hold no split, so the scan order and
+the first split found are those of a plain scan, and ``failed`` still
+holds only true failures. The record also keeps ``most[s]``, the most any
+s items are worth, so a part worth >= t holds at least fewest(t) =
+bisect_left(most, t) items, and a pack state with fewer than
+parts * fewest(t) items fails without a scan. No candidate is counted: one
+that leaves too few items leaves a failing remainder, and the jump skips
+its block.
+
 MMS searches the distinct subset values of S. A pack found at t has a
 worst part worth p >= t, kept in ``packed``, so every value up to p packs,
 and a pack an earlier residual check found answers a probe without a
@@ -179,11 +201,11 @@ items summing to < n * MMS, and the items of S sum to at least n * MMS.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import wraps
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import inf
 from typing import NamedTuple, Optional, Sequence
 
@@ -242,11 +264,13 @@ class _Record(NamedTuple):
     into parts P has sum of v(P) <= sums[X]. ``failed`` maps a pack state
     (mask, q), keyed ``q * 2^m + mask``, to the least t at which it is
     known to fail; ``packed`` maps (mask, q) to the greatest t at which it
-    is known to pack: the worst part of the partition found."""
+    is known to pack: the worst part of the partition found. ``most[s]`` is
+    the most any s items are worth."""
 
     table: tuple[int, ...]
     values: np.ndarray
     sums: tuple[int, ...]
+    most: list[int]
     failed: dict[int, int]
     packed: dict[tuple[int, int], int]
 
@@ -315,9 +339,28 @@ def _build_record(v: Valuation) -> _Record:
     elif v.kind == "capped_additive":
         values = np.minimum(sums, v.cap)
     values.flags.writeable = False
+    # most[s], the most any s items are worth: for a table, one popcount
+    # layer at a time from a uint8 popcount array; otherwise the s most
+    # valuable items, up to the cap, as the layer scan would double the
+    # cost of an additive record at m = 12.
+    if v.kind == "table":
+        popcount = np.zeros(values.size, dtype=np.uint8)
+        for i in range(v.m):
+            pairs = popcount.reshape(-1, 2, 1 << i)
+            np.add(pairs[:, 0], 1, out=pairs[:, 1])
+        most = [int(values[popcount == s].max()) for s in range(v.m + 1)]
+    else:
+        most = list(accumulate(sorted(weights, reverse=True), initial=0))
+        if v.kind == "capped_additive":
+            most = [min(value, v.cap) for value in most]
     table = v.values if v.kind == "table" else tuple(values.tolist())
     weight_sums = table if v.kind == "additive" else tuple(sums.tolist())
-    return _Record(table, values, weight_sums, {}, {})
+    return _Record(table, values, weight_sums, most, {}, {})
+
+
+def _fewest(rec: _Record, t: int) -> int:
+    """The fewest items a part worth >= t can hold: m + 1 if none can."""
+    return bisect_left(rec.most, t)
 
 
 @_on_valuation
@@ -334,7 +377,7 @@ def _candidate_values(v: Valuation, smask: int) -> tuple[int, ...]:
 # collector runs instead of going as soon as the search is dropped.
 def _pack(
     table: tuple[int, ...], sums: tuple[int, ...], t: int,
-    failed: dict[int, int], remaining: int, parts: int,
+    failed: dict[int, int], remaining: int, parts: int, fewest: int,
 ) -> Optional[list[int]]:
     """The first split of ``remaining`` into ``parts`` parts each worth
     >= t > 0, as part masks, or None. Each part is anchored on the lowest
@@ -343,15 +386,21 @@ def _pack(
     ``sums`` are the record's item-weight sums: the parts of X are worth at
     most ``sums[X]`` in all, so a state with ``sums[remaining] < parts * t``
     fails, and a candidate part that leaves less than ``(parts - 1) * t``
-    is skipped. Neither prunes a partition, so the first one found is the
-    same. ``failed`` is the failure memo (see ``_Record``); pass ``{}`` for
-    a fresh search. A state fails without a search when it is known to fail
-    at some t' <= t, or when the state with one more item is."""
+    is skipped. ``fewest`` is the fewest items a part worth >= t can hold
+    (0 for no bound), so a state with fewer than ``parts * fewest`` items
+    fails. When a candidate worth >= t leaves a remainder that fails, the
+    scan jumps past the candidates that only add items below its lowest
+    scanned item: their remainders lie inside the failed one. None of these
+    prunes a partition, so the first one found is the same. ``failed`` is
+    the failure memo (see ``_Record``); pass ``{}`` for a fresh search. A
+    state fails without a search when it is known to fail at some t' <= t,
+    or when the state with one more item is."""
     if table[remaining] < t:
         return None  # monotone: no part inside `remaining` can reach t
     if parts == 1:
         return [remaining]
-    if sums[remaining] < parts * t:
+    if (sums[remaining] < parts * t
+            or remaining.bit_count() < parts * fewest):
         return None
     # The state's key is parts * 2^m + remaining, so key | e is the key of
     # the state with item e added.
@@ -371,14 +420,22 @@ def _pack(
     rest = remaining ^ low
     need = (parts - 1) * t
     sub = 0
-    while sub != rest:
+    while True:
         part = low | sub
-        if (table[part] >= t and table[remaining ^ part] >= t
-                and sums[remaining ^ part] >= need):
-            tail = _pack(table, sums, t, failed, remaining ^ part, parts - 1)
-            if tail is not None:
-                return [part] + tail
-        sub = (sub - rest) & rest
+        if table[part] >= t:
+            left = remaining ^ part
+            if table[left] >= t and sums[left] >= need:
+                tail = _pack(table, sums, t, failed, left, parts - 1, fewest)
+                if tail is not None:
+                    return [part] + tail
+            # left fails, and the parts up to sub + lowbit(sub) only add
+            # lower items to this one: their remainders lie inside left.
+            sub = (sub + ~rest + (sub & -sub)) & rest
+            if not sub:
+                break
+        else:
+            # No wrap: sub = rest is the part ``remaining``, worth >= t.
+            sub = (sub - rest) & rest
     failed[key] = t
     return None
 
@@ -390,7 +447,8 @@ def _packs(rec: _Record, mask: int, q: int, t: int) -> bool:
     key = (mask, q)
     if rec.packed.get(key, -1) >= t:
         return True
-    parts = _pack(rec.table, rec.sums, t, rec.failed, mask, q)
+    parts = _pack(rec.table, rec.sums, t, rec.failed, mask, q,
+                  _fewest(rec, t))
     if parts is None:
         return False
     rec.packed[key] = min(map(rec.table.__getitem__, parts))
@@ -407,6 +465,9 @@ def _cover(
     is anchored on the lowest remaining item and candidate parts are scanned
     in ascending mask order.
 
+    When a candidate is too heavy, the scan jumps past the candidates that
+    only add items below its lowest scanned item: they hold it, so are as
+    heavy. That prunes no split, so the first one found is the same.
     ``failed`` holds the failed (mask, parts) states for these weights and
     this bound, for as long as the caller keeps it; pass ``set()`` for a
     fresh search. A state also fails, without a search,
@@ -439,9 +500,12 @@ def _cover(
             tail = _cover(weights, bound, failed, mask ^ part, parts - 1)
             if tail is not None:
                 return [part] + tail
-        if sub == rest:
+            sub = (sub - rest) & rest
+        else:
+            # The parts up to sub + lowbit(sub) hold this one: as heavy.
+            sub = (sub + ~rest + (sub & -sub)) & rest
+        if not sub:
             break
-        sub = (sub - rest) & rest
     failed.add(key)
     return None
 
@@ -611,7 +675,8 @@ def _partition(
 ) -> Optional[tuple[Bundle, ...]]:
     if t == 0:
         return (Bundle(smask),) + (Bundle(),) * (q - 1)
-    parts = _pack(rec.table, rec.sums, t, rec.failed, smask, q)
+    parts = _pack(rec.table, rec.sums, t, rec.failed, smask, q,
+                  _fewest(rec, t))
     if parts is None:
         return None
     return tuple(Bundle(p) for p in parts)

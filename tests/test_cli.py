@@ -634,6 +634,55 @@ def test_bad_generation_arguments_exit_2(tmp_path, capsys, case):
     assert not out.is_file() and not any(out.glob("*"))
 
 
+@pytest.mark.parametrize("command, kind, items, code", [
+    # numpy once said "negative dimensions are not allowed" for -1, and a
+    # table of 21 items peaked at 154 MB before it was refused.
+    ("gen", "additive", "-1", 2),
+    ("gen", "table", "0", 2),
+    ("bench", "capped_additive", "-1", 2),
+    ("gen", "table", "21", 3),
+    ("bench", "table", "21", 3),
+])
+def test_generation_refuses_items_before_it_draws(tmp_path, capsys,
+                                                  monkeypatch, command, kind,
+                                                  items, code):
+    def no_draws(seed, index):
+        raise AssertionError("drew values for a refused instance")
+
+    monkeypatch.setattr(cli, "_rng", no_draws)
+    out = tmp_path / "out"
+    argv = [command, "--agents", "2", "--items", items, "--kind", kind,
+            "-o", str(out)] + (["--trials", "1"] if command == "bench" else [])
+    assert run(argv)[0] == code
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and items in err
+    assert not out.is_file() and not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("key", ["m", "n", "valuations", "values", "cap"])
+def test_instance_missing_a_key_exits_2(tmp_path, capsys, key):
+    instance = copy.deepcopy(SMALL)
+    instance["valuations"][0] = {"kind": "capped_additive",
+                                 "values": [3, 1, 1], "cap": 2}
+    for holder in (instance, instance["valuations"][0]):
+        holder.pop(key, None)
+    path = write_instance(tmp_path, instance)
+    err = assert_one_line_error(["shares", path], capsys)
+    assert err == f"error: missing key {key!r}\n"
+
+
+@pytest.mark.parametrize("key", ["pool", "bundles"])
+def test_allocation_missing_a_key_exits_2(tmp_path, capsys, key):
+    path = write_instance(tmp_path, SMALL)
+    alloc_path = tmp_path / "alloc.json"
+    allocation = {"pool": [], "bundles": [[0, 1], [2]]}
+    del allocation[key]
+    dump_json(allocation, alloc_path)
+    err = assert_one_line_error(["check", path, str(alloc_path)], capsys)
+    assert err == f"error: missing key {key!r}\n"
+
+
 def test_zero_max_value_generates_zero_items(tmp_path):
     out = tmp_path / "gen"
     assert run(["gen", "--agents", "2", "--items", "3", "--max-value", "0",

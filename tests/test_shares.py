@@ -337,8 +337,9 @@ def fresh_record():
 
 
 def fresh_pack(table, t, mask, q):
-    """``_pack`` with an empty memo and a sum bound that never prunes."""
-    return shares._pack(table, [inf] * len(table), t, {}, mask, q)
+    """``_pack`` with an empty memo, and a sum bound and a size bound that
+    never prune."""
+    return shares._pack(table, [inf] * len(table), t, {}, mask, q, 0)
 
 
 def test_pack_memo_is_order_independent():
@@ -390,10 +391,10 @@ def test_mms_witness_after_a_jump(monkeypatch):
     probes = []
     pack = shares._pack
 
-    def spy(table, sums, t, failed, remaining, parts):
+    def spy(table, sums, t, failed, remaining, parts, *args):
         if (remaining, parts) == (S.mask, n):
             probes.append(t)
-        return pack(table, sums, t, failed, remaining, parts)
+        return pack(table, sums, t, failed, remaining, parts, *args)
 
     fresh_record()
     monkeypatch.setattr(shares, "_pack", spy)
@@ -419,10 +420,10 @@ def test_mms_probes_stay_logarithmic(monkeypatch, v, n):
     probes = []
     pack = shares._pack
 
-    def spy(table, sums, t, failed, remaining, parts):
+    def spy(table, sums, t, failed, remaining, parts, *args):
         if (remaining, parts) == (S.mask, n):
             probes.append(t)
-        return pack(table, sums, t, failed, remaining, parts)
+        return pack(table, sums, t, failed, remaining, parts, *args)
 
     fresh_record()
     forget(v)
@@ -455,11 +456,99 @@ def test_sum_bound_prunes_no_partition():
         for smask, n in cases:
             candidates = shares._candidate_values(v, smask)
             for t in candidates[1:] + (candidates[-1] + 1,):
-                got = shares._pack(rec.table, rec.sums, t, {}, smask, n)
+                got = shares._pack(rec.table, rec.sums, t, {}, smask, n,
+                                   shares._fewest(rec, t))
                 assert got == fresh_pack(rec.table, t, smask, n), (v, smask, n, t)
                 pruned += (n > 1 and rec.table[smask] >= t
                            and rec.sums[smask] < n * t)
     assert pruned
+
+
+def plain_scan(fits, mask, q, seen):
+    """The first split of mask into q parts P with fits(P), each part
+    anchored on the lowest item left and candidate parts taken in ascending
+    mask order: no memo, no bound, no jump. It notes in ``seen`` the
+    candidates whose block a jumping scan may skip, the later candidates
+    that differ only in lower items: ("fits", where) for one that fits but
+    leaves a remainder with no split, ("misfit", where) for one that does
+    not fit, where "first" is the lowest item alone and "last" a candidate
+    with no candidate above its block."""
+    if q == 1:
+        return [mask] if fits(mask) else None
+    if mask == 0:
+        return [0] * q if fits(0) else None
+    low = mask & -mask
+    rest = mask ^ low
+    for sub in range(rest + 1):
+        if sub & ~rest:
+            continue
+        part = low | sub
+        where = ("first" if sub == 0 else
+                 "last" if rest & -(sub & -sub) == sub else "inner")
+        if fits(part):
+            tail = plain_scan(fits, mask ^ part, q - 1, seen)
+            if tail is not None:
+                return [part] + tail
+            seen.add(("fits", where))
+        else:
+            seen.add(("misfit", where))
+    return None
+
+
+def random_monotone_table(rng, m):
+    """A random monotone table over m items, v(X) = a draw for X plus the
+    most v(X - e) over its items e, with many ties."""
+    table = [0] * (1 << m)
+    for X in range(1, 1 << m):
+        table[X] = rng.choice((0, 0, 1, 2, 4)) + max(
+            table[X ^ (1 << e)] for e in range(m) if X >> e & 1)
+    return Table(tuple(table))
+
+
+def test_most_is_the_best_bundle_of_each_size():
+    # most[s] is the most any s items are worth: the part-size bound needs
+    # it no lower, and is tightest at exactly that.
+    rng = random.Random(37)
+    valuations = [v for v, _ in memo_cases()]
+    valuations += [random_monotone_table(rng, m) for m in range(9)]
+    for v in valuations:
+        rec = shares._build_record(v)
+        best = [0] * (v.m + 1)
+        for X, value in enumerate(rec.table):
+            best[X.bit_count()] = max(best[X.bit_count()], value)
+        assert rec.most == best, v
+
+
+def test_scans_find_the_first_split_of_a_plain_scan():
+    # The pack and cover scans skip blocks and states that hold no split,
+    # so their first split is the one a plain ascending scan finds, at every
+    # threshold, for a fresh memo and for one kept across thresholds. The
+    # skipped blocks include a whole scan (the lowest item alone leaves a
+    # remainder with no split, or is too heavy) and the last block.
+    rng = random.Random(31)
+    seen = {"pack": set(), "cover": set()}
+    for m in [1, 2, 3, 4, 5, 6, 7, 8] * 4:
+        v = random_monotone_table(rng, m)
+        everything = (1 << m) - 1
+        rec = shares._build_record(v)
+        table = rec.table
+        for smask, q in itertools.product(
+                {everything, everything ^ (1 << rng.randrange(m))},
+                (1, 2, 3, 4)):
+            kept: dict[int, int] = {}
+            for t in rng.sample(range(1, table[-1] + 2), table[-1] + 1):
+                first = plain_scan(lambda P: table[P] >= t, smask, q,
+                                   seen["pack"])
+                fewest = shares._fewest(rec, t)
+                for failed in ({}, kept):
+                    assert shares._pack(table, rec.sums, t, failed, smask, q,
+                                        fewest) == first, (v, smask, q, t)
+                first = plain_scan(lambda P: table[P] < t, smask, q,
+                                   seen["cover"])
+                assert shares._cover(table, t - 1, set(), smask, q) == first, \
+                    (v, smask, q, t)
+    assert {("fits", "first"), ("fits", "last")} <= seen["pack"]
+    assert {("misfit", "first"), ("misfit", "last")} <= seen["cover"]
 
 
 @pytest.mark.parametrize("kind", ["additive", "capped_additive", "table"])
@@ -675,10 +764,10 @@ def test_rmms_reuses_the_mms_packs(monkeypatch):
     top = []
     pack = shares._pack
 
-    def spy(table, sums, t, failed, remaining, parts):
+    def spy(table, sums, t, failed, remaining, parts, *args):
         if remaining == S.mask and parts == n:
             top.append(t)
-        return pack(table, sums, t, failed, remaining, parts)
+        return pack(table, sums, t, failed, remaining, parts, *args)
 
     monkeypatch.setattr(shares, "_pack", spy)
     S = full(10)
@@ -855,16 +944,22 @@ def test_bound_probes_stay_logarithmic(monkeypatch, n):
 
 # _pack calls, recursive ones included, for MMS + RMMS of every agent of
 # generate_instance(1, index, n, 10, kind, 10) for every kind and n 3-4,
-# each agent on a fresh record: 8,309 when this gate was set, against
-# 16,499 with largest-marginal table weights, the first counterexample
-# sought in every RMMS check and packs remembered at the t searched.
-PACK_CALLS_AT_M_10 = 8_309
+# each agent on a fresh record: 6,638 as measured with the scans' jumps and
+# the part-size bound, against 7,072 without them (6,953 without the pack
+# jump alone, 6,737 without the size bound alone), and 16,499 with
+# largest-marginal table weights, the first counterexample sought in every
+# RMMS check and packs remembered at the t searched.
+PACK_CALLS_AT_M_10 = 6_638
+# _pack calls for MMS of every agent of generate_instance(2, index, n, 12,
+# "table", 10), n 3-4, index < 3, each agent on a fresh record: 10,612 as
+# measured, against 18,414 without the jumps and the size bound, 14,822
+# without the pack jump alone and 13,861 without the size bound alone.
+TABLE_MMS_PACK_CALLS_AT_M_12 = 10_612
 
 
-def test_pack_calls_stay_within_measured_work(monkeypatch):
-    # Timings on a noisy host can hide a lost pruning; the work cannot.
-    from rmms.cli import generate_instance
-
+def count_pack_calls(monkeypatch, share, cases):
+    """_pack calls, recursive ones included, of share(v, all items, n) for
+    every agent of each (instance, n) of cases, each on a fresh record."""
     calls = 0
     pack = shares._pack
 
@@ -874,14 +969,37 @@ def test_pack_calls_stay_within_measured_work(monkeypatch):
         return pack(*args)
 
     monkeypatch.setattr(shares, "_pack", spy)
-    for kind, n in itertools.product(("additive", "capped_additive", "table"),
-                                     (3, 4)):
-        inst = generate_instance(1, n, n, 10, kind, 10)
+    for inst, n in cases:
         for v in inst.valuations:
             fresh_record()
-            mms(v, inst.all_items, n)
-            rmms(v, inst.all_items, n)
-    assert calls <= PACK_CALLS_AT_M_10
+            share(v, inst.all_items, n)
+    monkeypatch.undo()
+    return calls
+
+
+def test_pack_calls_stay_within_measured_work(monkeypatch):
+    # Timings on a noisy host can hide a lost pruning; the work cannot.
+    from rmms.cli import generate_instance
+
+    def both(v, S, n):
+        mms(v, S, n)
+        rmms(v, S, n)
+
+    cases = [(generate_instance(1, n, n, 10, kind, 10), n)
+             for kind, n in itertools.product(
+                 ("additive", "capped_additive", "table"), (3, 4))]
+    assert count_pack_calls(monkeypatch, both, cases) <= PACK_CALLS_AT_M_10
+
+
+def test_table_mms_pack_calls_stay_within_measured_work(monkeypatch):
+    # Table MMS is where the scans' jumps and the part-size bound save the
+    # most: losing either adds a third or more to these calls.
+    from rmms.cli import generate_instance
+
+    cases = [(generate_instance(2, index, n, 12, "table", 10), n)
+             for n, index in itertools.product((3, 4), range(3))]
+    assert (count_pack_calls(monkeypatch, mms, cases)
+            <= TABLE_MMS_PACK_CALLS_AT_M_12)
 
 
 def test_share_results_go_with_the_valuation():
