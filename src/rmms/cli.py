@@ -108,6 +108,9 @@ def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
                       max_value: int, cap=None) -> Instance:
     if max_value < 0:
         raise ValueError(f"--max-value must be at least 0, got {max_value}")
+    if cap is not None and kind != "capped_additive":
+        raise ValueError("--cap applies to --kind capped_additive only, "
+                         f"not {kind}")
     # Refused before any draw: a table's generation takes memory in 2^m
     # (154 MB at m = 21).
     if m < 1:

@@ -33,16 +33,15 @@ exact modulo 2^64, so that count is read exactly while it stays below
 2^63, even where the power itself wraps: up to ``_exact_factors(m)``
 factors, 5 at m = 12 and 3 at m = 20. A rung further up starts from the
 highest rung within reach, zeta-transformed, as a new base. The ladder
-runs the transforms in two work buffers, zeta(F) and the product, 16
-bytes per mask, with each buffer's (with i, without i) views made once
-(``_bit_views``). Items 0 to 2 get one 1-D strided view per residue: as
-pair views of inner length 1, 2 or 4 they cost several normal passes
-each. ``out=`` arguments keep the products in the buffers, so a ladder
-allocates only the boolean rungs it returns, and the base of a rebased
-ladder. One RMMS or MXS computation builds the buffers at its first ladder
-and reuses them in the rest; a ladder holds them until it is closed, and
-one started meanwhile builds its own, so two live ladders never share.
-They go when the computation ends.
+runs the transforms in work buffers, zeta(F) and the product, 16 bytes
+per mask, and the base once it rebases, with each buffer's (with i,
+without i) views made once (``_bit_views``). Items 0 to 2 get one 1-D
+strided view per residue: as pair views of inner length 1, 2 or 4 they
+cost several normal passes each. ``out=`` arguments keep the products in
+the buffers, so a ladder allocates only the boolean rungs it returns. The
+buffers live in the search record: built at the agent's first ladder,
+used by every ladder of its RMMS and MXS, one ladder at a time, and
+gone with the record when the slot moves to the next agent.
 
 Both searches scan the same way and remember every (mask, q) state that
 failed, keyed by the one int q * 2^m + mask, so the state one item away
@@ -194,8 +193,8 @@ below it: O(log C) ladders and no pack search. On generated tables RMMS
 mostly equals mFS or lies one candidate below, so one or two checks
 remain, where the gallop from MMS made about 8 at m = 12. The ladder at
 candidates[i - 1] is the residual check's at candidates[i], so the last
-probe that fails to split hands its ladder, zeta(F) made, to the first
-check. Additive and capped valuations always have
+probe that fails to split hands a copy of its zeta(F) to the first check.
+Additive and capped valuations always have
 mFS >= MMS, so they are not probed: n parts worth <= c < MMS <= cap hold
 items summing to < n * MMS, and the items of S sum to at least n * MMS.
 """
@@ -265,7 +264,8 @@ class _Record(NamedTuple):
     (mask, q), keyed ``q * 2^m + mask``, to the least t at which it is
     known to fail; ``packed`` maps (mask, q) to the greatest t at which it
     is known to pack: the worst part of the partition found. ``most[s]`` is
-    the most any s items are worth."""
+    the most any s items are worth. ``workspace`` is the cover ladders'
+    (see ``_CoverLadder``), empty until the first ladder."""
 
     table: tuple[int, ...]
     values: np.ndarray
@@ -273,6 +273,7 @@ class _Record(NamedTuple):
     most: list[int]
     failed: dict[int, int]
     packed: dict[tuple[int, int], int]
+    workspace: dict
 
 
 def _on_valuation(fn):
@@ -355,7 +356,7 @@ def _build_record(v: Valuation) -> _Record:
             most = [min(value, v.cap) for value in most]
     table = v.values if v.kind == "table" else tuple(values.tolist())
     weight_sums = table if v.kind == "additive" else tuple(sums.tolist())
-    return _Record(table, values, weight_sums, most, {}, {})
+    return _Record(table, values, weight_sums, most, {}, {}, {})
 
 
 def _fewest(rec: _Record, t: int) -> int:
@@ -588,54 +589,61 @@ class _CoverLadder:
     a lower rung B, the highest one reachable, as the new base: rung
     b + i is ``moebius(zeta(B) * zeta(F)^i) > 0``, with i + 1 factors.
 
-    The transforms run in a workspace: two int64 buffers over all masks,
-    zeta(F) and the product, each with its ``_bit_views``. ``work`` holds
-    at most one workspace that no ladder is using. The ladder takes it at
-    its first product, or builds one if there is none, and puts it back
-    when it is closed, so the ladders of one share computation reuse one
-    workspace and two live ladders never share one. A rebased ladder also
-    keeps zeta(B) in a buffer of its own. Each rung is a new array, so it
-    stays valid after the ladder moves on.
+    The transforms run in ``workspace``: int64 buffers over all masks, each
+    with its ``_bit_views``, for zeta(F), the product and, once the ladder
+    rebases, zeta(B). Each buffer is built at its first use. The search
+    record keeps one workspace for every ladder of its agent, and a ladder
+    given none makes its own. ``zeta``, if given, is zeta(F) made already,
+    copied in instead of transformed. One ladder at a time uses a
+    workspace: a ladder that finds another's zeta(F) there makes its own
+    again, and its base with it. Each rung is a new array, so it stays
+    valid after the ladder moves on.
     """
 
-    def __init__(self, family: np.ndarray, work: Optional[list] = None):
+    def __init__(self, family: np.ndarray, workspace: Optional[dict] = None,
+                 zeta: Optional[np.ndarray] = None):
         self.family = family
-        self._pool = [] if work is None else work
-        self._buffers = None  # the workspace, from the first product on
+        self._workspace = {} if workspace is None else workspace
+        self._zeta = zeta  # zeta(F) made elsewhere, until it is copied in
+        # Marks the workspace as this ladder's. The ladder itself would make
+        # a cycle, and the buffers would outlive the record until collected.
+        self._token = object()
         self._limit = _exact_factors(family.size.bit_length() - 1)
-        self._base = None  # zeta(B) with its views, once rebased
         self._at = 1  # the rung whose zeta is the base; 1 is zeta(F)
         self._last = 1, family  # the last rung computed, and its k
 
-    def __enter__(self) -> _CoverLadder:
-        return self
+    def _buffer(self, name: str) -> tuple[np.ndarray, list]:
+        """The workspace's buffer ``name`` and its views."""
+        if name not in self._workspace:
+            a = np.empty(self.family.size, np.int64)
+            self._workspace[name] = a, _bit_views(a)
+        return self._workspace[name]
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Put the workspace back in ``work``, if ``work`` holds none."""
-        if self._buffers is not None and not self._pool:
-            self._pool.append(self._buffers)
-        self._buffers = None
+    def zeta(self) -> np.ndarray:
+        """zeta(F), in the workspace until another ladder uses it."""
+        members, views = self._buffer("zeta")
+        if self._workspace.get("owner") is not self._token:
+            if self._zeta is None:
+                np.copyto(members, self.family)
+                _zeta(views)
+            else:
+                np.copyto(members, self._zeta)
+            self._zeta, self._at = None, 1
+            self._workspace["owner"] = self._token
+        return members
 
     def _product(self, k: int) -> tuple[np.ndarray, list]:
         """The product buffer and its views. The buffer now holds
         zeta(B) * zeta(F)^(k - b) for the base B, rung b, whose Moebius
         transform counts exactly and is positive on rung k alone."""
-        if self._buffers is None:
-            self._buffers = self._pool.pop() if self._pool else [
-                (a, _bit_views(a)) for a in np.empty((2, self.family.size),
-                                                     np.int64)]
-            members, views = self._buffers[0]
-            np.copyto(members, self.family)
-            _zeta(views)
-        (members, _), (product, views) = self._buffers
+        members = self.zeta()
+        product, views = self._buffer("product")
         if k < self._at:
             self._at = 1
         while k - self._at >= self._limit:
             self._rebase(self._at + self._limit - 1)
-        np.copyto(product, members if self._at == 1 else self._base[0])
+        np.copyto(product,
+                  members if self._at == 1 else self._buffer("base")[0])
         for _ in range(k - self._at):
             np.multiply(product, members, out=product)
         return product, views
@@ -645,10 +653,7 @@ class _CoverLadder:
         last, rung = self._last
         if last != k:
             rung = self.rung(k)
-        if self._base is None:
-            base = np.empty_like(self._buffers[0][0])
-            self._base = base, _bit_views(base)
-        base, views = self._base
+        base, views = self._buffer("base")
         np.copyto(base, rung)
         _zeta(views)
         self._at = k
@@ -801,46 +806,42 @@ def _parts_within(rec: _Record, smask: int, bound: int) -> np.ndarray:
 
 
 def _residual_failure(
-    rec: _Record, smask: int, n: int, t: int, work: Optional[list] = None,
-    ladder: Optional[_CoverLadder] = None,
+    rec: _Record, smask: int, n: int, t: int,
+    zeta: Optional[np.ndarray] = None,
 ) -> Optional[tuple[int, np.ndarray, int]]:
     """(k, removals, R) at which threshold t fails the residual check of
     (S, n), or None if t is residual feasible. k is the least failing k,
     removals the ascending removals whose binding k is k, and R one of them
     whose remainder fails; (0, [0], 0) when S itself does not split. A rung
     with a remainder worth < t fails without a search, and the first
-    failure found answers. ``work`` is passed to ``_CoverLadder``.
-    ``ladder``, if given for t > 0, is the ladder of the parts inside S
-    worth < t, already started, and the walk reads it instead of building
-    one. The walk closes the ladder it reads."""
+    failure found answers. ``zeta``, if given for t > 0, is zeta(F) of the
+    parts inside S worth < t, and the walk's ladder starts from it."""
     if t == 0:
         # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
         # removals qualify for any k >= 1.
         return None
+    if not _packs(rec, smask, n, t):
+        return 0, np.zeros(1, dtype=np.int64), 0
     # The removals split into parts inside S worth < t, that is <= t - 1:
     # values are integers. Rung k minus rung k - 1 holds the removals whose
-    # binding k is k; rung 0 is R = 0 alone, checked first.
-    if ladder is None:
-        ladder = _CoverLadder(_parts_within(rec, smask, t - 1), work)
+    # binding k is k; rung 0 is R = 0 alone, checked above.
+    ladder = _CoverLadder(_parts_within(rec, smask, t - 1), rec.workspace,
+                          zeta)
     values = rec.values
-    with ladder:
-        if not _packs(rec, smask, n, t):
-            return 0, np.zeros(1, dtype=np.int64), 0
-        fewer = np.arange(values.size) == 0
-        for k in range(1, n):
-            rung = ladder.rung(k)
-            removals = np.flatnonzero(rung & ~fewer)
-            # A remainder worth < t has no part worth >= t, so it fails
-            # without a search, and with one part left no other remainder
-            # can fail.
-            short = np.flatnonzero(values[smask ^ removals] < t)
-            if short.size:
-                return k, removals, int(removals[short[0]])
-            if n - k > 1:
-                R = _failing(rec, smask, n - k, t, removals)
-                if R is not None:
-                    return k, removals, R
-            fewer = rung
+    fewer = np.arange(values.size) == 0
+    for k in range(1, n):
+        rung = ladder.rung(k)
+        removals = np.flatnonzero(rung & ~fewer)
+        # A remainder worth < t has no part worth >= t, so it fails without
+        # a search, and with one part left no other remainder can fail.
+        short = np.flatnonzero(values[smask ^ removals] < t)
+        if short.size:
+            return k, removals, int(removals[short[0]])
+        if n - k > 1:
+            R = _failing(rec, smask, n - k, t, removals)
+            if R is not None:
+                return k, removals, R
+        fewer = rung
     return None
 
 
@@ -877,13 +878,14 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
 
 
 def _split_probe(
-    rec: _Record, smask: int, n: int, c: int, signs: np.ndarray, work: list,
-) -> tuple[_CoverLadder, bool]:
-    """The ladder of the parts inside S worth <= c, open, and whether S
-    splits into at most n parts worth <= c: whether S lies in rung n, read
-    at S alone through ``signs``, the ``_moebius_signs`` of S."""
-    ladder = _CoverLadder(_parts_within(rec, smask, c), work)
-    return ladder, ladder.holds(n, signs)
+    rec: _Record, smask: int, n: int, c: int, signs: np.ndarray,
+) -> Optional[np.ndarray]:
+    """None if S splits into at most n parts worth <= c, and otherwise a
+    copy of zeta(F) for the parts F inside S worth <= c. S splits so iff it
+    lies in rung n of their ladder, read at S alone through ``signs``, the
+    ``_moebius_signs`` of S."""
+    ladder = _CoverLadder(_parts_within(rec, smask, c), rec.workspace)
+    return None if ladder.holds(n, signs) else ladder.zeta().copy()
 
 
 # RMMS of a table is bounded by the min-max split from this many items up.
@@ -904,37 +906,30 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     ceiling = _mms(v, smask, n).value
     candidates = [c for c in _candidate_values(v, smask) if c <= ceiling]
     rec = _record(v)
-    work: list = []  # the ladders' workspace, for this computation only
-    top, kept = len(candidates) - 1, None
+    top, zeta = len(candidates) - 1, None
 
     # The bound (see the module docstring): one probe just below MMS and,
     # if it splits S, a bisection below it for mFS. The probe at
-    # candidates[i - 1] builds the ladder of the check at candidates[i], as
-    # the parts worth <= candidates[i - 1] are those worth < candidates[i].
-    # So the last probe that does not split, at top - 1, hands its ladder,
-    # with zeta(F) made, to the first check, at top; the others are closed.
+    # candidates[i - 1] makes zeta(F) of the check at candidates[i], as the
+    # parts worth <= candidates[i - 1] are those worth < candidates[i]. So
+    # the last probe that does not split, at top - 1, hands its zeta(F) to
+    # the first check, at top.
     if (n > 1 and top > 0 and v.kind == "table"
             and v.m >= RMMS_BOUND_ITEMS):
         signs = _moebius_signs(smask, v.m)
-        kept, split = _split_probe(rec, smask, n, candidates[top - 1], signs,
-                                   work)
-        if split:
-            kept.close()
-            lo, top, kept = 0, top - 1, None
+        zeta = _split_probe(rec, smask, n, candidates[top - 1], signs)
+        if zeta is None:
+            lo, top = 0, top - 1
             while lo < top:
                 mid = (lo + top) // 2
-                probed, split = _split_probe(rec, smask, n, candidates[mid],
-                                             signs, work)
-                if split:
-                    top, dropped = mid, probed
+                probed = _split_probe(rec, smask, n, candidates[mid], signs)
+                if probed is None:
+                    top = mid
                 else:
-                    lo, kept, dropped = mid + 1, probed, kept
-                if dropped is not None:
-                    dropped.close()
+                    lo, zeta = mid + 1, probed
 
-    def feasible(i: int, ladder: Optional[_CoverLadder] = None) -> bool:
-        return _residual_failure(rec, smask, n, candidates[i], work,
-                                 ladder) is None
+    def feasible(i: int, zeta: Optional[np.ndarray] = None) -> bool:
+        return _residual_failure(rec, smask, n, candidates[i], zeta) is None
 
     # Feasibility is monotone in t: for t' < t, every removal that qualifies
     # at t' (parts worth < t') also qualifies at t, and a pack at t is also a
@@ -944,8 +939,8 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     # searching the maximal removals of a rung first. candidates[hi] is
     # infeasible; hi = len(candidates) stands for a threshold above MMS.
     hi, lo, step = top + 1, top, 1
-    while not feasible(lo, kept):
-        kept = None
+    while not feasible(lo, zeta):
+        zeta = None
         if lo == 0:
             raise InvariantError("t = 0 is always residual feasible")
         hi, lo, step = lo, max(lo - step, 0), 2 * step
@@ -1017,7 +1012,6 @@ def _mxs_ladder(
     # Every X splits into its singletons, worth g = 0 and so never envied:
     # rung m holds every mask, and no rung above it is needed.
     k = min(n - 1, full.bit_length())
-    work: list = []  # the ladders' workspace, for this computation only
     # The rungs at which the predicate held: all at t >= candidates[hi], so
     # the scan up from candidates[lo] may read them again. A rung at which
     # it failed lies below the new lo, and is dropped.
@@ -1025,11 +1019,9 @@ def _mxs_ladder(
 
     def coverable(t: int) -> np.ndarray:
         """X splits into at most n - 1 parts the agent does not envy at t."""
-        rung = kept.pop(t, None)
-        if rung is None:
-            with _CoverLadder(g <= t, work) as ladder:
-                rung = ladder.rung(k)
-        return rung
+        if t in kept:
+            return kept.pop(t)
+        return _CoverLadder(g <= t, rec.workspace).rung(k)
 
     # If the predicate fails up to the bound, it fails below the least t
     # with an exact hit, and the scan up from hi still stops there.

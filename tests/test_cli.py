@@ -622,6 +622,10 @@ BAD_RUNS = {
     # numpy's own message for a negative bound, "high <= 0", names no flag.
     "gen_negative_max_value": ["gen", "--max-value", "-1"],
     "bench_negative_max_value": ["bench", "--max-value", "-1", "--trials", "1"],
+    # A cap means nothing to any other kind: refused, not dropped.
+    "gen_cap_for_additive": ["gen", "--kind", "additive", "--cap", "5"],
+    "bench_cap_for_table": [
+        "bench", "--kind", "table", "--cap", "5", "--trials", "1"],
 }
 
 

@@ -841,9 +841,10 @@ def min_max_split(table, smask, n):
 
 
 def test_split_probe_matches_a_brute_force_min_max_split():
-    # At every candidate c the probe splits S iff mFS <= c, and its ladder,
-    # handed to the residual check at the next candidate, gives the walk
-    # the lazy ladder gives. RMMS never exceeds mFS. At m = 8 a product of
+    # At every candidate c the probe splits S iff mFS <= c. A probe that
+    # does not split returns zeta(F) of the parts worth <= c, and the
+    # residual check at the next candidate, handed it, walks as one that
+    # makes its own ladder. RMMS never exceeds mFS. At m = 8 a product of
     # more than 7 zeta factors is not exact, so at n = 9 the probe's ladder
     # climbs to a lower rung first and reads rung 9 from there.
     from rmms.cli import generate_instance
@@ -857,7 +858,7 @@ def test_split_probe_matches_a_brute_force_min_max_split():
     assert shares._exact_factors(8) < 9
     cases = list(itertools.product(valuations, (2, 3, 4)))
     cases += [(v, 9) for v in valuations if v.m == 8]
-    below = 0
+    below = handed = 0
     for v, n in cases:
         everything = (1 << v.m) - 1
         for smask in {everything, everything ^ (1 << (v.m // 2))}:
@@ -867,25 +868,26 @@ def test_split_probe_matches_a_brute_force_min_max_split():
             candidates = shares._candidate_values(v, smask)
             signs = shares._moebius_signs(smask, v.m)
             for i, c in enumerate(candidates):
-                ladder, splits = shares._split_probe(rec, smask, n, c, signs,
-                                                     [])
-                assert np.array_equal(ladder.family,
-                                      shares._parts_within(rec, smask, c))
-                assert splits == (split <= c), (v, smask, n, c)
+                zeta = shares._split_probe(rec, smask, n, c, signs)
+                assert (zeta is None) == (split <= c), (v, smask, n, c)
+                if zeta is None:
+                    continue
+                family = shares._parts_within(rec, smask, c).astype(np.int64)
+                assert np.array_equal(zeta, plain_transform(family, 1))
+                handed += 1
                 if i + 1 < len(candidates):
                     t = candidates[i + 1]
-                    lazy = shares._residual_failure(rec, smask, n, t)
-                    handed = shares._residual_failure(rec, smask, n, t, None,
-                                                      ladder)
-                    assert (lazy is None) == (handed is None)
-                    if lazy is not None:
-                        assert lazy[::2] == handed[::2]
-                        assert np.array_equal(lazy[1], handed[1])
+                    fresh = shares._residual_failure(rec, smask, n, t)
+                    walk = shares._residual_failure(rec, smask, n, t, zeta)
+                    assert (fresh is None) == (walk is None)
+                    if fresh is not None:
+                        assert fresh[::2] == walk[::2]
+                        assert np.array_equal(fresh[1], walk[1])
             forget(v)
             value = rmms(v, Bundle(smask), n).value
             assert value <= split, (v, smask, n)
             below += split < mms(v, Bundle(smask), n).value
-    assert below
+    assert below and handed
 
 
 def test_table_rmms_at_the_min_max_split_takes_one_check(monkeypatch):
@@ -1014,7 +1016,15 @@ def test_share_results_go_with_the_valuation():
         rmms(v, inst.all_items, inst.n)
         mxs(inst, i)
     refs = [weakref.ref(v) for v in inst.valuations]
-    mms(Additive((1, 2, 3)), full(3), 2)
+    # The ladders' buffers are the record's, and go with it when the slot
+    # moves on, without waiting for the cycle collector.
+    zeta = weakref.ref(shares._record(v).workspace["zeta"][0])
+    gc.disable()
+    try:
+        mms(Additive((1, 2, 3)), full(3), 2)
+        assert zeta() is None
+    finally:
+        gc.enable()
     del inst, v
     gc.collect()
     assert [ref() for ref in refs] == [None] * 3
@@ -1149,43 +1159,51 @@ def test_transforms_match_plain_passes():
         assert np.array_equal(work, plain_transform(a, -1)), m
 
 
-def test_ladders_sharing_a_workspace_yield_their_own_rungs():
-    # One computation's ladders reuse one workspace, but only one ladder at
-    # a time holds it; a ladder started meanwhile must yield its own rungs.
+def test_ladders_sharing_a_workspace_yield_their_own_rungs(monkeypatch):
+    # An agent's ladders share the workspace of its record, one at a time.
+    # Interleaved, a ladder finds another's zeta(F) and base there and makes
+    # its own again, so each yields its own rungs, and one set of buffers is
+    # built: zeta(F) and the product, and the base at m = 10, where rungs 7
+    # and 8 are read from a lower rung (6 exact factors).
     from rmms.cli import generate_instance
 
-    table = np.array(generate_instance(4, 0, 1, 8, "table", 10).valuations[0]
-                     .values)
-    # Both ladders still grow at rung 5, and they differ at every rung.
-    families = [table <= 16, table <= 17]
-    expected = [[shares._CoverLadder(f).rung(k) for k in range(1, 6)]
-                for f in families]
-    for rungs in expected:
-        assert not np.array_equal(rungs[3], rungs[4])
-    assert not any(map(np.array_equal, *expected))
+    builds = 0
+    bit_views = shares._bit_views
 
-    work = []
-    first = shares._CoverLadder(families[0], work)
-    got = [[first.rung(1), first.rung(2)], []]
-    second = shares._CoverLadder(families[1], work)
-    for k in range(1, 6):
-        got[1].append(second.rung(k))
-        if len(got[0]) < 5:
-            got[0].append(first.rung(len(got[0]) + 1))
-    for rungs, want in zip(got, expected):
-        assert [r.tolist() for r in rungs] == [w.tolist() for w in want]
+    def spy(a):
+        nonlocal builds
+        builds += 1
+        return bit_views(a)
 
-    # Closed, the ladders hand back one workspace, which the next one takes.
-    first.close()
-    second.close()
-    assert len(work) == 1
-    workspace = work[0]
-    third = shares._CoverLadder(families[0], work)
-    assert [third.rung(k).tolist() for k in range(1, 6)] == [
-        w.tolist() for w in expected[0]]
-    assert not work
-    third.close()
-    assert work == [workspace]
+    cases = [(generate_instance(4, 0, 1, 8, "table", 10).valuations[0],
+              (16, 17), 5, 2), (Additive((1,) * 10), (1, 2), 8, 3)]
+    for v, bounds, top, buffers in cases:
+        fresh_record()
+        rec = shares._record(v)
+        families = [np.array(rec.table) <= bound for bound in bounds]
+        expected = [[shares._CoverLadder(f).rung(k)
+                     for k in range(1, top + 1)] for f in families]
+        # The first ladder still grows at the top, and they differ at every
+        # rung.
+        assert not np.array_equal(expected[0][-2], expected[0][-1])
+        assert not any(map(np.array_equal, *expected))
+
+        builds = 0
+        monkeypatch.setattr(shares, "_bit_views", spy)
+        # The second ladder runs between the first's last two rungs, and at
+        # m = 10 both rebase before the first reads its top rung.
+        first = shares._CoverLadder(families[0], rec.workspace)
+        got = [[first.rung(k) for k in range(1, top)]]
+        second = shares._CoverLadder(families[1], rec.workspace)
+        got.append([second.rung(k) for k in range(1, top + 1)])
+        got[0].append(first.rung(top))
+        # A ladder started after them reads the same buffers.
+        third = shares._CoverLadder(families[0], rec.workspace)
+        got.append([third.rung(k) for k in range(1, top + 1)])
+        monkeypatch.undo()
+        for rungs, want in zip(got, expected + expected[:1]):
+            assert [r.tolist() for r in rungs] == [w.tolist() for w in want]
+        assert builds == buffers, (v, top)
 
 
 def test_mxs_bracket_keeps_value_and_witness(monkeypatch):
@@ -1249,22 +1267,27 @@ def test_mxs_ladder_rungs_stay_within_measured_work(monkeypatch):
 # past the second took a zeta and a Moebius transform, the split probes
 # built rung n - 1 and MXS built every rung up to n - 1.
 TRANSFORMS_AT_M_12 = 287
+# ``_bit_views`` builds for the same: 42, two buffers per agent, since the
+# buffers live in the search record, against 98 when each RMMS and each MXS
+# built its own.
+BIT_VIEWS_AT_M_12 = 42
 
 
 def test_ladder_transforms_stay_within_measured_work(monkeypatch):
     from rmms.cli import generate_instance
 
-    transforms = 0
+    calls = dict.fromkeys(("_zeta", "_moebius", "_bit_views"), 0)
 
-    def counted(transform):
-        def spy(views):
-            nonlocal transforms
-            transforms += 1
-            transform(views)
+    def counted(name):
+        fn = getattr(shares, name)
+
+        def spy(a):
+            calls[name] += 1
+            return fn(a)
         return spy
 
-    monkeypatch.setattr(shares, "_zeta", counted(shares._zeta))
-    monkeypatch.setattr(shares, "_moebius", counted(shares._moebius))
+    for name in calls:
+        monkeypatch.setattr(shares, name, counted(name))
     for kind, n in itertools.product(("additive", "capped_additive", "table"),
                                      (3, 4)):
         inst = generate_instance(1, n, n, 12, kind, 10)
@@ -1272,7 +1295,8 @@ def test_ladder_transforms_stay_within_measured_work(monkeypatch):
             mms(v, inst.all_items, n)
             rmms(v, inst.all_items, n)
             mxs(inst, agent)
-    assert 0 < transforms <= TRANSFORMS_AT_M_12
+    assert 0 < calls["_zeta"] + calls["_moebius"] <= TRANSFORMS_AT_M_12
+    assert 0 < calls["_bit_views"] <= BIT_VIEWS_AT_M_12
 
 
 def naive_mxs(inst, agent):
