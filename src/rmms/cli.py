@@ -140,12 +140,13 @@ def cmd_gen(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     for idx in range(args.count):
         inst = generate_instance(
             args.seed, idx, args.agents, args.items, args.kind,
             args.max_value, args.cap,
         )
+        if idx == 0:  # so that a refused run leaves nothing behind
+            out.mkdir(parents=True, exist_ok=True)
         dump_json(instance_to_json(inst), out / f"instance_{args.seed}_{idx}.json")
     return EXIT_OK
 
@@ -273,29 +274,23 @@ def _bench_one(task) -> dict:
     inst = generate_instance(seed, index, n, m, kind, max_value, cap)
     ledger = QueryLedger()
     started = time.perf_counter()
-    try:
-        # Agent by agent, so that RMMS runs on the pack memo MMS left and
-        # all three shares use one record per agent; rmms_efx_partial reuses
-        # the RMMS values kept on the valuations.
-        mms_vals, rmms_vals, mxs_vals = [], [], []
-        for i, v in enumerate(inst.valuations):
-            mms_vals.append(shares.mms(v, inst.all_items, n).value)
-            rmms_vals.append(shares.rmms(v, inst.all_items, n).value)
-            mxs_vals.append(shares.mxs(inst, i).value)
-        if algorithm == "rmms-efx":
-            alloc, _ = algorithms.rmms_efx_partial(inst, ledger)
-        elif algorithm == "rmms-efl":
-            # One ledger counts the queries of both phases.
-            alloc, _ = algorithms.rmms_efl_full(inst, ledger, ledger)
-        else:
-            alloc, _ = algorithms.envy_cycle_run(
-                inst, PartialAllocation.empty(m, n), ledger
-            )
-    except CapExceededError:
-        row["status"] = "skipped"
-        for col in BENCH_COLUMNS:
-            row.setdefault(col, "")
-        return row
+    # Agent by agent, so that RMMS runs on the pack memo MMS left and all
+    # three shares use one record per agent; rmms_efx_partial reuses the
+    # RMMS values kept on the valuations.
+    mms_vals, rmms_vals, mxs_vals = [], [], []
+    for i, v in enumerate(inst.valuations):
+        mms_vals.append(shares.mms(v, inst.all_items, n).value)
+        rmms_vals.append(shares.rmms(v, inst.all_items, n).value)
+        mxs_vals.append(shares.mxs(inst, i).value)
+    if algorithm == "rmms-efx":
+        alloc, _ = algorithms.rmms_efx_partial(inst, ledger)
+    elif algorithm == "rmms-efl":
+        # One ledger counts the queries of both phases.
+        alloc, _ = algorithms.rmms_efl_full(inst, ledger, ledger)
+    else:
+        alloc, _ = algorithms.envy_cycle_run(
+            inst, PartialAllocation.empty(m, n), ledger
+        )
     elapsed_us = int((time.perf_counter() - started) * 1e6)
     ratios = [
         Fraction(r, mm) for r, mm in zip(rmms_vals, mms_vals) if mm > 0
@@ -327,6 +322,13 @@ def cmd_bench(args) -> int:
     if args.trials < 0 or args.jobs < 1:
         raise ValueError("--trials must be at least 0 and --jobs at least 1, "
                          f"got {args.trials} and {args.jobs}")
+    # Every row shares the run's item count, so past the solvers' cap no
+    # row could hold a share: the whole run is refused, not filled with
+    # skipped rows.
+    if args.items > MAX_EXACT_ITEMS:
+        raise CapExceededError(
+            f"exact share solvers support at most {MAX_EXACT_ITEMS} items, "
+            f"got --items {args.items}")
     columns = list(BENCH_COLUMNS)
     if args.timings:
         columns.append("wall_time_us")
@@ -348,10 +350,9 @@ def cmd_bench(args) -> int:
             writer.writerow(row)
 
     if args.summary:
-        ok_rows = [r for r in rows if r.get("status") == "ok"]
         ratios = [
             Fraction(int(r["ratio_num"]), int(r["ratio_den"]))
-            for r in ok_rows
+            for r in rows
             if r.get("ratio_num") != ""
         ]
         observed = min(ratios) if ratios else None
@@ -363,8 +364,9 @@ def cmd_bench(args) -> int:
             bound = None
         summary = {
             "trials": args.trials,
-            "completed": len(ok_rows),
-            "skipped": len(rows) - len(ok_rows),
+            # Runs past the item cap are refused, so every row completes.
+            "completed": len(rows),
+            "skipped": 0,
             "min_rmms_over_mms": {
                 "num": observed.numerator,
                 "den": observed.denominator,

@@ -44,18 +44,19 @@ used by every ladder of its RMMS and MXS, one ladder at a time, and
 gone with the record when the slot moves to the next agent.
 
 Both searches scan the same way and remember every (mask, q) state that
-failed, keyed by the one int q * 2^m + mask, so the state one item away
-is the key with that item's bit set or cleared. Both also fail a state
-without a search when a state one item away has already failed and the
-family's closure passes that failure on. A cover search remembers in the
-failed set its caller passes, for as long as the caller keeps it. The
-pack memo lives in the search record (``_record``, one slot: the agent in
-hand) and spans thresholds, so MMS, the RMMS scan, every residual check
-and ``acceptable_partition`` share it. A state that fails at t fails at
-every t' > t, as parts worth >= t' are worth >= t,
-and a state that packs at t packs at every t' < t. So the memo keeps, per
-state, the least t known to fail (``failed``) and the greatest t known to
-pack (``packed``). The search itself reads only
+failed, keyed by the one int q * 2^m + mask. The pack search also fails a
+state without a search when the state with one more item, the key with
+that item's bit set, has already failed, as pack failure passes to
+subsets. The cover search has no such rule: its memo lasts one search,
+and MXS gives each own bundle's search a fresh one. The rule and a memo
+shared by the own bundles of one value saved few cover calls and cost
+more per call than they saved. The pack memo lives in the search record
+(``_record``, one slot: the agent in hand) and spans thresholds, so MMS,
+the RMMS scan, every residual check and ``acceptable_partition`` share
+it. A state that fails at t fails at every t' > t, as parts worth >= t'
+are worth >= t, and a state that packs at t packs at every t' < t. So the
+memo keeps, per state, the least t known to fail (``failed``) and the
+greatest t known to pack (``packed``). The search itself reads only
 ``failed``, which holds only true failures at the t searched: pruning them
 cannot change which partition the scan finds first, so a witness taken
 from the shared memo is the one a fresh search gives. ``packed`` only
@@ -204,7 +205,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import wraps
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import inf
 from typing import NamedTuple, Optional, Sequence
 
@@ -469,29 +470,19 @@ def _cover(
     When a candidate is too heavy, the scan jumps past the candidates that
     only add items below its lowest scanned item: they hold it, so are as
     heavy. That prunes no split, so the first one found is the same.
-    ``failed`` holds the failed (mask, parts) states for these weights and
-    this bound, for as long as the caller keeps it; pass ``set()`` for a
-    fresh search. A state also fails, without a search,
-    when the state with one item fewer did. ``weights``, any int sequence
-    indexed by mask, must be monotone, so that the family is
-    downward-closed. MXS passes ``memoryview(g)``, which reads Python ints
+    ``failed`` collects the (mask, parts) states that fail under these
+    weights and this bound; pass ``set()`` for a fresh search. ``weights``,
+    any int sequence indexed by mask, must be monotone, so that the family
+    is downward-closed. MXS passes ``memoryview(g)``, which reads Python ints
     in place: a list would copy all 2^m (40 MiB at m = 20), and the array
     itself yields numpy scalars, slower to compare."""
     if mask == 0:
         return [0] * parts
     if parts == 1:
         return [mask] if weights[mask] <= bound else None
-    # Keyed parts * 2^m + mask, as in ``_pack``: key ^ e drops item e.
-    key = parts * len(weights) + mask
+    key = parts * len(weights) + mask  # as in ``_pack``
     if key in failed:
         return None
-    p = mask
-    while p:
-        e = p & -p
-        if key ^ e in failed:
-            failed.add(key)
-            return None
-        p ^= e
     low = mask & -mask
     rest = mask ^ low
     sub = 0
@@ -974,9 +965,11 @@ def rmms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareR
 
 
 # MXS scans thresholds on the cover ladder from this many items up. Below
-# it the cover searches are cheaper. All agents of 24 generated instances
-# (n 3-4, every kind), CPU s, cover against ladder: 0.085 against 0.113 at
-# m = 9, 0.211 against 0.111 at m = 10.
+# it the cover searches are as cheap or cheaper. All agents of
+# generate_instance(1, idx, n, m, kind, 10), idx < 4, n 3-4, every kind,
+# each agent's MMS first, MXS CPU s in the median of 9 rounds, cover
+# against ladder: 0.053 against 0.054 at m = 9 (0.057 against 0.074 with
+# item values up to 1,000), 0.124 against 0.068 at m = 10.
 MXS_LADDER_ITEMS = 10
 
 
@@ -986,15 +979,10 @@ def _mxs_cover(rec: _Record, g: np.ndarray, n: int) -> tuple[int, int, list[int]
     table = rec.table
     full = len(table) - 1
     weights = memoryview(g)
-    # The cover search depends only on the own bundle's value, so one
-    # failure memo serves all own bundles of that value.
-    order = np.argsort(rec.values, kind="stable").tolist()
-    for value, owns in groupby(order, key=table.__getitem__):
-        failed: set[int] = set()
-        for own in owns:
-            others = _cover(weights, value, failed, full ^ own, n - 1)
-            if others is not None:
-                return value, own, others
+    for own in np.argsort(rec.values, kind="stable").tolist():
+        others = _cover(weights, table[own], set(), full ^ own, n - 1)
+        if others is not None:
+            return table[own], own, others
     raise InvariantError("own = all items always admits an envy-free remainder")
 
 

@@ -431,21 +431,6 @@ class TestBench:
             assert len(row[share].split("|")) == 2, share
             assert all(value.isdigit() for value in row[share].split("|"))
 
-    def test_rows_past_the_item_cap_are_skipped(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        summary_path = tmp_path / "summary.json"
-        assert run(["bench", "--agents", "2", "--items", "21",
-                    "--kind", "additive", "--trials", "1", "-o", str(out),
-                    "--summary", str(summary_path)])[0] == 0
-        import csv
-
-        with open(out, newline="") as fh:
-            (row,) = csv.DictReader(fh)
-        assert row["status"] == "skipped"
-        assert row["mms"] == row["mxs"] == row["rmms"] == ""
-        summary = load_json(summary_path)
-        assert (summary["skipped"], summary["completed"]) == (1, 0)
-
     def test_timings_column_opt_in(self, tmp_path):
         out = tmp_path / "bench.csv"
         run([
@@ -635,7 +620,7 @@ def test_bad_generation_arguments_exit_2(tmp_path, capsys, case):
     argv = BAD_RUNS[case] + ["--agents", "2", "--items", "3", "-o", str(out)]
     err = assert_one_line_error(argv, capsys)
     assert any(flag in err for flag in BAD_RUNS[case] if flag.startswith("--"))
-    assert not out.is_file() and not any(out.glob("*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, kind, items, code", [
@@ -646,6 +631,10 @@ def test_bad_generation_arguments_exit_2(tmp_path, capsys, case):
     ("bench", "capped_additive", "-1", 2),
     ("gen", "table", "21", 3),
     ("bench", "table", "21", 3),
+    # Every row of a run shares its item count: a run past the cap is
+    # refused whole, for every kind, rather than written as skipped rows.
+    ("bench", "additive", "21", 3),
+    ("bench", "capped_additive", "21", 3),
 ])
 def test_generation_refuses_items_before_it_draws(tmp_path, capsys,
                                                   monkeypatch, command, kind,
@@ -661,7 +650,7 @@ def test_generation_refuses_items_before_it_draws(tmp_path, capsys,
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.count("\n") == 1
     assert err.startswith("error: ") and items in err
-    assert not out.is_file() and not any(out.glob("*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["m", "n", "valuations", "values", "cap"])
