@@ -28,6 +28,7 @@ from .core import (
     PartialAllocation,
     PreconditionError,
     QueryLedger,
+    _check_shape,
     _compare,
     _value,
     bits_of,
@@ -66,8 +67,7 @@ def envy_cycle_run(
     then grant the lowest-index un-envied agent the lowest-index pool item.
     Uses only comparison queries.
     """
-    if start.m != inst.m or start.n != inst.n:
-        raise ValueError("start allocation does not match instance shape")
+    _check_shape(inst, start)
     n = inst.n
     # Bundle records move between agents whole, carrying provenance and the
     # last item granted to them.
@@ -148,6 +148,8 @@ def verify_cycle_run_properties(
        final bundle; 2. every agent's final value weakly dominates her start
        value; 3. a grown bundle minus its last item is envied by nobody.
     """
+    _check_shape(inst, start)
+    _check_shape(inst, result)
     failures = []
     pi = trace.matching
     if sorted(pi) != list(range(inst.n)):
@@ -188,8 +190,7 @@ def preprocess_singletons(
     only: NOT v(bundle) >= v({item}). Terminates within n*m swaps (each swap
     strictly increases the swapping agent's value and item values are fixed).
     """
-    if partial.m != inst.m or partial.n != inst.n:
-        raise ValueError("allocation does not match instance shape")
+    _check_shape(inst, partial)
     n, m = inst.n, inst.m
     pool = partial.pool.mask
     bundles = [b.mask for b in partial.bundles]

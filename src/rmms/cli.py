@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,16 +24,16 @@ import numpy as np
 from .core import (
     Bundle,
     CapExceededError,
-    MAX_EXACT_ITEMS,
     MAX_VALUE,
     Instance,
     InvariantError,
     PartialAllocation,
-    PreconditionError,
     QueryLedger,
     Additive,
     CappedAdditive,
     Table,
+    _check_cap,
+    _write_json,
     allocation_from_json,
     allocation_to_json,
     dump_json,
@@ -115,9 +114,8 @@ def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
     # (154 MB at m = 21).
     if m < 1:
         raise ValueError(f"--items must be at least 1, got {m}")
-    if kind == "table" and m > MAX_EXACT_ITEMS:
-        raise CapExceededError(
-            f"table valuations support at most {MAX_EXACT_ITEMS} items, got {m}")
+    if kind == "table":
+        _check_cap(m, "table valuations")
     rng = _rng(seed, index)
     vals = tuple(
         generate_valuation(rng, kind, m, max_value, cap) for _ in range(n)
@@ -325,10 +323,7 @@ def cmd_bench(args) -> int:
     # Every row shares the run's item count, so past the solvers' cap no
     # row could hold a share: the whole run is refused, not filled with
     # skipped rows.
-    if args.items > MAX_EXACT_ITEMS:
-        raise CapExceededError(
-            f"exact share solvers support at most {MAX_EXACT_ITEMS} items, "
-            f"got --items {args.items}")
+    _check_cap(args.items, "exact share solvers")
     columns = list(BENCH_COLUMNS)
     if args.timings:
         columns.append("wall_time_us")
@@ -392,8 +387,7 @@ def _emit(obj, output) -> None:
     if output:
         dump_json(obj, output)
     else:
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(obj, sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,7 +482,7 @@ def main(argv=None) -> int:
     except PropertyCheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (ValueError, PreconditionError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

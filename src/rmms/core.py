@@ -131,42 +131,37 @@ class Bundle:
 EMPTY_BUNDLE = Bundle(0)
 
 
-def _check_item_values(values: tuple[int, ...]) -> list[str]:
-    problems = []
-    for j, val in enumerate(values):
-        if type(val) is not int:
-            problems.append(f"item {j}: value {val!r} is not an integer")
-        elif val < 0:
-            problems.append(f"item {j}: negative value {val}")
-        elif val > MAX_VALUE:
-            problems.append(f"item {j}: value {val} exceeds cap {MAX_VALUE}")
-    return problems
-
-
-def _chunk_sums(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per chunk of 8 items, the subset sums of its items, indexed by the
-    chunk's byte of a mask: at most 256 entries per chunk."""
-    chunks = []
-    for start in range(0, len(values), 8):
-        sums = [0]
-        for value in values[start:start + 8]:
-            sums += [s + value for s in sums]
-        chunks.append(tuple(sums))
-    return tuple(chunks)
+def _check_cap(m: int, subject: str) -> None:
+    """Refuse ``m`` items past ``MAX_EXACT_ITEMS``; ``subject`` names what
+    refuses them, as in "table valuations" or "exact share solvers"."""
+    if m > MAX_EXACT_ITEMS:
+        raise CapExceededError(
+            f"{subject} support at most {MAX_EXACT_ITEMS} items, got {m}")
 
 
 @dataclass(frozen=True)
-class Additive:
-    """Additive valuation: v(S) = sum of per-item values."""
+class _ItemValues:
+    """Per-item values and their chunk sums, shared by the additive classes:
+    v(S) is the sum of the values of the items of S."""
 
     values: tuple[int, ...]
-    kind = "additive"
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        problems = _check_item_values(self.values)
+        problems = self._problems()
         if problems:
             raise ValueError("; ".join(problems))
+
+    def _problems(self) -> list[str]:
+        problems = []
+        for j, val in enumerate(self.values):
+            if type(val) is not int:
+                problems.append(f"item {j}: value {val!r} is not an integer")
+            elif val < 0:
+                problems.append(f"item {j}: negative value {val}")
+            elif val > MAX_VALUE:
+                problems.append(f"item {j}: value {val} exceeds cap {MAX_VALUE}")
+        return problems
 
     @property
     def m(self) -> int:
@@ -174,11 +169,20 @@ class Additive:
 
     @cached_property
     def _chunks(self) -> tuple[tuple[int, ...], ...]:
-        return _chunk_sums(self.values)
+        """Per chunk of 8 items, the subset sums of its items, indexed by
+        the chunk's byte of a mask: at most 256 entries per chunk."""
+        chunks = []
+        for start in range(0, len(self.values), 8):
+            sums = [0]
+            for value in self.values[start:start + 8]:
+                sums += [s + value for s in sums]
+            chunks.append(tuple(sums))
+        return tuple(chunks)
 
     def value_of(self, mask: int) -> int:
-        """v(mask): one lookup in the chunk sums per byte of the mask (see
-        the module docstring). A bit beyond the items raises IndexError."""
+        """The sum of the items of mask: one lookup in the chunk sums per
+        byte of the mask (see the module docstring). A bit beyond the items
+        raises IndexError."""
         chunks = self._chunks
         total = i = 0
         while mask:
@@ -189,44 +193,33 @@ class Additive:
 
 
 @dataclass(frozen=True)
-class CappedAdditive:
+class Additive(_ItemValues):
+    """Additive valuation: v(S) = sum of per-item values."""
+
+    kind = "additive"
+
+
+@dataclass(frozen=True)
+class CappedAdditive(_ItemValues):
     """Additive valuation truncated at a cap: v(S) = min(sum, cap).
 
     Subadditive for any non-negative values and cap.
     """
 
-    values: tuple[int, ...]
     cap: int
     kind = "capped_additive"
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        problems = _check_item_values(self.values)
+    def _problems(self) -> list[str]:
+        problems = super()._problems()
         if type(self.cap) is not int:
             problems.append(f"cap {self.cap!r} is not an integer")
         elif self.cap < 0 or self.cap > MAX_VALUE:
             problems.append(f"cap {self.cap} outside [0, {MAX_VALUE}]")
-        if problems:
-            raise ValueError("; ".join(problems))
-
-    @property
-    def m(self) -> int:
-        return len(self.values)
-
-    @cached_property
-    def _chunks(self) -> tuple[tuple[int, ...], ...]:
-        return _chunk_sums(self.values)
+        return problems
 
     def value_of(self, mask: int) -> int:
-        """min(sum, cap), the sum by one lookup in the chunk sums per byte of
-        the mask (see the module docstring). A bit beyond the items raises
-        IndexError."""
-        chunks = self._chunks
-        total = i = 0
-        while mask:
-            total += chunks[i][mask & 255]
-            mask >>= 8
-            i += 1
+        """min(sum, cap)."""
+        total = _ItemValues.value_of(self, mask)
         return total if total < self.cap else self.cap
 
 
@@ -293,10 +286,7 @@ class Table:
         m = size.bit_length() - 1
         if size == 0 or size != 1 << m:
             raise ValueError(f"table length {size} is not a power of two")
-        if m > MAX_EXACT_ITEMS:
-            raise CapExceededError(
-                f"table valuations support at most {MAX_EXACT_ITEMS} items, got {m}"
-            )
+        _check_cap(m, "table valuations")
         if self.validate:
             problems = table_violations(self.values)
             if problems:
@@ -382,6 +372,13 @@ class PartialAllocation:
     @property
     def is_full(self) -> bool:
         return self.pool.mask == 0
+
+
+def _check_shape(inst: Instance, alloc: PartialAllocation) -> None:
+    """Refuse an allocation whose item count or bundle count is not the
+    instance's."""
+    if alloc.m != inst.m or len(alloc.bundles) != inst.n:
+        raise ValueError("allocation does not match instance shape")
 
 
 @dataclass
@@ -539,10 +536,15 @@ def allocation_from_json(d: dict, m: int) -> PartialAllocation:
     )
 
 
+def _write_json(obj, fh) -> None:
+    """The one JSON output format: two-space indents and a final newline."""
+    json.dump(obj, fh, indent=2)
+    fh.write("\n")
+
+
 def dump_json(obj: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        _write_json(obj, fh)
 
 
 def load_json(path) -> dict:

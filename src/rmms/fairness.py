@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, PartialAllocation, Valuation
+from .core import Instance, PartialAllocation, Valuation, _check_shape
 
 ENVY_KINDS = ("EF1", "EFL", "EFX", "EF", "none")
 _INF = float("inf")
@@ -126,11 +126,6 @@ def _strongest(own_val: int, envy: tuple) -> tuple[str, Optional[int]]:
     if own_val < ef:
         return "EF", None
     return "none", None
-
-
-def _check_shape(inst: Instance, alloc: PartialAllocation) -> None:
-    if alloc.m != inst.m or len(alloc.bundles) != inst.n:
-        raise ValueError("allocation does not match instance shape")
 
 
 def _envious(inst: Instance, alloc: PartialAllocation) -> list[tuple]:

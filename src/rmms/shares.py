@@ -212,12 +212,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
-    MAX_EXACT_ITEMS,
     Bundle,
-    CapExceededError,
     Instance,
     InvariantError,
     Valuation,
+    _check_cap,
     _check_range,
 )
 
@@ -247,13 +246,6 @@ class ResidualCheck(NamedTuple):
 def _check_agent(agent: Optional[int], n: int) -> None:
     if agent is not None and not 0 <= agent < n:
         raise ValueError(f"agent must lie in [0, {n}), got agent={agent}")
-
-
-def _check_caps(v: Valuation) -> None:
-    if v.m > MAX_EXACT_ITEMS:
-        raise CapExceededError(
-            f"exact share solvers support at most {MAX_EXACT_ITEMS} items, got {v.m}"
-        )
 
 
 class _Record(NamedTuple):
@@ -471,11 +463,13 @@ def _cover(
     only add items below its lowest scanned item: they hold it, so are as
     heavy. That prunes no split, so the first one found is the same.
     ``failed`` collects the (mask, parts) states that fail under these
-    weights and this bound; pass ``set()`` for a fresh search. ``weights``,
-    any int sequence indexed by mask, must be monotone, so that the family
-    is downward-closed. MXS passes ``memoryview(g)``, which reads Python ints
-    in place: a list would copy all 2^m (40 MiB at m = 20), and the array
-    itself yields numpy scalars, slower to compare."""
+    weights and this bound; pass ``set()`` for a fresh search. It never
+    hits at parts <= 3, but more than halves the calls at parts = 5.
+    ``weights``, any int sequence indexed by mask, must be monotone, so
+    that the family is downward-closed. MXS passes ``memoryview(g)``,
+    which reads Python ints in place: a list would copy all 2^m (40 MiB at
+    m = 20), and the array itself yields numpy scalars, slower to
+    compare."""
     if mask == 0:
         return [0] * parts
     if parts == 1:
@@ -691,7 +685,7 @@ def acceptable_partition(
         raise ValueError(f"need at least one part, got q={q}")
     if t < 0:
         raise ValueError(f"threshold must be non-negative, got t={t}")
-    _check_caps(v)
+    _check_cap(v.m, "exact share solvers")
     _check_range(v, S)
     return _partition(_record(v), S.mask, q, t)
 
@@ -731,7 +725,7 @@ def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareRe
     if n < 1:
         raise ValueError(f"need at least one agent, got n={n}")
     _check_agent(agent, n)
-    _check_caps(v)
+    _check_cap(v.m, "exact share solvers")
     _check_range(v, S)
     return replace(_mms(v, S.mask, n), agent=agent)
 
@@ -848,7 +842,7 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
         raise ValueError(f"need at least one agent, got n={n}")
     if t < 0:
         raise ValueError(f"threshold must be non-negative, got t={t}")
-    _check_caps(v)
+    _check_cap(v.m, "exact share solvers")
     _check_range(v, S)
     rec = _record(v)
     failure = _residual_failure(rec, S.mask, n, t)
@@ -959,7 +953,7 @@ def rmms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareR
     if n < 1:
         raise ValueError(f"need at least one agent, got n={n}")
     _check_agent(agent, n)
-    _check_caps(v)
+    _check_cap(v.m, "exact share solvers")
     _check_range(v, S)
     return replace(_rmms(v, S.mask, n), agent=agent)
 
@@ -1040,7 +1034,7 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
     n, m = inst.n, inst.m
     _check_agent(agent, n)
     v = inst.valuations[agent]
-    _check_caps(v)
+    _check_cap(v.m, "exact share solvers")
     full = (1 << m) - 1
     if n == 1:
         return ShareReport("MXS", v.value_of(full), (Bundle(full),), agent, 1)

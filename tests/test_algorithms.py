@@ -75,6 +75,18 @@ class TestEnvyCycleRun:
             inst, start, alloc, trace
         )
 
+    def test_properties_refuse_a_mis_shaped_allocation(self):
+        # A result with fewer bundles than agents is bad input, named as
+        # such, not an IndexError from reading past its bundles.
+        inst = Instance(2, 2, (Additive((1, 1)), Additive((1, 1))))
+        start = _alloc(2, [0], [], pool=[1])
+        alloc, trace = algorithms.envy_cycle_run(inst, start, QueryLedger())
+        short = _alloc(2, [0, 1])
+        for start_, result in ((start, short), (short, alloc)):
+            with pytest.raises(ValueError, match="does not match instance shape"):
+                algorithms.verify_cycle_run_properties(
+                    inst, start_, result, trace)
+
     def test_comparison_queries_only(self):
         rng = random.Random(9)
         for _ in range(30):

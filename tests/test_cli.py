@@ -486,6 +486,21 @@ def test_generate_instance_rejects_invalid_output(monkeypatch):
         cli.generate_instance(1, 0, 2, 3, "additive", 5)
 
 
+def test_a_key_error_inside_a_command_propagates(tmp_path, monkeypatch):
+    # The JSON loaders name a missing key as a ValueError, so a KeyError
+    # is a bug: it must not exit 2 as if the input were bad.
+    path = write_instance(tmp_path, SMALL)
+    alloc_path = tmp_path / "alloc.json"
+    dump_json({"pool": [], "bundles": [[0], [1, 2]]}, alloc_path)
+
+    def broken(inst, alloc):
+        raise KeyError("efl")
+
+    monkeypatch.setattr(cli.fairness, "certificate", broken)
+    with pytest.raises(KeyError):
+        cli.main(["check", path, str(alloc_path)])
+
+
 def test_main_reuses_one_parser(tmp_path, monkeypatch):
     # Many calls in one process, across subcommands and usage errors, give
     # what a fresh parser per call gives.
@@ -650,6 +665,12 @@ def test_generation_refuses_items_before_it_draws(tmp_path, capsys,
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.count("\n") == 1
     assert err.startswith("error: ") and items in err
+    if code == 3:
+        # bench refuses on its item count before it generates a table.
+        subject = ("table valuations" if command == "gen"
+                   else "exact share solvers")
+        assert err == (f"error: {subject} support at most 20 items, "
+                       f"got {items}\n")
     assert not out.exists()
 
 

@@ -1051,6 +1051,32 @@ def test_cover_work_stays_within_measured_work(monkeypatch):
     assert 0 < reads <= COVER_READS_AT_M_8
 
 
+# _cover calls, recursive ones included, for MXS of every agent of
+# generate_instance(3, 0, 6, 12, "additive", 1): the ladder's witness
+# searches into n - 1 = 5 parts. 3,519 as measured, against 7,827 without
+# the per-search memo of failed states. At n 3-4 the memo never hits, so
+# only an instance with more agents shows what it saves.
+COVER_CALLS_AT_N_6 = 3_519
+
+
+def test_cover_memo_pays_with_more_agents(monkeypatch):
+    from rmms.cli import generate_instance
+
+    calls = 0
+    cover = shares._cover
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return cover(*args)
+
+    monkeypatch.setattr(shares, "_cover", spy)
+    inst = generate_instance(3, 0, 6, 12, "additive", 1)
+    for agent in range(inst.n):
+        mxs(inst, agent)
+    assert 0 < calls <= COVER_CALLS_AT_N_6
+
+
 def test_share_results_go_with_the_valuation():
     # Share results live on the valuation and the record keeps one entry,
     # so once an instance is dropped and the record has moved on, nothing
