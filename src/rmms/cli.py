@@ -33,6 +33,7 @@ from .core import (
     CappedAdditive,
     Table,
     _check_cap,
+    _subset_sums,
     _write_json,
     allocation_from_json,
     allocation_to_json,
@@ -81,15 +82,9 @@ def generate_valuation(rng: np.random.Generator, kind: str, m: int,
         draws = rng.integers(0, max_value + 1, size=size - 1)
         if 2 * m * max_value >= 1 << 63:
             draws = draws.astype(object)  # past int64: exact, if slow
-        base = np.zeros(size, dtype=draws.dtype)
+        base = _subset_sums(values, draws.dtype)
         bump = np.zeros_like(base)
-        popcount = np.zeros(size, dtype=np.int64)
-        # One pass per item i: in the pair view, masks holding i sit at
-        # [:, 1] and the same masks without i at [:, 0].
-        for i, value in enumerate(values):
-            pairs = base.reshape(-1, 2, 1 << i)
-            np.add(pairs[:, 0], value, out=pairs[:, 1])
-            popcount.reshape(-1, 2, 1 << i)[:, 1] += 1
+        popcount = _subset_sums((1,) * m)
         masks = np.arange(size)
         for p in range(1, m + 1):
             layer = masks[popcount == p]
@@ -103,19 +98,26 @@ def generate_valuation(rng: np.random.Generator, kind: str, m: int,
     raise ValueError(f"unknown valuation kind {kind!r}")
 
 
-def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
-                      max_value: int, cap=None) -> Instance:
+def _check_generation(n: int, m: int, kind: str, max_value: int, cap) -> None:
+    """Refuse generation arguments that no instance can satisfy, before
+    any draw or output: a table's generation takes memory in 2^m (154 MB
+    at m = 21), and a run of no instances must refuse them too."""
     if max_value < 0:
         raise ValueError(f"--max-value must be at least 0, got {max_value}")
     if cap is not None and kind != "capped_additive":
         raise ValueError("--cap applies to --kind capped_additive only, "
                          f"not {kind}")
-    # Refused before any draw: a table's generation takes memory in 2^m
-    # (154 MB at m = 21).
     if m < 1:
         raise ValueError(f"--items must be at least 1, got {m}")
     if kind == "table":
         _check_cap(m, "table valuations")
+    if n < 1:
+        raise ValueError(f"need at least one agent, got n={n}")
+
+
+def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
+                      max_value: int, cap=None) -> Instance:
+    _check_generation(n, m, kind, max_value, cap)
     rng = _rng(seed, index)
     vals = tuple(
         generate_valuation(rng, kind, m, max_value, cap) for _ in range(n)
@@ -137,12 +139,11 @@ def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
 def cmd_gen(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
+    spec = args.agents, args.items, args.kind, args.max_value, args.cap
+    _check_generation(*spec)
     out = Path(args.output)
     for idx in range(args.count):
-        inst = generate_instance(
-            args.seed, idx, args.agents, args.items, args.kind,
-            args.max_value, args.cap,
-        )
+        inst = generate_instance(args.seed, idx, *spec)
         if idx == 0:  # so that a refused run leaves nothing behind
             out.mkdir(parents=True, exist_ok=True)
         dump_json(instance_to_json(inst), out / f"instance_{args.seed}_{idx}.json")
@@ -324,14 +325,13 @@ def cmd_bench(args) -> int:
     # row could hold a share: the whole run is refused, not filled with
     # skipped rows.
     _check_cap(args.items, "exact share solvers")
+    spec = args.agents, args.items, args.kind, args.max_value, args.cap
+    _check_generation(*spec)
     columns = list(BENCH_COLUMNS)
     if args.timings:
         columns.append("wall_time_us")
-    tasks = [
-        (args.seed, idx, args.agents, args.items, args.kind,
-         args.max_value, args.cap, args.algorithm, args.timings)
-        for idx in range(args.trials)
-    ]
+    tasks = [(args.seed, idx, *spec, args.algorithm, args.timings)
+             for idx in range(args.trials)]
     if args.jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_bench_one, tasks))

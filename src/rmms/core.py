@@ -14,6 +14,13 @@ entry per byte of S. Integer sums are exact, and the tables hold at most
 built on first use and are not fields: equality, hashing, ``repr`` and the
 JSON form see only the item values.
 
+Every per-item pass over an array indexed by all 2^m masks (the table
+checks here, the search records and transforms of ``shares``) takes its
+views from ``_item_pairs``, the one owner of that layout, or from
+``_bit_views``, built on it. ``_subset_sums`` builds every subset-sum
+array: the generator's additive base, the record's weight sums and the
+popcounts.
+
 The counted queries ``value_query`` and ``compare_query`` check that their
 bundles lie inside the valuation's items and then charge the ledger through
 ``_value`` and ``_compare``. The algorithms call those two directly on the
@@ -24,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,6 +78,44 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+def _item_pairs(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each item i = 0, 1, ..., m - 1 in turn, the pair (masks holding
+    i, the same masks without i) as views of ``a``, a contiguous 1-D array
+    over all 2^m masks: in ``a.reshape(-1, 2, 1 << i)`` the masks holding i
+    sit at [:, 1] and the same masks without i at [:, 0], in ascending mask
+    order. Writing into a view writes into ``a``."""
+    for i in range(a.size.bit_length() - 1):
+        pairs = a.reshape(-1, 2, 1 << i)
+        yield pairs[:, 1], pairs[:, 0]
+
+
+def _subset_sums(weights: Sequence, dtype=np.int64) -> np.ndarray:
+    """The sum of ``weights[j]`` over the items j of every mask, over all
+    2^len(weights) masks, in ``dtype``. Item i doubles the array: masks
+    2^i to 2^(i + 1) - 1 are masks 0 to 2^i - 1 with item i added. Two
+    whole-array calls per item take half the time of a pair-view pass."""
+    sums = np.zeros(1, dtype=dtype)
+    for weight in weights:
+        sums = np.concatenate((sums, sums + weight))
+    return sums
+
+
+def _bit_views(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``_item_pairs`` of ``a`` made once, for passes run many times.
+    Items 0 to 2 get one 1-D strided pair per residue mod 2^(i + 1)
+    instead: as pair views their inner length of 1, 2 or 4 makes a pass
+    several times dearer than a long one."""
+    views = []
+    for i, pair in enumerate(_item_pairs(a)):
+        if i < 3:
+            step = 2 << i
+            views += [(a[r + (1 << i)::step], a[r::step])
+                      for r in range(1 << i)]
+        else:
+            views.append(pair)
+    return views
 
 
 @dataclass(frozen=True, order=True)
@@ -137,6 +182,12 @@ def _check_cap(m: int, subject: str) -> None:
     if m > MAX_EXACT_ITEMS:
         raise CapExceededError(
             f"{subject} support at most {MAX_EXACT_ITEMS} items, got {m}")
+
+
+def _check_agent(agent: Optional[int], n: int) -> None:
+    """Refuse an agent index outside [0, n); None names no agent."""
+    if agent is not None and not 0 <= agent < n:
+        raise ValueError(f"agent must lie in [0, {n}), got agent={agent}")
 
 
 @dataclass(frozen=True)
@@ -253,11 +304,10 @@ def table_violations(values: tuple[int, ...]) -> list[str]:
     # compares it only with smaller masks.
     table = np.zeros(size, dtype=object if found else np.int64)
     table[:end] = checked
-    for i in range(m):
-        pairs = table.reshape(-1, 2, 1 << i)
-        drops = np.zeros(size, dtype=bool)
-        drops.reshape(-1, 2, 1 << i)[:, 1] = pairs[:, 0] > pairs[:, 1]
-        for mask in np.flatnonzero(drops[:end]).tolist():
+    pairs = zip(_item_pairs(table), _item_pairs(np.arange(size)))
+    for i, ((with_item, without), (masks, _)) in enumerate(pairs):
+        drops = masks[without > with_item]
+        for mask in drops[drops < end].tolist():
             smaller = mask ^ (1 << i)
             found.append((mask, i, (
                 f"not monotone: v({sorted(bits_of(smaller))}) = "
@@ -427,9 +477,6 @@ def compare_query(v: Valuation, S: Bundle, T: Bundle, ledger: QueryLedger) -> bo
 class ValidationReport:
     ok: bool
     violations: tuple[dict, ...]
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "violations": [dict(v) for v in self.violations]}
 
 
 def validate_instance(inst: Instance) -> ValidationReport:

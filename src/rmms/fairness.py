@@ -45,7 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, PartialAllocation, Valuation, _check_shape
+from .core import (Instance, PartialAllocation, Valuation, _check_agent,
+                   _check_shape)
 
 ENVY_KINDS = ("EF1", "EFL", "EFX", "EF", "none")
 _INF = float("inf")
@@ -156,6 +157,8 @@ def envy_between(
     if i == j:
         raise ValueError("envy is defined between distinct agents")
     _check_shape(inst, alloc)
+    _check_agent(i, inst.n)
+    _check_agent(j, inst.n)
     other = alloc.bundles[j].mask
     if other == 0:
         return EnvyVerdict(i, j, "none")

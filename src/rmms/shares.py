@@ -25,19 +25,22 @@ Two searches and one lattice kernel do the work.
   ``MXS_LADDER_ITEMS`` items up, and the RMMS bound for tables reads one
   of its rungs at S alone.
 
-The transforms are m in-place passes over an int64 array, one per item i,
-each adding (zeta) or subtracting (Moebius) the masks without i into the
-same masks with i. The Moebius value of zeta(F)^k at X counts the k-tuples
-of members whose union is X, at most (2^k - 1)^m. int64 arithmetic is
-exact modulo 2^64, so that count is read exactly while it stays below
-2^63, even where the power itself wraps: up to ``_exact_factors(m)``
-factors, 5 at m = 12 and 3 at m = 20. A rung further up starts from the
-highest rung within reach, zeta-transformed, as a new base. The ladder
-runs the transforms in work buffers, zeta(F) and the product, 16 bytes
-per mask, and the base once it rebases, with each buffer's (with i,
-without i) views made once (``_bit_views``). Items 0 to 2 get one 1-D
-strided view per residue: as pair views of inner length 1, 2 or 4 they
-cost several normal passes each. ``out=`` arguments keep the products in
+Every per-item pass over an array indexed by all 2^m masks (the record's
+weights, MXS's g, the signs, the maximal-removal mark and the transforms)
+takes its views from ``core._item_pairs``, which owns that layout, and
+``core._subset_sums`` builds the record's weight sums and popcounts. The transforms are m in-place passes over an int64 array, one
+per item i, each adding (zeta) or subtracting (Moebius) the masks without
+i into the same masks with i. The Moebius value of zeta(F)^k at X counts
+the k-tuples of members whose union is X, at most (2^k - 1)^m. int64
+arithmetic is exact modulo 2^64, so that count is read exactly while it
+stays below 2^63, even where the power itself wraps: up to
+``_exact_factors(m)`` factors, 5 at m = 12 and 3 at m = 20. A rung
+further up starts from the highest rung within reach, zeta-transformed,
+as a new base. The ladder runs the transforms in work buffers, zeta(F)
+and the product, 16 bytes per mask, and the base once it rebases, with
+each buffer's (with i, without i) views made once (``core._bit_views``).
+Items 0 to 2 get one 1-D strided view per residue: as pair views of inner
+length 1, 2 or 4 they cost several normal passes each. ``out=`` arguments keep the products in
 the buffers, so a ladder allocates only the boolean rungs it returns. The
 buffers live in the search record: built at the agent's first ladder,
 used by every ladder of its RMMS and MXS, one ladder at a time, and
@@ -216,8 +219,12 @@ from .core import (
     Instance,
     InvariantError,
     Valuation,
+    _bit_views,
+    _check_agent,
     _check_cap,
     _check_range,
+    _item_pairs,
+    _subset_sums,
 )
 
 
@@ -241,11 +248,6 @@ class ResidualCheck(NamedTuple):
     feasible: bool
     k: Optional[int] = None
     removed: Optional[Bundle] = None
-
-
-def _check_agent(agent: Optional[int], n: int) -> None:
-    if agent is not None and not 0 <= agent < n:
-        raise ValueError(f"agent must lie in [0, {n}), got agent={agent}")
 
 
 class _Record(NamedTuple):
@@ -306,49 +308,32 @@ def _record(v: Valuation) -> _Record:
 
 
 def _build_record(v: Valuation) -> _Record:
-    # In the pair view of item i, masks holding i sit at [:, 1] and the same
-    # masks without i at [:, 0].
     if v.kind == "table":
         values = np.array(v.values, dtype=np.int64)
-        weights = []
-        for i in range(v.m):
-            pairs = values.reshape(-1, 2, 1 << i)
-            weights.append(int((pairs[:, 1] - pairs[:, 0]).max()))
-    else:
-        weights = v.values  # a cap only lowers marginals
-    sums = np.zeros(1 << v.m, dtype=np.int64)
-    for i, weight in enumerate(weights):
-        pairs = sums.reshape(-1, 2, 1 << i)
-        np.add(pairs[:, 0], weight, out=pairs[:, 1])
-    if v.kind == "table":
+        sums = _subset_sums([int((with_item - without).max())
+                             for with_item, without in _item_pairs(values)])
         # Lower each weight, last item first, to the least that keeps
         # sums[X] >= v(X) for every X holding it. The anchored search's
         # states hold mostly high items, so those are tightened first.
-        for i in reversed(range(v.m)):
-            pairs = sums.reshape(-1, 2, 1 << i)
-            weight = (values.reshape(-1, 2, 1 << i)[:, 1] - pairs[:, 0]).max()
-            np.add(pairs[:, 0], weight, out=pairs[:, 1])
-    if v.kind == "additive":
-        values = sums
-    elif v.kind == "capped_additive":
-        values = np.minimum(sums, v.cap)
-    values.flags.writeable = False
-    # most[s], the most any s items are worth: for a table, one popcount
-    # layer at a time from a uint8 popcount array; otherwise the s most
-    # valuable items, up to the cap, as the layer scan would double the
-    # cost of an additive record at m = 12.
-    if v.kind == "table":
-        popcount = np.zeros(values.size, dtype=np.uint8)
-        for i in range(v.m):
-            pairs = popcount.reshape(-1, 2, 1 << i)
-            np.add(pairs[:, 0], 1, out=pairs[:, 1])
+        for (with_item, without), (worth, _) in reversed(list(
+                zip(_item_pairs(sums), _item_pairs(values)))):
+            np.add(without, (worth - without).max(), out=with_item)
+        # most[s], the most any s items are worth, one popcount layer at a
+        # time. For the other kinds it is the s most valuable items, up to
+        # the cap, as the layer scan would double the cost of an additive
+        # record at m = 12.
+        popcount = _subset_sums((1,) * v.m, np.uint8)
         most = [int(values[popcount == s].max()) for s in range(v.m + 1)]
+        table = v.values
     else:
-        most = list(accumulate(sorted(weights, reverse=True), initial=0))
+        sums = values = _subset_sums(v.values)  # a cap only lowers marginals
+        most = list(accumulate(sorted(v.values, reverse=True), initial=0))
         if v.kind == "capped_additive":
+            values = np.minimum(sums, v.cap)
             most = [min(value, v.cap) for value in most]
-    table = v.values if v.kind == "table" else tuple(values.tolist())
-    weight_sums = table if v.kind == "additive" else tuple(sums.tolist())
+        table = tuple(values.tolist())
+    values.flags.writeable = False
+    weight_sums = table if values is sums else tuple(sums.tolist())
     return _Record(table, values, weight_sums, most, {}, {}, {})
 
 
@@ -496,24 +481,6 @@ def _cover(
     return None
 
 
-def _bit_views(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(masks holding item i, the same masks without i) view pairs of a
-    1-D array over all 2^m masks, for i = 0, 1, ..., m - 1 in turn. Items
-    0 to 2 get one 1-D strided pair per residue mod 2^(i + 1): as a pair
-    view ``a.reshape(-1, 2, 1 << i)`` their inner length of 1, 2 or 4
-    makes a pass several times dearer than a long one."""
-    views = []
-    for i in range(a.size.bit_length() - 1):
-        if i < 3:
-            step = 2 << i
-            views += [(a[r + (1 << i)::step], a[r::step])
-                      for r in range(1 << i)]
-        else:
-            pairs = a.reshape(-1, 2, 1 << i)
-            views.append((pairs[:, 1], pairs[:, 0]))
-    return views
-
-
 def _zeta(views: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """In place, over the ``_bit_views`` of an array a: a[X] becomes the
     sum of a over the submasks of X."""
@@ -542,12 +509,11 @@ def _moebius_signs(smask: int, m: int) -> np.ndarray:
     all 2^m masks: the dot product of these signs with an array is the
     Moebius transform of that array at S alone."""
     signs = np.ones(1 << m, dtype=np.int64)
-    for i in range(m):
-        pairs = signs.reshape(-1, 2, 1 << i)
+    for i, (with_item, without) in enumerate(_item_pairs(signs)):
         if smask >> i & 1:
-            np.negative(pairs[:, 0], out=pairs[:, 0])
+            np.negative(without, out=without)
         else:
-            pairs[:, 1] = 0
+            with_item.fill(0)
     return signs
 
 
@@ -768,13 +734,11 @@ def _failing(
     if waiting.size > MAXIMAL_FIRST_REMOVALS:
         marked = np.zeros(rec.values.size, dtype=bool)
         marked[waiting] = True
-        # One pass per item i: a mask without i at [:, 0] has the mask with
-        # i at [:, 1] one item above it.
+        # below[X]: some waiting removal is X plus one item.
         below = np.zeros_like(marked)
-        for i in range(marked.size.bit_length() - 1):
-            pairs = below.reshape(-1, 2, 1 << i)
-            np.logical_or(pairs[:, 0], marked.reshape(-1, 2, 1 << i)[:, 1],
-                          out=pairs[:, 0])
+        for (_, below_without), (marked_with, _) in zip(
+                _item_pairs(below), _item_pairs(marked)):
+            np.logical_or(below_without, marked_with, out=below_without)
         removals = waiting[~below[waiting]]
     if removals.size > VALUE_ORDER_REMOVALS:
         removals = removals[np.argsort(rec.values[smask ^ removals],
@@ -1041,14 +1005,11 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
 
     # g[P] is the most the agent values P with one item taken out, so she
     # has no EFX envy toward P iff g[P] <= v(own).
-    # One pass per item i: in the pair view, P holding i sits at [:, 1] and
-    # P without i at [:, 0].
     rec = _record(v)
-    values = rec.values
-    g = np.zeros_like(values)
-    for i in range(m):
-        with_item = g.reshape(-1, 2, 1 << i)[:, 1]
-        np.maximum(with_item, values.reshape(-1, 2, 1 << i)[:, 0], out=with_item)
+    g = np.zeros_like(rec.values)
+    for (with_item, _), (_, without) in zip(_item_pairs(g),
+                                            _item_pairs(rec.values)):
+        np.maximum(with_item, without, out=with_item)
 
     # Split the complement of the own bundle into n-1 bundles none of which
     # the agent EFX-envies. "Not envied" is downward-closed because g is

@@ -626,16 +626,42 @@ BAD_RUNS = {
     "gen_cap_for_additive": ["gen", "--kind", "additive", "--cap", "5"],
     "bench_cap_for_table": [
         "bench", "--kind", "table", "--cap", "5", "--trials", "1"],
+    # A run of no instances refuses the same arguments: it once exited 0,
+    # a bench with a header-only CSV.
+    "gen_negative_max_value_no_count": [
+        "gen", "--max-value", "-1", "--count", "0"],
+    "gen_no_items_no_count": ["gen", "--items", "0", "--count", "0"],
+    "bench_cap_for_additive_no_trials": [
+        "bench", "--kind", "additive", "--cap", "5", "--trials", "0"],
+    "bench_negative_max_value_no_trials": [
+        "bench", "--max-value", "-1", "--trials", "0"],
+    "bench_no_items_no_trials": ["bench", "--items", "0", "--trials", "0"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RUNS))
 def test_bad_generation_arguments_exit_2(tmp_path, capsys, case):
     out = tmp_path / "out"
-    argv = BAD_RUNS[case] + ["--agents", "2", "--items", "3", "-o", str(out)]
+    # The case's own flags come last, so they override these.
+    command, *flags = BAD_RUNS[case]
+    argv = [command, "--agents", "2", "--items", "3", "-o", str(out), *flags]
     err = assert_one_line_error(argv, capsys)
-    assert any(flag in err for flag in BAD_RUNS[case] if flag.startswith("--"))
+    assert any(flag in err for flag in flags if flag.startswith("--"))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, runs", [("gen", "--count"),
+                                           ("bench", "--trials")])
+def test_no_agents_exits_2_and_writes_nothing(tmp_path, capsys, command,
+                                              runs):
+    # bench once wrote its CSV, then refused the summary's ratio bound.
+    out, summary = tmp_path / "out", tmp_path / "summary.json"
+    argv = [command, runs, "0", "--agents", "0", "--items", "6", "-o", str(out)]
+    if command == "bench":
+        argv += ["--summary", str(summary)]
+    err = assert_one_line_error(argv, capsys)
+    assert err == "error: need at least one agent, got n=0\n"
+    assert not out.exists() and not summary.exists()
 
 
 @pytest.mark.parametrize("command, kind, items, code", [

@@ -65,6 +65,14 @@ def test_self_comparison_rejected():
         fairness.envy_between(inst, _alloc(2, [0], [1]), 1, 1)
 
 
+@pytest.mark.parametrize("i, j", [(0, -1), (0, 2), (-1, 0), (2, 0)])
+def test_envy_between_refuses_agents_outside_the_instance(i, j):
+    # -1 once read the last agent's bundle, and 2 raised IndexError.
+    inst = Instance(2, 2, (Additive((1, 1)), Additive((1, 1))))
+    with pytest.raises(ValueError, match=r"agent must lie in \[0, 2\)"):
+        fairness.envy_between(inst, _alloc(2, [0], [1]), i, j)
+
+
 def test_hierarchy_exhaustive_small():
     # EFX => EFL => EF1 over every allocation of every tiny instance.
     for m in (1, 2, 3):

@@ -43,3 +43,17 @@ def test_library_has_no_assert():
              for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_core_item_pairs_reshapes():
+    # Arrays over all 2^m masks have one owner of their layout: every
+    # per-item pass goes through core._item_pairs.
+    found = set()
+    for stem, tree in modules():
+        for node in tree.body:
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "reshape"):
+                    found.add(f"{stem}.{getattr(node, 'name', call.lineno)}")
+    assert found == {"core._item_pairs"}
