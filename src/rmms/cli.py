@@ -99,9 +99,10 @@ def generate_valuation(rng: np.random.Generator, kind: str, m: int,
 
 
 def _check_generation(n: int, m: int, kind: str, max_value: int, cap) -> None:
-    """Refuse generation arguments that no instance can satisfy, before
-    any draw or output: a table's generation takes memory in 2^m (154 MB
-    at m = 21), and a run of no instances must refuse them too."""
+    """Refuse generation arguments before any draw or output: a table's
+    generation takes memory in 2^m (154 MB at m = 21), its largest value
+    follows from the arguments alone, and a run of no instances must
+    refuse them too."""
     if max_value < 0:
         raise ValueError(f"--max-value must be at least 0, got {max_value}")
     if cap is not None and kind != "capped_additive":
@@ -111,6 +112,12 @@ def _check_generation(n: int, m: int, kind: str, max_value: int, cap) -> None:
         raise ValueError(f"--items must be at least 1, got {m}")
     if kind == "table":
         _check_cap(m, "table valuations")
+        # v(all items) is a generated table's largest value: m item values
+        # and one bump per popcount layer, each at most max_value.
+        top = 2 * m * max_value
+        if top > MAX_VALUE:
+            raise ValueError(f"--max-value {max_value} gives table values "
+                             f"up to {top}, past {MAX_VALUE}")
     if n < 1:
         raise ValueError(f"need at least one agent, got n={n}")
 
@@ -122,11 +129,6 @@ def generate_instance(seed: int, index: int, n: int, m: int, kind: str,
     vals = tuple(
         generate_valuation(rng, kind, m, max_value, cap) for _ in range(n)
     )
-    # Generated tables are monotone, so v(all items) is the largest value.
-    top = max((v.values[-1] for v in vals if v.kind == "table"), default=0)
-    if top > MAX_VALUE:
-        raise ValueError(f"--max-value {max_value} gives table values up to "
-                         f"{top}, past {MAX_VALUE}")
     inst = Instance(m=m, n=n, valuations=vals)
     report = validate_instance(inst)
     if not report.ok:
@@ -227,10 +229,8 @@ def _trace_json(trace: algorithms.RunTrace) -> dict:
         "rounds": trace.rounds,
         "matching": trace.matching,
         "last_added": trace.last_added,
-        "value_queries": trace.ledger.value_queries if trace.ledger else None,
-        "comparison_queries": trace.ledger.comparison_queries
-        if trace.ledger
-        else None,
+        "value_queries": trace.ledger.value_queries,
+        "comparison_queries": trace.ledger.comparison_queries,
     }
     if trace.rmms_values is not None:
         out["rmms_values"] = trace.rmms_values
@@ -257,11 +257,24 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
+# The valuation class whose shares.ratio_bound holds for each generated
+# kind; tables have no guaranteed bound.
+_BOUND_CLASS = {"additive": "additive", "capped_additive": "subadditive",
+                "table": None}
+
 BENCH_COLUMNS = [
     "seed", "index", "n", "m", "kind", "algorithm", "status",
     "mms", "mxs", "rmms", "ratio_num", "ratio_den", "ratio_decimal",
     "efx", "efl", "ef1", "value_queries", "comparison_queries",
 ]
+
+
+def _fraction_json(f):
+    """An exact ratio as written out: numerator, denominator and decimal."""
+    if f is None:
+        return None
+    return {"num": f.numerator, "den": f.denominator,
+            "decimal": f"{float(f):.6f}"}
 
 
 def _bench_one(task) -> dict:
@@ -291,10 +304,9 @@ def _bench_one(task) -> dict:
             inst, PartialAllocation.empty(m, n), ledger
         )
     elapsed_us = int((time.perf_counter() - started) * 1e6)
-    ratios = [
-        Fraction(r, mm) for r, mm in zip(rmms_vals, mms_vals) if mm > 0
-    ]
-    ratio = min(ratios) if ratios else None
+    ratio = min((Fraction(r, mm) for r, mm in zip(rmms_vals, mms_vals)
+                 if mm > 0), default=None)
+    exact = _fraction_json(ratio) or {"num": "", "den": "", "decimal": ""}
     cert = fairness.certificate(inst, alloc)
     row.update(
         {
@@ -302,9 +314,9 @@ def _bench_one(task) -> dict:
             "mms": "|".join(map(str, mms_vals)),
             "mxs": "|".join(map(str, mxs_vals)),
             "rmms": "|".join(map(str, rmms_vals)),
-            "ratio_num": ratio.numerator if ratio is not None else "",
-            "ratio_den": ratio.denominator if ratio is not None else "",
-            "ratio_decimal": f"{float(ratio):.6f}" if ratio is not None else "",
+            # Not a column: cmd_bench's summary takes the least of these.
+            "ratio": ratio,
+            **{f"ratio_{key}": value for key, value in exact.items()},
             "efx": int(cert["efx"]),
             "efl": int(cert["efl"]),
             "ef1": int(cert["ef1"]),
@@ -345,37 +357,18 @@ def cmd_bench(args) -> int:
             writer.writerow(row)
 
     if args.summary:
-        ratios = [
-            Fraction(int(r["ratio_num"]), int(r["ratio_den"]))
-            for r in rows
-            if r.get("ratio_num") != ""
-        ]
-        observed = min(ratios) if ratios else None
-        if args.kind == "additive":
-            bound = shares.ratio_bound(args.agents, "additive")
-        elif args.kind == "capped_additive":
-            bound = shares.ratio_bound(args.agents, "subadditive")
-        else:
-            bound = None
+        observed = min((r["ratio"] for r in rows if r["ratio"] is not None),
+                       default=None)
+        bound_class = _BOUND_CLASS[args.kind]
+        bound = (shares.ratio_bound(args.agents, bound_class)
+                 if bound_class else None)
         summary = {
             "trials": args.trials,
             # Runs past the item cap are refused, so every row completes.
             "completed": len(rows),
             "skipped": 0,
-            "min_rmms_over_mms": {
-                "num": observed.numerator,
-                "den": observed.denominator,
-                "decimal": f"{float(observed):.6f}",
-            }
-            if observed is not None
-            else None,
-            "guaranteed_bound": {
-                "num": bound.numerator,
-                "den": bound.denominator,
-                "decimal": f"{float(bound):.6f}",
-            }
-            if bound is not None
-            else None,
+            "min_rmms_over_mms": _fraction_json(observed),
+            "guaranteed_bound": _fraction_json(bound),
         }
         dump_json(summary, args.summary)
     return EXIT_OK
@@ -398,14 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate instance files")
-    p.add_argument("--agents", type=int, required=True)
-    p.add_argument("--items", type=int, required=True)
-    p.add_argument("--kind", choices=["additive", "capped_additive", "table"],
-                   default="additive")
-    p.add_argument("--max-value", type=int, default=10)
-    p.add_argument("--cap", type=int, default=None,
-                   help="cap for capped_additive (random if omitted)")
+    # The generation arguments of gen and bench, checked by
+    # _check_generation.
+    generation = argparse.ArgumentParser(add_help=False)
+    generation.add_argument("--agents", type=int, required=True)
+    generation.add_argument("--items", type=int, required=True)
+    generation.add_argument("--kind", default="additive",
+                            choices=["additive", "capped_additive", "table"])
+    generation.add_argument("--max-value", type=int, default=10)
+    generation.add_argument("--cap", type=int, default=None,
+                            help="cap for capped_additive (random if omitted)")
+
+    p = sub.add_parser("gen", parents=[generation],
+                       help="generate instance files")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("-o", "--output", required=True, help="output directory")
@@ -446,13 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="batch experiment harness")
-    p.add_argument("--agents", type=int, required=True)
-    p.add_argument("--items", type=int, required=True)
-    p.add_argument("--kind", choices=["additive", "capped_additive", "table"],
-                   default="additive")
-    p.add_argument("--max-value", type=int, default=10)
-    p.add_argument("--cap", type=int, default=None)
+    p = sub.add_parser("bench", parents=[generation],
+                       help="batch experiment harness")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--algorithm",

@@ -87,6 +87,38 @@ class TestEnvyCycleRun:
                 algorithms.verify_cycle_run_properties(
                     inst, start_, result, trace)
 
+    # The rotation example's run with its trace and result doctored, one
+    # guarantee at a time: (matching, final bundles, pool, last_added).
+    @pytest.mark.parametrize("matching, bundles, pool, last_added, failure", [
+        ([1, 1, 0], ([1, 3], [2], [0]), [], [3, None, None],
+         "matching [1, 1, 0] is not a permutation"),
+        ([1, 2, 0], ([3], [2], [0]), [1], [3, None, None],
+         "start bundle 1 not contained in final bundle 0"),
+        ([0, 2, 1], ([0], [2], [1]), [3], [None, None, None],
+         "agent 2 lost value against her start bundle"),
+        ([1, 2, 0], ([1, 3], [2], [0]), [], [None, None, None],
+         "last_added[0] inconsistent with bundle growth"),
+        ([2, 1, 0], ([2, 3], [1], [0]), [], [3, None, None],
+         "agent 1 envies bundle 0 even without its last item"),
+    ])
+    def test_properties_report_each_broken_guarantee(
+            self, matching, bundles, pool, last_added, failure):
+        inst = Instance(4, 3, (
+            Additive((1, 5, 0, 1)),
+            Additive((0, 1, 5, 1)),
+            Additive((5, 0, 1, 1)),
+        ))
+        start = _alloc(4, [0], [1], [2], pool=[3])
+        alloc, trace = algorithms.envy_cycle_run(inst, start, QueryLedger())
+        assert (alloc, trace.matching, trace.last_added) == (
+            _alloc(4, [1, 3], [2], [0]), [1, 2, 0], [3, None, None])
+        assert not algorithms.verify_cycle_run_properties(
+            inst, start, alloc, trace)
+        trace.matching, trace.last_added = matching, last_added
+        result = _alloc(4, *bundles, pool=pool)
+        assert algorithms.verify_cycle_run_properties(
+            inst, start, result, trace) == [failure]
+
     def test_comparison_queries_only(self):
         rng = random.Random(9)
         for _ in range(30):

@@ -208,6 +208,27 @@ def test_bench_csv_golden(tmp_path, algorithm, kind):
     assert digest == BENCH_GOLDEN[(algorithm, kind)]
 
 
+# sha256 of `rmms bench --agents 3 --items 6 --trials 4 --seed 2026 --summary
+# FILE` per kind. They pin the observed minimum ratio and the guaranteed bound
+# of each kind (additive, subadditive, none for tables) byte for byte.
+BENCH_SUMMARY_GOLDEN = {
+    "additive": "704c76b68f16375683ed0c780419bf59f6eeda0caff087f058adb54b4ba96c43",
+    "capped_additive": "801fae85fde0b7d598d0771aca6cbf436b3e9680f44adc0dc144310458ea51e3",
+    "table": "0433c793b76d36af7ff61663f76f15eaeef57b49d2d71b1b5efc683486a2551c",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BENCH_SUMMARY_GOLDEN))
+def test_bench_summary_golden(tmp_path, kind):
+    summary = tmp_path / "summary.json"
+    code, _ = run(["bench", "--agents", "3", "--items", "6", "--kind", kind,
+                   "--trials", "4", "--seed", "2026",
+                   "-o", str(tmp_path / "bench.csv"), "--summary", str(summary)])
+    assert code == 0
+    digest = hashlib.sha256(summary.read_bytes()).hexdigest()
+    assert digest == BENCH_SUMMARY_GOLDEN[kind]
+
+
 # sha256 over indices 0-19 of `rmms allocate --algorithm rmms-efx --trace
 # FILE` on generate_instance(2026, index, n, m, kind, 10). Each set takes
 # final-matching, deficiency-matching and upgrade rounds, so they pin every
@@ -354,6 +375,18 @@ class TestVerify:
             "rmms_le_mms", "additive_ratio",
         ]
 
+    def test_a_failed_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        brute = cli.oracle.brute_mms
+        monkeypatch.setattr(cli.oracle, "brute_mms",
+                            lambda v, S, n: brute(v, S, n) + 1)
+        path = write_instance(tmp_path, SMALL)
+        assert run(["verify", path, "--assert"])[0] == 4
+        out, err = capsys.readouterr()
+        failed = {c["name"]: c["failed"] for c in json.loads(out)["checks"]}
+        assert failed["shares_agreement"] == 2
+        assert sum(failed.values()) == 2
+        assert err == "error: 2 corpus check(s) failed\n"
+
     def test_unknown_check_exits_2(self, tmp_path):
         path = write_instance(tmp_path, SMALL)
         code, _ = run(["verify", path, "--checks", "bogus"])
@@ -466,7 +499,8 @@ def test_table_generation_matches_the_loop():
     for m, seed in itertools.product(range(1, 9), range(3)):
         for max_value in (1, 10, 1000) + ((2 ** 60,) if m <= 4 else ()):
             fast, loop = cli._rng(seed, m), cli._rng(seed, m)
-            # Item values past the cap are rejected, table values only later.
+            # Item values past the cap are rejected here; table values
+            # are refused by cli._check_generation, before any draw.
             middle = "additive" if max_value <= 1000 else "table"
             for kind in ("table", middle, "table", "table"):
                 got = cli.generate_valuation(fast, kind, m, max_value, None)
@@ -574,6 +608,16 @@ BAD_INSTANCES = {
         {"kind": "table", "values": [0, True, 1, 2, 1, 2, 2, 3]}),
     "table_entry_string": _with_valuation(
         {"kind": "table", "values": [0, 1, 1, 2, 1, "2", 2, 3]}),
+    "m_zero": {**SMALL, "m": 0},
+    "value_negative": _with_valuation({"kind": "additive", "values": [-1, 1, 1]}),
+    "value_past_max": _with_valuation(
+        {"kind": "additive", "values": [2 ** 31 + 1, 1, 1]}),
+    "cap_negative": _with_valuation(
+        {"kind": "capped_additive", "values": [3, 1, 1], "cap": -1}),
+    "cap_past_max": _with_valuation(
+        {"kind": "capped_additive", "values": [3, 1, 1], "cap": 2 ** 31 + 1}),
+    "table_length_6": _with_valuation(
+        {"kind": "table", "values": [0, 1, 1, 2, 1, 2]}),
 }
 
 
@@ -610,12 +654,19 @@ def test_malformed_allocation_exits_2(tmp_path, capsys, case):
 
 
 BAD_RUNS = {
-    # Generated table values reach about 2 * m * max-value, past the cap.
+    # Generated table values reach 2 * m * max-value, past the cap.
     "gen_table_past_max_value": [
         "gen", "--kind", "table", "--max-value", "1000000000"],
     "bench_table_past_max_value": [
         "bench", "--kind", "table", "--max-value", "1000000000",
         "--trials", "1"],
+    # Refused on that ceiling, whatever the draws: these runs once left 20
+    # instance files behind, and exited 0 with no trials.
+    "gen_table_past_max_value_some_draws_fit": [
+        "gen", "--kind", "table", "--max-value", "460000000", "--count", "30"],
+    "bench_table_past_max_value_no_trials": [
+        "bench", "--kind", "table", "--max-value", "1000000000",
+        "--trials", "0"],
     "gen_negative_count": ["gen", "--count", "-1"],
     "bench_negative_trials": ["bench", "--trials", "-1"],
     "bench_no_jobs": ["bench", "--trials", "1", "--jobs", "0"],
@@ -640,7 +691,12 @@ BAD_RUNS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RUNS))
-def test_bad_generation_arguments_exit_2(tmp_path, capsys, case):
+def test_bad_generation_arguments_exit_2(tmp_path, capsys, monkeypatch,
+                                         case):
+    def no_draws(seed, index):
+        raise AssertionError("drew values for a refused run")
+
+    monkeypatch.setattr(cli, "_rng", no_draws)
     out = tmp_path / "out"
     # The case's own flags come last, so they override these.
     command, *flags = BAD_RUNS[case]

@@ -11,6 +11,7 @@ from rmms.core import (
     Instance,
     PartialAllocation,
     Table,
+    instance_to_json,
 )
 from rmms import oracle, shares
 from rmms.oracle import (
@@ -252,6 +253,23 @@ class TestVerifyCorpus:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             verify_corpus([], checks=["made_up"])
+
+    def test_a_solver_oracle_mismatch_is_recorded(self, monkeypatch):
+        # An oracle off by one: every agent's shares disagree, and each
+        # failure names its agent and carries the instance for replay.
+        brute = oracle.brute_mms
+        monkeypatch.setattr(oracle, "brute_mms",
+                            lambda v, S, n: brute(v, S, n) + 1)
+        inst = Instance(3, 2, (Additive((3, 1, 1)), Additive((1, 1, 3))))
+        report = verify_corpus([inst], checks=["shares_agreement"])
+        assert report["checks"] == [{
+            "name": "shares_agreement", "passed": 0, "failed": 2,
+            "failures": [
+                {"instance": instance_to_json(inst), "agent": agent,
+                 "detail": "solver/oracle mismatch"}
+                for agent in (0, 1)
+            ],
+        }]
 
     def test_failures_are_serialized(self):
         # Force a failure by abusing the additive check on a capped valuation

@@ -99,6 +99,21 @@ def test_bundle_outside_the_items_is_rejected(call):
         call(Additive((1, 2, 3)), Bundle(0b1000))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda v, S: acceptable_partition(v, S, 0, 1), "one part, got q=0"),
+    (lambda v, S: acceptable_partition(v, S, 2, -1), "non-negative, got t=-1"),
+    (lambda v, S: is_residual_feasible(v, S, 0, 1), "one agent, got n=0"),
+    (lambda v, S: is_residual_feasible(v, S, 2, -1), "non-negative, got t=-1"),
+    (lambda v, S: rmms(v, S, 0), "one agent, got n=0"),
+    (lambda v, S: ratio_bound(0, "additive"), "one agent, got n=0"),
+], ids=["acceptable_partition_q_0", "acceptable_partition_t_-1",
+        "is_residual_feasible_n_0", "is_residual_feasible_t_-1", "rmms_n_0",
+        "ratio_bound_n_0"])
+def test_arguments_outside_their_range_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(Additive((1, 2, 3)), Bundle(0b111))
+
+
 @pytest.mark.parametrize("agent", [-1, 3, 7])
 @pytest.mark.parametrize("share", ["mms", "rmms", "mxs"])
 def test_agent_outside_the_instance_is_rejected(share, agent):
