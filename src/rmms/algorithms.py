@@ -436,6 +436,5 @@ def rmms_efl_full(
     trace.rounds.extend(completion_trace.rounds)
     trace.matching = completion_trace.matching
     trace.last_added = completion_trace.last_added
-    trace.partial = partial
     trace.completion_ledger = completion_ledger
     return result, trace

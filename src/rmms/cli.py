@@ -100,8 +100,8 @@ def generate_valuation(rng: np.random.Generator, kind: str, m: int,
 
 def _check_generation(n: int, m: int, kind: str, max_value: int, cap) -> None:
     """Refuse generation arguments before any draw or output: a table's
-    generation takes memory in 2^m (154 MB at m = 21), its largest value
-    follows from the arguments alone, and a run of no instances must
+    generation takes memory in 2^m (154 MB at m = 21), each kind's largest
+    value follows from the arguments alone, and a run of no instances must
     refuse them too."""
     if max_value < 0:
         raise ValueError(f"--max-value must be at least 0, got {max_value}")
@@ -110,14 +110,23 @@ def _check_generation(n: int, m: int, kind: str, max_value: int, cap) -> None:
                          f"not {kind}")
     if m < 1:
         raise ValueError(f"--items must be at least 1, got {m}")
+    # The largest value the run can generate, and the flag that sets it.
+    flag, given, top = "--max-value", max_value, max_value
     if kind == "table":
         _check_cap(m, "table valuations")
         # v(all items) is a generated table's largest value: m item values
         # and one bump per popcount layer, each at most max_value.
         top = 2 * m * max_value
-        if top > MAX_VALUE:
-            raise ValueError(f"--max-value {max_value} gives table values "
-                             f"up to {top}, past {MAX_VALUE}")
+    elif kind == "capped_additive":
+        if cap is None:  # drawn up to the item sum
+            top = m * max_value
+        elif cap < 0:
+            raise ValueError(f"--cap must be at least 0, got {cap}")
+        elif cap > max_value:
+            flag, given, top = "--cap", cap, cap
+    if top > MAX_VALUE:
+        raise ValueError(f"{flag} {given} gives {kind} values up to {top}, "
+                         f"past {MAX_VALUE}")
     if n < 1:
         raise ValueError(f"need at least one agent, got n={n}")
 
@@ -190,13 +199,18 @@ def cmd_shares(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    inst = _load_instance(args.instance)
-    alloc = allocation_from_json(load_json(args.allocation), inst.m)
+def _load_allocation(path: str, inst: Instance) -> PartialAllocation:
+    alloc = allocation_from_json(load_json(path), inst.m)
     if alloc.n != inst.n:
         raise ValueError(
             f"allocation has {alloc.n} bundles, instance has {inst.n} agents"
         )
+    return alloc
+
+
+def cmd_check(args) -> int:
+    inst = _load_instance(args.instance)
+    alloc = _load_allocation(args.allocation, inst)
     cert = fairness.certificate(inst, alloc)
     _emit(cert, args.output)
     if args.require and not cert[args.require]:
@@ -204,20 +218,31 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+# The algorithms allocate and bench run; the last is the default.
+_ALGORITHMS = ("envy-cycle", "rmms-efx", "rmms-efl")
+
+
+def _run(algorithm: str, inst: Instance, ledger: QueryLedger, start=None,
+         completion_ledger=None):
+    """Run the named algorithm: envy-cycle from ``start`` or from nothing,
+    and rmms-efl with its completion counted on ``completion_ledger``, or
+    on a ledger of its own."""
+    if algorithm == "envy-cycle":
+        if start is None:
+            start = PartialAllocation.empty(inst.m, inst.n)
+        return algorithms.envy_cycle_run(inst, start, ledger)
+    if algorithm == "rmms-efx":
+        return algorithms.rmms_efx_partial(inst, ledger)
+    return algorithms.rmms_efl_full(inst, ledger, completion_ledger)
+
+
 def cmd_allocate(args) -> int:
     if args.start and args.algorithm != "envy-cycle":
         raise ValueError("--start applies to --algorithm envy-cycle only, "
                          f"not {args.algorithm}")
     inst = _load_instance(args.instance)
-    ledger = QueryLedger()
-    if args.algorithm == "envy-cycle":
-        start = (allocation_from_json(load_json(args.start), inst.m)
-                 if args.start else PartialAllocation.empty(inst.m, inst.n))
-        alloc, trace = algorithms.envy_cycle_run(inst, start, ledger)
-    elif args.algorithm == "rmms-efx":
-        alloc, trace = algorithms.rmms_efx_partial(inst, ledger)
-    else:
-        alloc, trace = algorithms.rmms_efl_full(inst, ledger)
+    start = _load_allocation(args.start, inst) if args.start else None
+    alloc, trace = _run(args.algorithm, inst, QueryLedger(), start)
     _emit(allocation_to_json(alloc), args.output)
     if args.trace:
         dump_json(_trace_json(trace), args.trace)
@@ -257,11 +282,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
-# The valuation class whose shares.ratio_bound holds for each generated
-# kind; tables have no guaranteed bound.
-_BOUND_CLASS = {"additive": "additive", "capped_additive": "subadditive",
-                "table": None}
-
 BENCH_COLUMNS = [
     "seed", "index", "n", "m", "kind", "algorithm", "status",
     "mms", "mxs", "rmms", "ratio_num", "ratio_den", "ratio_decimal",
@@ -294,15 +314,8 @@ def _bench_one(task) -> dict:
         mms_vals.append(shares.mms(v, inst.all_items, n).value)
         rmms_vals.append(shares.rmms(v, inst.all_items, n).value)
         mxs_vals.append(shares.mxs(inst, i).value)
-    if algorithm == "rmms-efx":
-        alloc, _ = algorithms.rmms_efx_partial(inst, ledger)
-    elif algorithm == "rmms-efl":
-        # One ledger counts the queries of both phases.
-        alloc, _ = algorithms.rmms_efl_full(inst, ledger, ledger)
-    else:
-        alloc, _ = algorithms.envy_cycle_run(
-            inst, PartialAllocation.empty(m, n), ledger
-        )
+    # One ledger counts the queries of both phases of rmms-efl.
+    alloc, _ = _run(algorithm, inst, ledger, completion_ledger=ledger)
     elapsed_us = int((time.perf_counter() - started) * 1e6)
     ratio = min((Fraction(r, mm) for r, mm in zip(rmms_vals, mms_vals)
                  if mm > 0), default=None)
@@ -359,9 +372,10 @@ def cmd_bench(args) -> int:
     if args.summary:
         observed = min((r["ratio"] for r in rows if r["ratio"] is not None),
                        default=None)
-        bound_class = _BOUND_CLASS[args.kind]
-        bound = (shares.ratio_bound(args.agents, bound_class)
-                 if bound_class else None)
+        # The tightest class's guarantee; tables have none.
+        classes = shares._KIND_CLASSES[args.kind]
+        bound = (shares.ratio_bound(args.agents, classes[0])
+                 if classes else None)
         summary = {
             "trials": args.trials,
             # Runs past the item cap are refused, so every row completes.
@@ -416,11 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_shares)
 
+    algorithm = {"choices": _ALGORITHMS, "default": _ALGORITHMS[-1]}
+
     p = sub.add_parser("allocate", help="run an allocation algorithm")
     p.add_argument("instance")
-    p.add_argument("--algorithm",
-                   choices=["envy-cycle", "rmms-efx", "rmms-efl"],
-                   default="rmms-efl")
+    p.add_argument("--algorithm", **algorithm)
     p.add_argument("--start", default=None,
                    help="starting partial allocation (envy-cycle only)")
     p.add_argument("--trace", default=None, help="write trace JSON here")
@@ -448,9 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="batch experiment harness")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--algorithm",
-                   choices=["envy-cycle", "rmms-efx", "rmms-efl"],
-                   default="rmms-efl")
+    p.add_argument("--algorithm", **algorithm)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timings", action="store_true",
                    help="add wall-clock column (breaks byte-identical reruns)")

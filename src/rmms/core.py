@@ -14,6 +14,13 @@ entry per byte of S. Integer sums are exact, and the tables hold at most
 built on first use and are not fields: equality, hashing, ``repr`` and the
 JSON form see only the item values.
 
+State derived from a valuation elsewhere lives the same way, in the
+valuation's own ``__dict__``: by identity, as long as the valuation lives,
+and outside its equality, hash, ``repr`` and JSON form. ``_kept(v, name)``
+is the one way in, one dict per name: ``shares`` keeps its results under
+``"_shares"``, and ``fairness`` its envy thresholds under ``"_envy"``, one
+entry per non-empty bundle asked about, so at most 2^m - 1.
+
 Every per-item pass over an array indexed by all 2^m masks (the table
 checks here, the search records and transforms of ``shares``) takes its
 views from ``_item_pairs``, the one owner of that layout, or from
@@ -188,6 +195,12 @@ def _check_agent(agent: Optional[int], n: int) -> None:
     """Refuse an agent index outside [0, n); None names no agent."""
     if agent is not None and not 0 <= agent < n:
         raise ValueError(f"agent must lie in [0, {n}), got agent={agent}")
+
+
+def _kept(v: Valuation, name: str) -> dict:
+    """The dict kept under ``name`` in v's own ``__dict__`` (see the module
+    docstring), made empty on first use."""
+    return vars(v).setdefault(name, {})
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,8 @@ bundle B under a valuation v, an own bundle worth x has
 
 Each threshold is its definition's quantifier folded over the items of B,
 so it does not depend on x. ``_thresholds`` computes them once per
-(valuation, B) and keeps them in ``vars(v)["_envy"]`` by mask, the way
-``core`` keeps ``_chunks`` and ``shares`` its results: they live as long
-as the valuation, by identity, outside its equality, hash, repr and JSON,
-and a valuation holds at most one entry per non-empty bundle asked about,
-so at most 2^m - 1. Keying by own value as well would hold up to 2^m
+(valuation, B) and keeps them by mask in the valuation's ``core._kept``
+dict ``"_envy"``. Keying by own value as well would hold up to 2^m
 entries per distinct own value. ``_envious`` makes one pass over the
 ordered pairs and keeps those whose own value falls below some threshold;
 ``certificate`` and the ``is_*`` predicates read that list, and
@@ -46,7 +43,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (Instance, PartialAllocation, Valuation, _check_agent,
-                   _check_shape)
+                   _check_shape, _kept)
 
 ENVY_KINDS = ("EF1", "EFL", "EFX", "EF", "none")
 _INF = float("inf")
@@ -64,12 +61,6 @@ class EnvyVerdict:
     envied: int
     kind: str
     witness: Optional[int] = None
-
-
-def _memo(v: Valuation) -> dict:
-    """v's thresholds by bundle mask, kept in v's own dict. Callers try
-    ``vars(v).get("_envy")`` first, which saves a Python call."""
-    return vars(v).setdefault("_envy", {})
 
 
 def _thresholds(v: Valuation, other: int, memo: dict) -> tuple:
@@ -138,7 +129,7 @@ def _envious(inst: Instance, alloc: PartialAllocation) -> list[tuple]:
     masks = [b.mask for b in alloc.bundles]
     found = []
     for i, v in enumerate(inst.valuations):
-        memo = vars(v).get("_envy") or _memo(v)
+        memo = _kept(v, "_envy")
         # An own bundle that has thresholds has its value among them.
         own = memo.get(masks[i])
         own_val = own[4] if own else v.value_of(masks[i])
@@ -163,7 +154,7 @@ def envy_between(
     if other == 0:
         return EnvyVerdict(i, j, "none")
     v = inst.valuations[i]
-    memo = vars(v).get("_envy") or _memo(v)
+    memo = _kept(v, "_envy")
     envy = memo.get(other) or _thresholds(v, other, memo)
     return EnvyVerdict(i, j, *_strongest(v.value_of(alloc.bundles[i].mask), envy))
 

@@ -283,6 +283,7 @@ def verify_corpus(corpus: list[Instance], checks=None) -> dict:
         full = inst.all_items
         n = inst.n
         for i, v in enumerate(inst.valuations):
+            classes = _shares._KIND_CLASSES[v.kind]
             rmms_val = _shares.rmms(v, full, n).value
             mms_val = _shares.mms(v, full, n).value
             # MXS is not kept on the valuation: one search serves both checks.
@@ -298,17 +299,16 @@ def verify_corpus(corpus: list[Instance], checks=None) -> dict:
                     "mxs_le_rmms", mxs_val <= rmms_val, inst, i,
                     f"mxs={mxs_val} > rmms={rmms_val}",
                 )
-            if "additive_ratio" in enabled and v.kind == "additive":
+            if "additive_ratio" in enabled and "additive" in classes:
                 bound = _shares.ratio_bound(n, "additive")
                 ok = rmms_val * bound.denominator >= bound.numerator * mms_val
                 record(
                     "additive_ratio", ok, inst, i,
                     f"rmms={rmms_val} < {bound} * mms={mms_val}",
                 )
-            if "subadditive_ratio" in enabled and v.kind in (
-                "additive", "capped_additive"
-            ):
-                ok = rmms_val * n >= mms_val
+            if "subadditive_ratio" in enabled and "subadditive" in classes:
+                bound = _shares.ratio_bound(n, "subadditive")
+                ok = rmms_val * bound.denominator >= bound.numerator * mms_val
                 record(
                     "subadditive_ratio", ok, inst, i,
                     f"rmms={rmms_val} * {n} < mms={mms_val}",

@@ -69,7 +69,8 @@ part, so ``packed`` keeps the worst part, not t: MMS jumps to it, and checks
 higher up the RMMS search reuse it.
 
 Results live on the valuation: ``_candidate_values``, ``_mms`` and
-``_rmms`` keep them in its own dict (``_on_valuation``) and go with it.
+``_rmms`` keep them in its ``core._kept`` dict ``"_shares"``
+(``_on_valuation``) and go with it.
 RMMS reuses the MMS ceiling and witness, and ``rmms_efx_partial`` the RMMS
 values of the same valuations computed before it. The record is not kept
 there, as keeping every agent's raised the all-agent MMS + RMMS peak RSS
@@ -224,6 +225,7 @@ from .core import (
     _check_cap,
     _check_range,
     _item_pairs,
+    _kept,
     _subset_sums,
 )
 
@@ -272,23 +274,35 @@ class _Record(NamedTuple):
 
 
 def _on_valuation(fn):
-    """Memoize fn(v, *args) in v's own dict, as ``core`` keeps ``_chunks``:
-    by identity, as long as v lives, and outside v's equality and hash.
+    """Memoize fn(v, *args) in v's ``_kept`` dict ``"_shares"``.
     ``fn.kept(v, *args)`` returns the kept result, or None, computing
     nothing."""
     @wraps(fn)
     def memoized(v: Valuation, *args):
-        memo = vars(v).setdefault("_shares", {})
+        memo = _kept(v, "_shares")
         key = (fn.__name__, *args)
         if key not in memo:
             memo[key] = fn(v, *args)
         return memo[key]
 
     def kept(v: Valuation, *args):
-        return vars(v).get("_shares", {}).get((fn.__name__, *args))
+        return _kept(v, "_shares").get((fn.__name__, *args))
 
     memoized.kept = kept
     return memoized
+
+
+def _check_query(v: Valuation, S: Bundle, n: int = 1,
+                 agent: Optional[int] = None, t: int = 0) -> None:
+    """Refuse a share query's arguments, in this order: n, the agent, t,
+    the item cap, then S outside v's items."""
+    if n < 1:
+        raise ValueError(f"need at least one agent, got n={n}")
+    _check_agent(agent, n)
+    if t < 0:
+        raise ValueError(f"threshold must be non-negative, got t={t}")
+    _check_cap(v.m, "exact share solvers")
+    _check_range(v, S)
 
 
 # The one record kept: [valuation, record], keyed by identity.
@@ -649,10 +663,7 @@ def acceptable_partition(
     """
     if q < 1:
         raise ValueError(f"need at least one part, got q={q}")
-    if t < 0:
-        raise ValueError(f"threshold must be non-negative, got t={t}")
-    _check_cap(v.m, "exact share solvers")
-    _check_range(v, S)
+    _check_query(v, S, t=t)
     return _partition(_record(v), S.mask, q, t)
 
 
@@ -688,11 +699,7 @@ def _mms(v: Valuation, smask: int, n: int) -> ShareReport:
 
 def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareReport:
     """Maximin share of S under v for n agents, with a witness partition."""
-    if n < 1:
-        raise ValueError(f"need at least one agent, got n={n}")
-    _check_agent(agent, n)
-    _check_cap(v.m, "exact share solvers")
-    _check_range(v, S)
+    _check_query(v, S, n, agent)
     return replace(_mms(v, S.mask, n), agent=agent)
 
 
@@ -802,12 +809,7 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
     with all parts >= t. On failure, the first offending (k, R) in (k
     ascending, R ascending) order comes back as a counterexample.
     """
-    if n < 1:
-        raise ValueError(f"need at least one agent, got n={n}")
-    if t < 0:
-        raise ValueError(f"threshold must be non-negative, got t={t}")
-    _check_cap(v.m, "exact share solvers")
-    _check_range(v, S)
+    _check_query(v, S, n, t=t)
     rec = _record(v)
     failure = _residual_failure(rec, S.mask, n, t)
     if failure is None:
@@ -914,11 +916,7 @@ def rmms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareR
     depends on t through comparisons against subset values, so scanning the
     distinct subset values suffices.
     """
-    if n < 1:
-        raise ValueError(f"need at least one agent, got n={n}")
-    _check_agent(agent, n)
-    _check_cap(v.m, "exact share solvers")
-    _check_range(v, S)
+    _check_query(v, S, n, agent)
     return replace(_rmms(v, S.mask, n), agent=agent)
 
 
@@ -998,7 +996,7 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
     n, m = inst.n, inst.m
     _check_agent(agent, n)
     v = inst.valuations[agent]
-    _check_cap(v.m, "exact share solvers")
+    _check_query(v, inst.all_items)
     full = (1 << m) - 1
     if n == 1:
         return ShareReport("MXS", v.value_of(full), (Bundle(full),), agent, 1)
@@ -1025,6 +1023,12 @@ def mxs(inst: Instance, agent: int) -> ShareReport:
         value, own, others = _mxs_cover(rec, g, n)
     bundles = others[:agent] + [own] + others[agent:]
     return ShareReport("MXS", value, tuple(Bundle(b) for b in bundles), agent, n)
+
+
+# The valuation classes of each kind, tightest first: the first class's
+# ratio_bound is the kind's guarantee. Tables belong to none.
+_KIND_CLASSES = {"additive": ("additive", "subadditive"),
+                 "capped_additive": ("subadditive",), "table": ()}
 
 
 def ratio_bound(n: int, valuation_class: str) -> Fraction:

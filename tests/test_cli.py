@@ -339,6 +339,20 @@ class TestAllocateCheck:
         assert code == 0
         assert load_json(alloc_path)["pool"] == []
 
+    def test_start_with_wrong_bundle_count_exits_2(self, tmp_path, capsys):
+        # --start once gave "allocation does not match instance shape" where
+        # check names both counts for the same file.
+        path = write_instance(tmp_path, SMALL)
+        start_path = tmp_path / "start.json"
+        dump_json({"pool": [], "bundles": [[0], [1], [2]]}, start_path)
+        alloc_path = tmp_path / "alloc.json"
+        err = assert_one_line_error([
+            "allocate", path, "--algorithm", "envy-cycle",
+            "--start", str(start_path), "-o", str(alloc_path),
+        ], capsys)
+        assert err == "error: allocation has 3 bundles, instance has 2 agents\n"
+        assert not alloc_path.exists()
+
     @pytest.mark.parametrize("algorithm", ["rmms-efx", "rmms-efl"])
     def test_start_with_another_algorithm_exits_2(self, tmp_path, capsys,
                                                   algorithm):
@@ -687,6 +701,19 @@ BAD_RUNS = {
     "bench_negative_max_value_no_trials": [
         "bench", "--max-value", "-1", "--trials", "0"],
     "bench_no_items_no_trials": ["bench", "--items", "0", "--trials", "0"],
+    # Each kind's largest generated value follows from the arguments: item
+    # values up to --max-value, a cap up to --cap or, drawn, up to the item
+    # sum m * max-value. Past 2^31 a run is refused before any draw: these
+    # once left an instance file behind, or exited 0 with no trials.
+    "gen_additive_past_max_value": [
+        "gen", "--max-value", "3000000000", "--count", "30"],
+    "bench_cap_past_max_value_no_trials": [
+        "bench", "--kind", "capped_additive", "--cap", "3000000000",
+        "--trials", "0"],
+    "bench_negative_cap_no_trials": [
+        "bench", "--kind", "capped_additive", "--cap", "-1", "--trials", "0"],
+    "gen_drawn_cap_past_max_value": [
+        "gen", "--kind", "capped_additive", "--max-value", "1000000000"],
 }
 
 

@@ -105,13 +105,30 @@ def test_bundle_outside_the_items_is_rejected(call):
     (lambda v, S: is_residual_feasible(v, S, 0, 1), "one agent, got n=0"),
     (lambda v, S: is_residual_feasible(v, S, 2, -1), "non-negative, got t=-1"),
     (lambda v, S: rmms(v, S, 0), "one agent, got n=0"),
+    (lambda v, S: mms(v, S, 0), "one agent, got n=0"),
     (lambda v, S: ratio_bound(0, "additive"), "one agent, got n=0"),
 ], ids=["acceptable_partition_q_0", "acceptable_partition_t_-1",
         "is_residual_feasible_n_0", "is_residual_feasible_t_-1", "rmms_n_0",
-        "ratio_bound_n_0"])
+        "mms_n_0", "ratio_bound_n_0"])
 def test_arguments_outside_their_range_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call(Additive((1, 2, 3)), Bundle(0b111))
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst, S: mms(inst.valuations[0], S, 2),
+    lambda inst, S: rmms(inst.valuations[0], S, 2),
+    lambda inst, S: is_residual_feasible(inst.valuations[0], S, 2, 1),
+    lambda inst, S: acceptable_partition(inst.valuations[0], S, 2, 1),
+    lambda inst, S: mxs(inst, 0),
+], ids=["mms", "rmms", "is_residual_feasible", "acceptable_partition", "mxs"])
+def test_every_share_entry_point_refuses_past_the_item_cap(call):
+    m = MAX_EXACT_ITEMS + 1
+    inst = Instance(m, 2, tuple(Additive((1,) * m) for _ in range(2)))
+    with pytest.raises(CapExceededError,
+                       match="exact share solvers support at most 20 items, "
+                             "got 21"):
+        call(inst, full(m))
 
 
 @pytest.mark.parametrize("agent", [-1, 3, 7])

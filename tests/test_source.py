@@ -57,3 +57,17 @@ def test_only_core_item_pairs_reshapes():
                         and call.func.attr == "reshape"):
                     found.add(f"{stem}.{getattr(node, 'name', call.lineno)}")
     assert found == {"core._item_pairs"}
+
+
+def test_only_core_kept_reads_a_valuations_dict():
+    # State derived from a valuation lives in its own dict under one name
+    # per module: every module reaches that dict through core._kept.
+    found = set()
+    for stem, tree in modules():
+        for node in tree.body:
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name)
+                        and call.func.id == "vars"):
+                    found.add(f"{stem}.{getattr(node, 'name', call.lineno)}")
+    assert found == {"core._kept"}
