@@ -6,15 +6,24 @@ Envy-cycle elimination and the completion pipeline touch valuations only
 through comparison queries; the share-threshold algorithm needs actual share
 values and therefore uses value queries as well.
 
-Inside the procedures bundles are raw bit masks, and queries go through
-``core._value`` and ``core._compare``, which charge the ledger exactly as
-``value_query`` and ``compare_query`` do but skip their range checks: every
-mask is a subset of the items of the instance, as the input allocation was
-validated against it. ``Bundle`` and ``PartialAllocation`` appear only at
-the API edge, in what the procedures take and return. Envy-cycle
-elimination is the exception: it keeps each agent's values of the current
-bundles across rounds and charges each envy matrix as the n(n - 1)
-comparison queries it stands for.
+Inside the procedures bundles are raw bit masks, and no mask is checked
+against the item range again: every mask is a subset of the items of the
+instance, as the input allocation was validated against it. ``Bundle`` and
+``PartialAllocation`` appear only at the API edge, in what the procedures
+take and return. The share-threshold algorithm queries through
+``core._value``, which charges the ledger exactly as ``value_query`` does.
+
+The EFL completion runs two private kernels on raw masks, ``_preprocess``
+and ``_cycle_run``; ``preprocess_singletons`` and ``envy_cycle_run`` are
+thin wrappers that check the shape and build the allocation, and
+``efl_complete`` calls the kernels directly, so it builds a
+``PartialAllocation`` only for its result. Both kernels read values and
+charge the comparison queries those values stand for. The preprocessing
+reads an agent's own value once per scan of the pool and charges one
+comparison query per pool item it compares. Envy-cycle elimination keeps
+each agent's values of the current bundles across rounds and charges each
+search for an un-envied agent as the n(n - 1) comparison queries of the
+envy matrix.
 """
 from __future__ import annotations
 
@@ -22,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
+    EMPTY_BUNDLE,
     Bundle,
     Instance,
     InvariantError,
@@ -29,7 +39,6 @@ from .core import (
     PreconditionError,
     QueryLedger,
     _check_shape,
-    _compare,
     _value,
     bits_of,
     submasks,
@@ -68,40 +77,53 @@ def envy_cycle_run(
     Uses only comparison queries.
     """
     _check_shape(inst, start)
+    return _cycle_run(
+        inst, start.pool.mask, [b.mask for b in start.bundles], ledger
+    )
+
+
+def _cycle_run(
+    inst: Instance, pool: int, masks: list[int], ledger: QueryLedger
+) -> tuple[PartialAllocation, RunTrace]:
+    """``envy_cycle_run`` on raw masks: the bundle masks, which the run
+    takes over, and the pool mask partition the items."""
     n = inst.n
-    # Bundle records move between agents whole, carrying provenance and the
-    # last item granted to them.
-    records = [
-        {"mask": b.mask, "origin": idx, "last": None}
-        for idx, b in enumerate(start.bundles)
-    ]
-    pool = start.pool.mask
+    # Bundle records move between agents whole, as one index across three
+    # parallel lists: the mask, the start bundle it grew from and the last
+    # item granted to it.
+    origin = list(range(n))
+    last: list[Optional[int]] = [None] * n
     trace = RunTrace(ledger=ledger)
     valuations = inst.valuations
     # worth[i][j] is agent i's value of the bundle agent j holds. A grant
     # changes one bundle and a rotation only moves bundles, so the table is
-    # kept across rounds: it is built at the first envy matrix, the next
-    # grant recomputes one column, and a rotation permutes the columns along
-    # the cycle. Each envy matrix is still charged as the n(n - 1)
-    # comparison queries ``_compare`` would make.
+    # kept across rounds: it is built before the first search for an
+    # un-envied agent, the next grant recomputes one column, and a rotation
+    # permutes the columns along the cycle. Agent i envies j iff
+    # worth[i][i] < worth[i][j], which never holds for j = i. Each search
+    # is still charged as the n(n - 1) comparison queries of the envy
+    # matrix ``_compare`` would fill.
     worth: list[list[int]] = []
 
     while pool:
         if worth:
+            granted = masks[unenvied]
             for v, row in zip(valuations, worth):
-                row[unenvied] = v.value_of(records[unenvied]["mask"])
+                row[unenvied] = v.value_of(granted)
         else:
-            worth = [[v.value_of(r["mask"]) for r in records]
-                     for v in valuations]
+            worth = [[v.value_of(b) for b in masks] for v in valuations]
         while True:
             ledger.comparison_queries += n * (n - 1)
-            envy = [
-                [i != j and row[i] < row[j] for j in range(n)]
-                for i, row in enumerate(worth)
-            ]
-            unenvied = next(
-                (j for j in range(n) if not any(envy[i][j] for i in range(n))), None
-            )
+            own = [row[i] for i, row in enumerate(worth)]
+            # The lowest-index agent nobody envies, or None.
+            for unenvied in range(n):
+                for mine, row in zip(own, worth):
+                    if mine < row[unenvied]:
+                        break
+                else:
+                    break
+            else:
+                unenvied = None
             if unenvied is not None:
                 break
             # Every agent is envied, so walking enviers backwards must loop.
@@ -111,7 +133,7 @@ def envy_cycle_run(
             while cur not in seen:
                 seen[cur] = len(path)
                 path.append(cur)
-                cur = next(i for i in range(n) if envy[i][cur])
+                cur = next(i for i in range(n) if own[i] < worth[i][cur])
             cycle = path[seen[cur]:]
             # Each cycle member envies the one before it (cycle[0] envies
             # cycle[-1]) and takes that member's bundle; agent j ends up
@@ -119,20 +141,20 @@ def envy_cycle_run(
             taken = list(range(n))
             for idx, agent in enumerate(cycle):
                 taken[agent] = cycle[idx - 1]
-            records = [records[j] for j in taken]
+            masks = [masks[j] for j in taken]
+            origin = [origin[j] for j in taken]
+            last = [last[j] for j in taken]
             worth = [[row[j] for j in taken] for row in worth]
             trace.rounds.append({"kind": "rotate", "agents": list(cycle)})
         item = (pool & -pool).bit_length() - 1
         pool ^= 1 << item
-        records[unenvied]["mask"] |= 1 << item
-        records[unenvied]["last"] = item
+        masks[unenvied] |= 1 << item
+        last[unenvied] = item
         trace.rounds.append({"kind": "grant", "agent": unenvied, "item": item})
 
-    result = PartialAllocation(
-        inst.m, Bundle(0), tuple(Bundle(r["mask"]) for r in records)
-    )
-    trace.matching = [r["origin"] for r in records]
-    trace.last_added = [r["last"] for r in records]
+    result = PartialAllocation(inst.m, EMPTY_BUNDLE, tuple(map(Bundle, masks)))
+    trace.matching = origin
+    trace.last_added = last
     return result, trace
 
 
@@ -191,34 +213,43 @@ def preprocess_singletons(
     strictly increases the swapping agent's value and item values are fixed).
     """
     _check_shape(inst, partial)
+    pool, masks = _preprocess(
+        inst, partial.pool.mask, [b.mask for b in partial.bundles], ledger
+    )
+    return PartialAllocation(inst.m, Bundle(pool), tuple(map(Bundle, masks)))
+
+
+def _preprocess(
+    inst: Instance, pool: int, masks: list[int], ledger: QueryLedger
+) -> tuple[int, list[int]]:
+    """``preprocess_singletons`` on raw masks: the bundle masks, which the
+    preprocessing takes over, and the pool mask partition the items.
+
+    An agent's scan of the pool reads her own value once and charges one
+    comparison query per pool item it compares, as ``_compare`` would.
+    """
     n, m = inst.n, inst.m
-    pool = partial.pool.mask
-    bundles = [b.mask for b in partial.bundles]
     swaps = 0
     while True:
-        swapped = False
         for i, v in enumerate(inst.valuations):
-            own = bundles[i]
-            taken = 0
+            own = masks[i]
+            mine = v.value_of(own)
             rest = pool
             while rest:
                 bit = rest & -rest
-                if not _compare(v, own, bit, ledger):
-                    taken = bit
+                ledger.comparison_queries += 1
+                if mine < v.value_of(bit):
                     break
                 rest ^= bit
-            if taken:
-                pool = (pool | own) ^ taken
-                bundles[i] = taken
+            if rest:
+                pool = (pool | own) ^ bit
+                masks[i] = bit
                 swaps += 1
                 if swaps > n * m:
                     raise InvariantError("singleton preprocessing failed to converge")
-                swapped = True
                 break
-        if not swapped:
-            return PartialAllocation(
-                m, Bundle(pool), tuple(Bundle(b) for b in bundles)
-            )
+        else:
+            return pool, masks
 
 
 def efl_complete(
@@ -236,8 +267,13 @@ def efl_complete(
             f"input allocation is not EFL: {violations[0]}"
         )
     before = ledger.value_queries
-    prepped = preprocess_singletons(inst, partial, ledger)
-    result, trace = envy_cycle_run(inst, prepped, ledger)
+    # ``is_efl`` checked the shape. The kernels only move items between the
+    # pool and the bundles, so the result's partition check also covers the
+    # preprocessed allocation, which is never built.
+    pool, masks = _preprocess(
+        inst, partial.pool.mask, [b.mask for b in partial.bundles], ledger
+    )
+    result, trace = _cycle_run(inst, pool, masks, ledger)
     if ledger.value_queries != before:
         raise InvariantError("completion issued a value query")
     trace.partial = partial

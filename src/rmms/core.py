@@ -30,8 +30,10 @@ popcounts.
 
 The counted queries ``value_query`` and ``compare_query`` check that their
 bundles lie inside the valuation's items and then charge the ledger through
-``_value`` and ``_compare``. The algorithms call those two directly on the
-raw masks of allocations already validated against the instance.
+``_value`` and ``_compare``. The share-threshold algorithm calls ``_value``
+directly on the raw masks of allocations already validated against the
+instance; the EFL completion charges its comparisons itself (see
+``algorithms``).
 """
 from __future__ import annotations
 
@@ -423,6 +425,18 @@ class PartialAllocation:
             union |= mask
         if union != full or overlap:
             raise ValueError("pool and bundles must partition the item set")
+
+    @classmethod
+    def _unchecked(
+        cls, m: int, pool: Bundle, bundles: tuple[Bundle, ...]
+    ) -> "PartialAllocation":
+        """The allocation of ``pool`` and the tuple ``bundles``, built
+        without the partition check: only for callers whose bundles
+        partition the m items by construction."""
+        alloc = object.__new__(cls)
+        # A frozen dataclass refuses attribute assignment, not its __dict__.
+        alloc.__dict__.update(m=m, pool=pool, bundles=bundles)
+        return alloc
 
     @classmethod
     def empty(cls, m: int, n: int) -> "PartialAllocation":

@@ -73,14 +73,17 @@ def enumerate_allocations(
         )
     half = m // 2
     lows = list(_slot_masks(range(half, m), base))
+    # Each assignment puts every item in exactly one slot, so the slots
+    # partition the items and the partition check is skipped.
+    unchecked = PartialAllocation._unchecked
     for high in _slot_masks(range(half), base):
         bundles = _Bundles()
         for low in lows:
             slots = tuple(map(bundles.__getitem__, map(or_, high, low)))
             if partial:
-                yield PartialAllocation(m, slots[0], slots[1:])
+                yield unchecked(m, slots[0], slots[1:])
             else:
-                yield PartialAllocation(m, EMPTY_BUNDLE, slots)
+                yield unchecked(m, EMPTY_BUNDLE, slots)
 
 
 def _check_brute_caps(m: int, n: int) -> None:

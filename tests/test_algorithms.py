@@ -236,6 +236,42 @@ class TestPreprocessSingletons:
                     assert v.value_of(out.bundles[i].mask) >= v.value_of(1 << e)
 
 
+    def test_matches_a_run_that_compares_through_the_ledger(self):
+        # The preprocessing reads each agent's own value once per scan of
+        # the pool. The reference compares each pool item through
+        # ``core._compare``, which reads both values at every comparison.
+        def reference(inst, start, ledger):
+            pool = start.pool.mask
+            bundles = [b.mask for b in start.bundles]
+            while True:
+                for i, v in enumerate(inst.valuations):
+                    taken = next((1 << e for e in core.bits_of(pool)
+                                  if not core._compare(
+                                      v, bundles[i], 1 << e, ledger)), 0)
+                    if taken:
+                        pool = (pool | bundles[i]) ^ taken
+                        bundles[i] = taken
+                        break
+                else:
+                    return pool, bundles
+
+        rng = random.Random(17)
+        swapped = 0
+        for trial in range(300):
+            kind = ("additive", "capped_additive", "table")[trial % 3]
+            n, m = rng.randint(1, 5), rng.randint(1, 8)
+            inst = cli.generate_instance(17, trial, n, m, kind, 6)
+            start = random_partial(rng, inst)
+            ledger, expected_ledger = QueryLedger(), QueryLedger()
+            out = algorithms.preprocess_singletons(inst, start, ledger)
+            got = (out.pool.mask, [b.mask for b in out.bundles])
+            assert got == reference(inst, start, expected_ledger), (
+                trial, kind, n, m)
+            assert ledger == expected_ledger, (trial, kind, n, m)
+            swapped += out != start
+        assert swapped
+
+
 class TestEflComplete:
     def test_full_efl_input_unchanged(self):
         inst = Instance(2, 2, (Additive((1, 1)), Additive((1, 1))))
@@ -288,6 +324,34 @@ class TestEflComplete:
                 assert v.value_of(out.bundles[i].mask) >= v.value_of(
                     start.bundles[i].mask
                 )
+
+
+    @pytest.mark.parametrize("kind", ["additive", "capped_additive", "table"])
+    def test_equals_preprocessing_then_cycle_run(self, kind):
+        # efl_complete runs the two kernels without building the allocation
+        # between them; the public pieces build and check it.
+        completed = 0
+        for n in range(1, 5):
+            for m in range(1, 6):
+                inst = cli.generate_instance(26, 0, n, m, kind, 10)
+                for partial in oracle.enumerate_allocations(inst, partial=True):
+                    if not fairness.is_efl(inst, partial)[0]:
+                        continue
+                    fused_ledger, pieces_ledger = QueryLedger(), QueryLedger()
+                    got, trace = algorithms.efl_complete(
+                        inst, partial, fused_ledger)
+                    want, want_trace = algorithms.envy_cycle_run(
+                        inst,
+                        algorithms.preprocess_singletons(
+                            inst, partial, pieces_ledger),
+                        pieces_ledger)
+                    assert (got, trace.rounds, trace.matching,
+                            trace.last_added) == (
+                        want, want_trace.rounds, want_trace.matching,
+                        want_trace.last_added), (n, m, partial)
+                    assert fused_ledger == pieces_ledger, (n, m, partial)
+                    completed += 1
+        assert completed
 
 
 class TestRmmsEfxPartial:

@@ -13,7 +13,7 @@ from rmms.core import (
     Table,
     instance_to_json,
 )
-from rmms import oracle, shares
+from rmms import cli, oracle, shares
 from rmms.oracle import (
     brute_mms,
     brute_mxs,
@@ -78,22 +78,22 @@ class TestEnumerateAllocations:
         assert allocs == [PartialAllocation(
             40, Bundle(), (Bundle((1 << 40) - 1),))]
 
-    def test_yields_validated_allocations(self, monkeypatch):
-        checked = []
-        check = PartialAllocation.__post_init__
-
-        def counted(alloc):
-            check(alloc)
-            checked.append(alloc)
-
-        monkeypatch.setattr(PartialAllocation, "__post_init__", counted)
-        inst = Instance(4, 3, tuple(Additive((1, 2, 3, 4)) for _ in range(3)))
-        allocs = list(enumerate_allocations(inst, partial=True))
-        assert len(allocs) == 4 ** 4
-        assert [id(a) for a in checked] == [id(a) for a in allocs]
-        for alloc in allocs:
-            assert type(alloc) is PartialAllocation
-            assert all(type(b) is Bundle for b in (alloc.pool, *alloc.bundles))
+    def test_yields_allocations_the_public_constructor_accepts(self):
+        # The enumerator skips the partition check, as its slots partition
+        # the items by construction: each allocation it yields must equal
+        # the one the validating constructor builds from the same parts.
+        for kind in ("additive", "capped_additive", "table"):
+            for n in range(1, 5):
+                for m in range(1, 6):
+                    inst = cli.generate_instance(6, 0, n, m, kind, 10)
+                    for partial in (False, True):
+                        for alloc in enumerate_allocations(inst, partial):
+                            assert type(alloc) is PartialAllocation
+                            assert all(type(b) is Bundle
+                                       for b in (alloc.pool, *alloc.bundles))
+                            assert alloc == PartialAllocation(
+                                alloc.m, alloc.pool, alloc.bundles), (
+                                kind, n, m, partial)
 
     def test_cap(self):
         inst = Instance(
