@@ -160,22 +160,34 @@ first rung with a failure, so its k is the least failing k. A rung with a
 remainder worth < t fails without a search, and none is needed when
 n - k = 1. Otherwise the walk searches the rung's removals until a
 remainder fails to pack. A remainder that packs has supersets that pack,
-so when many removals wait (``MAXIMAL_FIRST_REMOVALS``) only those with
-no waiting removal one item larger are searched: if they all pack, every
-waiting removal does, usually after far fewer searches. When more than
-``VALUE_ORDER_REMOVALS`` are left they are searched in ascending order of
-remainder value, the likeliest to fail first. RMMS needs only this yes or
-no. ``is_residual_feasible`` also returns the first failing (k, R) in
-(k ascending, R ascending) order. The walk's R fails, so the first failing
-R of its rung lies at or before it. The same search (``_failing``) then
-runs again over the rung's removals below the current R, taking each
-failing R it returns as the new current R, until it returns None: every
-removal below the current R then packs, so the current R is the first.
-Each run keeps the maximal-first filter and the value order.
+so when many removals wait (``MAXIMAL_FIRST_REMOVALS``) only those with no
+waiting removal one item larger are kept: if they all pack, every waiting
+removal does, usually after far fewer searches. The walk holds an
+n-partition P_1..P_n of S with every part worth >= t (the MMS witness in
+RMMS, the partition found at t in ``is_residual_feasible``), and a removal
+R usually damages few of its parts. So each kept R is first certified
+(``_certified``) with no search: walking the parts in order, a part with
+X = S - R inside it worth >= t is a bundle, and the others pile up in a
+union, a bundle as soon as X inside it is worth >= t. If that makes
+n - k bundles, X splits into n - k parts worth >= t, as the items left
+over join any bundle and values are monotone. That is O(n) passes over the
+kept removals' array, and it answers most of them: on the 54 m = 12
+instances of perfbench's shares_large at seeds 1-3 the searches fell from
+39,464 to 8,263. Certified remainders are not written to ``packed``. When
+more than ``VALUE_ORDER_REMOVALS`` are left they are searched in ascending
+order of remainder value, the likeliest to fail first. RMMS needs only
+this yes or no. ``is_residual_feasible`` also returns the first failing
+(k, R) in (k ascending, R ascending) order. The walk's R fails, so the
+first failing R of its rung lies at or before it. The same search
+(``_failing``) then runs again over the rung's removals below the current
+R, taking each failing R it returns as the new current R, until it returns
+None: every removal below the current R then packs, so the current R is
+the first. Each run keeps the maximal-first filter, the certification and
+the value order.
 
-MMS probes through ``_packs``, which records each pack in ``packed``, so
-RMMS's first check, at t = MMS, finds (S, n) packed without a search; where
-RMMS = MMS, the MMS witness is the RMMS witness.
+RMMS's checks never search (S, n): the MMS witness splits S into parts
+worth >= MMS, so at every candidate, and where RMMS = MMS it is the RMMS
+witness.
 
 RMMS gallops: it checks its upper bound, then steps down 1, 2, 4, ...
 candidates below the last infeasible check until one is feasible, and
@@ -703,29 +715,63 @@ def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareRe
     return replace(_mms(v, S.mask, n), agent=agent)
 
 
-# The residual check searches the maximal waiting removals first when more
-# than this many removals wait in a rung. Below it, the m whole-lattice
-# passes that find them cost more than the searches they save. Each rung's
-# search timed both ways from the same memo (best of 5), summed, never
-# filtering against a cutoff of 32, 128 or 384: 180 generated instances
-# with n 3-4 and m 6-8, where at most 88 removals wait, 67.7 ms against
-# 69.4, 67.7, 67.7; the 18 m = 12 instances of seed 1 (item values up to
-# 10) 383 ms against 208, 203, 215; the same with values up to 1,000
-# 796 ms against 458, 453, 434.
+# The residual check keeps only the maximal waiting removals, before it
+# certifies and searches them, when more than this many removals wait in a
+# rung. Below it, the m whole-lattice passes that find them cost more than
+# the certifications and searches they save. Each rung's search timed both
+# ways from the same memo (best of 5), summed, never filtering against a
+# cutoff of 32, 128 or 384: 180 generated instances with n 3-4 and m 6-8
+# (generate_instance(0, idx, n, m, kind, 10), idx < 10), 34.3 ms against
+# 41.2, 33.7, 33.6 (always filtering 65.0); the 18 m = 12 instances of
+# seed 1 (item values up to 10) 23.7 ms against 21.2, 20.3, 20.1; the same
+# with values up to 1,000 91.5 ms against 78.7, 77.0, 75.8; seeds 2-3,
+# 44.2 ms against 38.5, 36.4, 36.1, and with values up to 1,000 170.6 ms
+# against 136.3, 133.4, 133.6. A cutoff of 256 read within 1.5% of 128 on
+# every set, either way.
 MAXIMAL_FIRST_REMOVALS = 128
 # The yes/no walk sorts the removals it searches by remainder value only
 # when more than this many are left: below it the sort costs more than the
 # searches it saves. Each yes/no call timed both ways from the same memo
 # (best of 5), summed, over MMS then RMMS of every agent of 720 generated
 # instances shaped like pipeline_small (n 3-4, m 6-8, seeds 0-39): always
-# sorting 211.7 ms, never 218.6, with this cutoff 202.6, with 8, 24 or 48
-# 206.0, 208.2, 214.5; the 12 m = 12 instances of seeds 1-2: 85.5 against
-# 93.6 never sorting, and the same 85.5 with this cutoff.
+# sorting 323.9 ms, never 324.2, with this cutoff 317.7, with 8, 24 or 48
+# 318.2, 317.2, 316.9; the 12 m = 12 instances of seeds 1-2: 22.5 always,
+# 23.0 never, 22.2 with this cutoff and with 8, 24 or 48; the same with
+# item values up to 1,000 74.2, 77.7, 73.5, and 73.6, 73.7, 74.0. Since
+# the certification answers most removals, few are left to sort and the
+# cutoffs within 8-48 read alike.
 VALUE_ORDER_REMOVALS = 16
 
 
+def _certified(
+    rec: _Record, smask: int, q: int, t: int, waiting: np.ndarray,
+    parts: Sequence[int],
+) -> np.ndarray:
+    """For each R of ``waiting``, whether ``parts``, masks partitioning
+    smask, show that X = smask ^ R splits into q parts worth >= t. The
+    parts are walked in order: one with X inside it worth >= t is a bundle,
+    and the others pile up in a union, a bundle as soon as X inside it is
+    worth >= t. Items left over join any bundle, as values are monotone.
+    False only means no such bundles were found. Two gathers per part:
+    O(len(parts)) passes over ``waiting``."""
+    values = rec.values
+    rest = smask ^ waiting
+    union = np.zeros_like(rest)
+    bundles = np.zeros(waiting.shape, np.int64)
+    for part in parts:
+        inside = rest & part
+        whole = values[inside] >= t
+        union |= np.where(whole, 0, inside)
+        # The union was worth < t before, so it closes only where not whole.
+        closed = values[union] >= t
+        union[closed] = 0
+        bundles += whole | closed
+    return bundles >= q
+
+
 def _failing(
-    rec: _Record, smask: int, q: int, t: int, waiting: np.ndarray
+    rec: _Record, smask: int, q: int, t: int, waiting: np.ndarray,
+    parts: Sequence[int],
 ) -> Optional[int]:
     """A removal R of ``waiting`` (ascending masks inside smask) whose
     remainder smask ^ R does not split into q parts worth >= t, or None if
@@ -734,9 +780,12 @@ def _failing(
     A remainder that packs has supersets that pack, so if R is inside R'
     and smask ^ R' packs, so does smask ^ R. Every waiting R lies under a
     waiting R' with no waiting R' + e: with many waiting, only those are
-    searched. They are searched in ascending order of remainder value when
-    more than ``VALUE_ORDER_REMOVALS`` are left, so that likely failures
-    come first, and the first failure answers."""
+    kept. ``parts`` are masks of a partition of smask, each worth >= t, or
+    empty: the kept removals that leave q of them, or unions of them, worth
+    >= t are certified (``_certified``) and not searched. The others are
+    searched in ascending order of remainder value when more than
+    ``VALUE_ORDER_REMOVALS`` are left, so that likely failures come first,
+    and the first failure answers."""
     removals = waiting
     if waiting.size > MAXIMAL_FIRST_REMOVALS:
         marked = np.zeros(rec.values.size, dtype=bool)
@@ -747,6 +796,7 @@ def _failing(
                 _item_pairs(below), _item_pairs(marked)):
             np.logical_or(below_without, marked_with, out=below_without)
         removals = waiting[~below[waiting]]
+    removals = removals[~_certified(rec, smask, q, t, removals, parts)]
     if removals.size > VALUE_ORDER_REMOVALS:
         removals = removals[np.argsort(rec.values[smask ^ removals],
                                        kind="stable")]
@@ -763,20 +813,22 @@ def _parts_within(rec: _Record, smask: int, bound: int) -> np.ndarray:
 
 def _residual_failure(
     rec: _Record, smask: int, n: int, t: int,
-    zeta: Optional[np.ndarray] = None,
+    parts: Optional[Sequence[int]], zeta: Optional[np.ndarray] = None,
 ) -> Optional[tuple[int, np.ndarray, int]]:
     """(k, removals, R) at which threshold t fails the residual check of
     (S, n), or None if t is residual feasible. k is the least failing k,
     removals the ascending removals whose binding k is k, and R one of them
     whose remainder fails; (0, [0], 0) when S itself does not split. A rung
     with a remainder worth < t fails without a search, and the first
-    failure found answers. ``zeta``, if given for t > 0, is zeta(F) of the
+    failure found answers. ``parts`` are masks of an n-partition of S with
+    every part worth >= t, or None when S has none; ``_failing`` certifies
+    removals against them. ``zeta``, if given for t > 0, is zeta(F) of the
     parts inside S worth < t, and the walk's ladder starts from it."""
     if t == 0:
         # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
         # removals qualify for any k >= 1.
         return None
-    if not _packs(rec, smask, n, t):
+    if parts is None:
         return 0, np.zeros(1, dtype=np.int64), 0
     # The removals split into parts inside S worth < t, that is <= t - 1:
     # values are integers. Rung k minus rung k - 1 holds the removals whose
@@ -794,7 +846,7 @@ def _residual_failure(
         if short.size:
             return k, removals, int(removals[short[0]])
         if n - k > 1:
-            R = _failing(rec, smask, n - k, t, removals)
+            R = _failing(rec, smask, n - k, t, removals, parts)
             if R is not None:
                 return k, removals, R
         fewer = rung
@@ -811,19 +863,22 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
     """
     _check_query(v, S, n, t=t)
     rec = _record(v)
-    failure = _residual_failure(rec, S.mask, n, t)
+    partition = _partition(rec, S.mask, n, t)
+    parts = None if partition is None else [p.mask for p in partition]
+    failure = _residual_failure(rec, S.mask, n, t, parts)
     if failure is None:
         return ResidualCheck(True)
     # The walk's k is the least failing k. A search of the removals below
     # the current R returns a failing one, strictly below it, or None when
     # every one of them packs: then the current R is the first. A remainder
-    # worth < t fails ``_packs`` without a search.
+    # worth < t fails ``_packs`` without a search. At k = 0 no removal lies
+    # below R = 0, and there are no parts.
     k, removals, first = failure
     if _packs(rec, S.mask ^ first, n - k, t):
         raise InvariantError(
             f"the remainder of removal {first} failed to split, then split")
-    while (R := _failing(rec, S.mask, n - k, t,
-                         removals[removals < first])) is not None:
+    while (R := _failing(rec, S.mask, n - k, t, removals[removals < first],
+                         parts or ())) is not None:
         first = R
     return ResidualCheck(False, k, Bundle(first))
 
@@ -854,7 +909,11 @@ RMMS_BOUND_ITEMS = 10
 
 @_on_valuation
 def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
-    ceiling = _mms(v, smask, n).value
+    maximin = _mms(v, smask, n)
+    ceiling = maximin.value
+    # The MMS witness splits S into n parts worth >= MMS: parts worth >= t
+    # for every candidate checked.
+    parts = [p.mask for p in maximin.witness]
     candidates = [c for c in _candidate_values(v, smask) if c <= ceiling]
     rec = _record(v)
     top, zeta = len(candidates) - 1, None
@@ -880,7 +939,8 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
                     lo, zeta = mid + 1, probed
 
     def feasible(i: int, zeta: Optional[np.ndarray] = None) -> bool:
-        return _residual_failure(rec, smask, n, candidates[i], zeta) is None
+        return _residual_failure(rec, smask, n, candidates[i], parts,
+                                 zeta) is None
 
     # Feasibility is monotone in t: for t' < t, every removal that qualifies
     # at t' (parts worth < t') also qualifies at t, and a pack at t is also a
@@ -903,7 +963,7 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
             hi = mid
     if lo == len(candidates) - 1:
         # RMMS = MMS: the canonical partition at MMS is the MMS witness.
-        witness = _mms(v, smask, n).witness
+        witness = maximin.witness
     else:
         witness = _canonical(_partition(rec, smask, n, candidates[lo]))
     return ShareReport("RMMS", candidates[lo], witness, None, n)

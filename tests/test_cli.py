@@ -154,20 +154,27 @@ class TestShares:
 
 # sha256 of `rmms shares --share all -o FILE` on generate_instance(2026,
 # 10 * n + m, n, m, kind, 10). They pin every share value and witness byte
-# for byte, whatever search computes them.
+# for byte, whatever search computes them. The m = 12 entries reach the
+# sizes at which the residual check certifies most removals with no search.
 SHARES_GOLDEN = {
     ("additive", 3, 9): "3ad4c6edb2d5ec1069eb0dcc5b52a5d77890044862a2b0704b3392265690c9cf",
     ("additive", 3, 10): "88eb832819e53341e199bf3fa05a2f6968fb8eed0bd7db8c2f3effcbf87bf068",
+    ("additive", 3, 12): "5a12da76ba976415b28b34d61f2c66ca5988760bf5f854433bdbbef361cc61be",
     ("additive", 4, 9): "fc0998a077707ed75208b827554ed80f9920f7880135ef21d94b6023acd7c542",
     ("additive", 4, 10): "ab41c2d17a43951d26ac97bef534b16c131dc1bda2768e4bd9e1cd44565d0966",
+    ("additive", 4, 12): "be481b4a7bb29d367614f50e2ce5261900fcca2a953d92212199f11ff1406250",
     ("capped_additive", 3, 9): "37cd97a1a3c40691e196e5041099abf8eacbc9b3cd0216b9c7b36b05994f179b",
     ("capped_additive", 3, 10): "cf9fae3f0049f905be0ae7cc2c37d8968f15d3cc17204f28ad5f7cf6e76d5c9b",
+    ("capped_additive", 3, 12): "118e8a25740ab8959fd675502a4791555273278b8b85aaa810e4135c4a20d1b6",
     ("capped_additive", 4, 9): "3f5ae100f4f5835bef8b1b67e8546e30ed011ec878a62fe881fe4d6f7baa4119",
     ("capped_additive", 4, 10): "0d627687973015c4602aacb5d7e111dd1d4fed6ecbebc972d09cd771cd9951dc",
+    ("capped_additive", 4, 12): "f38f45c98c29ec2b762f103e4b5c7db41116533d12d10a37395f5b4a30bc625d",
     ("table", 3, 9): "699c54d5f63fbd6216114dc4485ef1ee4a1833307e166f4b8f4b80f60271ece2",
     ("table", 3, 10): "1d1a98d52fd985c974c6b5478dd95af413a436a2704706d631f54d04259bfb6d",
+    ("table", 3, 12): "81d4ccef4b038e45443ae1838b16736eb8496f4c8da0de68bcd4bb66cb8105f5",
     ("table", 4, 9): "76634f0883b9921a8f437d4109d296bbaa3c29ba1bd78b3f866de501dacd6e85",
     ("table", 4, 10): "3825d0fb910489f4c097b6696bcc7a0ed75f1f9826f6dd3d3030635d8e6020a8",
+    ("table", 4, 12): "58633e8dfd687cc27daeb9c72fe1e8bd0c00847688871aca71d64a9a9a367bf2",
 }
 
 

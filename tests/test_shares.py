@@ -368,6 +368,13 @@ def fresh_record():
     shares._slot[:] = None, None
 
 
+def split_masks(rec, smask, n, t):
+    """The masks of the n-partition of smask with every part worth >= t
+    that ``_partition`` finds, or None: the parts a residual check takes."""
+    parts = shares._partition(rec, smask, n, t)
+    return None if parts is None else [p.mask for p in parts]
+
+
 def fresh_pack(table, t, mask, q):
     """``_pack`` with an empty memo, and a sum bound and a size bound that
     never prune."""
@@ -661,9 +668,9 @@ def test_residual_check_on_maximal_removals_matches_plain_scan(monkeypatch,
     # Searches of the walk, and of the check's loop below the walk's R.
     walking, looped, most_looped = False, 0, 0
 
-    def spy(rec, smask, q, t, waiting):
+    def spy(rec, smask, q, t, waiting, parts):
         nonlocal looped
-        R = failing(rec, smask, q, t, waiting)
+        R = failing(rec, smask, q, t, waiting, parts)
         if walking:
             runs.add((waiting.size > cutoff, R is not None))
         else:
@@ -728,8 +735,8 @@ def test_yes_no_residual_walk_matches_the_check():
     failing = shares._failing
     runs = set()
 
-    def spy(rec, smask, q, t, waiting):
-        R = failing(rec, smask, q, t, waiting)
+    def spy(rec, smask, q, t, waiting, parts):
+        R = failing(rec, smask, q, t, waiting, parts)
         runs.add((waiting.size > shares.MAXIMAL_FIRST_REMOVALS,
                   R is not None))
         return R
@@ -743,14 +750,123 @@ def test_yes_no_residual_walk_matches_the_check():
             if t > ceiling:
                 break
             fresh_record()
+            rec = shares._record(v)
+            parts = split_masks(rec, S.mask, n, t)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(shares, "_failing", spy)
-                walk = shares._residual_failure(shares._record(v), S.mask, n,
-                                                t)
+                walk = shares._residual_failure(rec, S.mask, n, t, parts)
             fresh_record()
             check = is_residual_feasible(v, S, n, t)
             assert (walk is None) == check.feasible, (m, kind, n, t)
     assert {(True, False), (True, True), (False, False), (False, True)} <= runs
+
+
+def certification_cases():
+    """(v, rec, smask, n, t, parts) for every kind, m 1-8 and n 2-5, at
+    every candidate t >= 1 at which S, all items, splits into n parts worth
+    >= t: parts from ``_partition`` at t (as ``is_residual_feasible`` takes
+    them) and from the MMS witness (as RMMS does)."""
+    from rmms.cli import generate_instance
+
+    for kind, m in itertools.product(("additive", "capped_additive",
+                                      "table"), range(1, 9)):
+        v = generate_instance(31, m, 1, m, kind, 10).valuations[0]
+        smask = full(m).mask
+        for n in range(2, 6):
+            witness = [p.mask for p in mms(v, full(m), n).witness]
+            rec = shares._record(v)
+            for t in shares._candidate_values(v, smask)[1:]:
+                parts = split_masks(rec, smask, n, t)
+                if parts is None:
+                    break
+                yield v, rec, smask, n, t, parts
+                if min(rec.table[p] for p in witness) >= t:
+                    yield v, rec, smask, n, t, witness
+
+
+def test_certified_remainders_split():
+    # Every removal R inside S the certification passes, at every q < n,
+    # leaves a remainder that a brute-force search splits into q parts
+    # worth >= t.
+    from rmms.oracle import _naive_partition_exists
+
+    splits, certified = {}, 0
+    for v, rec, smask, n, t, parts in certification_cases():
+        removals = np.flatnonzero((np.arange(1 << v.m) | smask) == smask)
+        for q in range(1, n):
+            passed = shares._certified(rec, smask, q, t, removals, parts)
+            for R in removals[passed].tolist():
+                key = v, smask ^ R, q, t
+                if key not in splits:
+                    splits[key] = _naive_partition_exists(rec.table, *key[1:])
+                assert splits[key], (v, smask, n, t, parts, q, R)
+            certified += int(passed.sum())
+    assert certified
+
+
+@pytest.mark.parametrize("cutoff", [shares.MAXIMAL_FIRST_REMOVALS, 0])
+def test_failing_answers_alike_with_and_without_the_partition(monkeypatch,
+                                                             cutoff):
+    # In every rung of the walk, the search with the partition finds a
+    # failing removal exactly when the search with none does, and the one
+    # it finds fails. With cutoff 0 the maximal filter runs in every rung.
+    from rmms.oracle import _naive_partition_exists
+
+    monkeypatch.setattr(shares, "MAXIMAL_FIRST_REMOVALS", cutoff)
+    answers = set()
+    for v, rec, smask, n, t, parts in certification_cases():
+        ladder = shares._CoverLadder(shares._parts_within(rec, smask, t - 1))
+        fewer = np.arange(1 << v.m) == 0
+        for k in range(1, n):
+            rung = ladder.rung(k)
+            waiting = np.flatnonzero(rung & ~fewer)
+            fewer = rung
+            R = shares._failing(rec, smask, n - k, t, waiting, parts)
+            plain = shares._failing(rec, smask, n - k, t, waiting, ())
+            assert (R is None) == (plain is None), (v, n, t, parts, k)
+            if R is not None:
+                assert R in waiting
+                assert not _naive_partition_exists(rec.table, smask ^ R,
+                                                   n - k, t)
+            answers.add(R is None)
+    assert answers == {True, False}
+
+
+def test_counterexamples_above_rmms_do_not_depend_on_the_partition(
+        monkeypatch):
+    # At the two candidates above RMMS, the first counterexample is the one
+    # found when the searches are given no partition to certify against.
+    # With item values up to 1,000 RMMS lies below MMS here, so every
+    # counterexample is a removal, found past certified ones.
+    from rmms.cli import generate_instance
+
+    failing, certify = shares._failing, shares._certified
+    certified = 0
+
+    def without_parts(*args):
+        return failing(*args[:-1], ())
+
+    def spy(*args):
+        nonlocal certified
+        passed = certify(*args)
+        certified += int(passed.sum())
+        return passed
+
+    monkeypatch.setattr(shares, "_certified", spy)
+    for m, kind, n in itertools.product((11, 12), ("additive",
+                                        "capped_additive", "table"), (3, 4)):
+        v = generate_instance(5, m, n, m, kind, 1000).valuations[0]
+        S = full(m)
+        candidates = shares._candidate_values(v, S.mask)
+        above = candidates.index(rmms(v, S, n).value) + 1
+        for t in candidates[above:above + 2]:
+            check = is_residual_feasible(v, S, n, t)
+            fresh_record()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(shares, "_failing", without_parts)
+                assert is_residual_feasible(v, S, n, t) == check, (m, kind, n)
+            assert not check.feasible and check.k >= 1
+    assert certified
 
 
 def test_packed_keeps_the_worst_part(monkeypatch):
@@ -909,8 +1025,10 @@ def test_split_probe_matches_a_brute_force_min_max_split():
                 handed += 1
                 if i + 1 < len(candidates):
                     t = candidates[i + 1]
-                    fresh = shares._residual_failure(rec, smask, n, t)
-                    walk = shares._residual_failure(rec, smask, n, t, zeta)
+                    parts = split_masks(rec, smask, n, t)
+                    fresh = shares._residual_failure(rec, smask, n, t, parts)
+                    walk = shares._residual_failure(rec, smask, n, t, parts,
+                                                    zeta)
                     assert (fresh is None) == (walk is None)
                     if fresh is not None:
                         assert fresh[::2] == walk[::2]
@@ -978,12 +1096,15 @@ def test_bound_probes_stay_logarithmic(monkeypatch, n):
 
 # _pack calls, recursive ones included, for MMS + RMMS of every agent of
 # generate_instance(1, index, n, 10, kind, 10) for every kind and n 3-4,
-# each agent on a fresh record: 6,638 as measured with the scans' jumps and
-# the part-size bound, against 7,072 without them (6,953 without the pack
-# jump alone, 6,737 without the size bound alone), and 16,499 with
-# largest-marginal table weights, the first counterexample sought in every
-# RMMS check and packs remembered at the t searched.
-PACK_CALLS_AT_M_10 = 6_638
+# each agent on a fresh record: 2,311 as measured with the residual check
+# certifying removals against the MMS witness after the maximal filter,
+# against 2,479 certifying them before it and 6,638 with no certification.
+# Without certification: 6,638 with the scans' jumps and the part-size
+# bound, against 7,072 without them (6,953 without the pack jump alone,
+# 6,737 without the size bound alone), and 16,499 with largest-marginal
+# table weights, the first counterexample sought in every RMMS check and
+# packs remembered at the t searched.
+PACK_CALLS_AT_M_10 = 2_311
 # _pack calls for MMS of every agent of generate_instance(2, index, n, 12,
 # "table", 10), n 3-4, index < 3, each agent on a fresh record: 10,612 as
 # measured, against 18,414 without the jumps and the size bound, 14,822
