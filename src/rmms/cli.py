@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -357,8 +358,11 @@ def cmd_bench(args) -> int:
         columns.append("wall_time_us")
     tasks = [(args.seed, idx, *spec, args.algorithm, args.timings)
              for idx in range(args.trials)]
-    if args.jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
+    # The pool starts all its workers at once, so more than there are
+    # trials or CPUs would only cost processes.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:
         rows = [_bench_one(task) for task in tasks]

@@ -10,14 +10,16 @@ bundle B under a valuation v, an own bundle worth x has
 - EF envy iff x < v(B).
 
 Each threshold is its definition's quantifier folded over the items of B,
-so it does not depend on x. ``_thresholds`` computes them once per
+so it does not depend on x. ``_thresholds`` computes the four once per
 (valuation, B) and keeps them by mask in the valuation's ``core._kept``
-dict ``"_envy"``. Keying by own value as well would hold up to 2^m
-entries per distinct own value. ``_envious`` makes one pass over the
-ordered pairs and keeps those whose own value falls below some threshold;
-``certificate`` and the ``is_*`` predicates read that list, and
-``envy_between`` reads one pair's thresholds. An allocation is
-EF1/EFL/EFX/EF when no pair exhibits the respective envy.
+dict ``"_envy"``: at most 2^m - 1 entries of five numbers each. The EFX
+witness does depend on x, and only pairs whose strongest envy is EFX need
+it, so ``_witness`` reads it from its definition, not from the memo.
+``_envious`` makes one pass over the ordered pairs and keeps those whose
+own value falls below some threshold; ``certificate`` and the ``is_*``
+predicates read that list, and ``envy_between`` reads one pair's
+thresholds. An allocation is EF1/EFL/EFX/EF when no pair exhibits the
+respective envy.
 
 The thresholds work on raw bit masks and plain integers: the allocation
 was validated against its item range when it was built, and the shape
@@ -65,56 +67,54 @@ class EnvyVerdict:
 
 def _thresholds(v: Valuation, other: int, memo: dict) -> tuple:
     """The thresholds of the non-empty bundle B = ``other`` under ``v``,
-    stored in ``memo``: (some, EF1, EFL, EFX, EF, rests, bits), so the
-    threshold of ENVY_KINDS[k] sits at index k + 1.
+    stored in ``memo``: (some, EF1, EFL, EFX, EF), so the threshold of
+    ENVY_KINDS[k] sits at index k + 1.
 
     An own bundle worth x shows a notion's envy iff x is below that
     notion's threshold, and some envy iff x is below ``some``, the largest.
-    ``bits`` holds the item bits of B in ascending order and ``rests`` the
-    values v(B - e) in the same order, for the EFX witness.
     """
     value_of = v.value_of
+    ef1 = _INF
     efl = _INF if other & (other - 1) else -_INF
-    rests = []
-    bits = []
+    efx = -_INF
     rest = other
     while rest:
         bit = rest & -rest
         rest ^= bit
         less = value_of(other ^ bit)
-        if not bits:
-            ef1 = efx = less
-        elif less < ef1:
+        if less < ef1:
             ef1 = less
-        elif less > efx:
+        if less > efx:
             efx = less
         if less < efl:
             alone = value_of(bit)
             if alone < efl:
                 efl = less if less > alone else alone
-        rests.append(less)
-        bits.append(bit)
     ef = value_of(other)
-    found = memo[other] = (max(efl, efx, ef), ef1, efl, efx, ef, rests, bits)
+    found = memo[other] = (max(efl, efx, ef), ef1, efl, efx, ef)
     return found
 
 
-def _witness(own_val: int, envy: tuple) -> int:
-    """The first item e, in ascending order, with own_val < v(B - e)."""
-    return next(bit for less, bit in zip(envy[5], envy[6])
-                if own_val < less).bit_length() - 1
+def _witness(v: Valuation, other: int, own_val: int) -> int:
+    """The first item e of B = ``other``, in ascending order, with
+    own_val < v(B - e)."""
+    return next(e for e in range(other.bit_length())
+                if other >> e & 1 and own_val < v.value_of(other ^ (1 << e)))
 
 
-def _strongest(own_val: int, envy: tuple) -> tuple[str, Optional[int]]:
-    """The strongest envy of an own bundle worth ``own_val`` toward a bundle
-    with thresholds ``envy``, with its EFX witness."""
-    _, ef1, efl, efx, ef, _, _ = envy
+def _strongest(
+    v: Valuation, other: int, own_val: int, envy: tuple
+) -> tuple[str, Optional[int]]:
+    """The strongest envy of an own bundle worth ``own_val`` toward the
+    bundle ``other`` with thresholds ``envy`` under ``v``, with its EFX
+    witness."""
+    _, ef1, efl, efx, ef = envy
     if own_val < ef1:
         return "EF1", None
     if own_val < efl:
         return "EFL", None
     if own_val < efx:
-        return "EFX", _witness(own_val, envy)
+        return "EFX", _witness(v, other, own_val)
     if own_val < ef:
         return "EF", None
     return "none", None
@@ -130,9 +130,7 @@ def _envious(inst: Instance, alloc: PartialAllocation) -> list[tuple]:
     found = []
     for i, v in enumerate(inst.valuations):
         memo = _kept(v, "_envy")
-        # An own bundle that has thresholds has its value among them.
-        own = memo.get(masks[i])
-        own_val = own[4] if own else v.value_of(masks[i])
+        own_val = v.value_of(masks[i])
         for j, other in enumerate(masks):
             if other and j != i:
                 envy = memo.get(other) or _thresholds(v, other, memo)
@@ -156,12 +154,14 @@ def envy_between(
     v = inst.valuations[i]
     memo = _kept(v, "_envy")
     envy = memo.get(other) or _thresholds(v, other, memo)
-    return EnvyVerdict(i, j, *_strongest(v.value_of(alloc.bundles[i].mask), envy))
+    own_val = v.value_of(alloc.bundles[i].mask)
+    return EnvyVerdict(i, j, *_strongest(v, other, own_val, envy))
 
 
 def _scan(inst, alloc, k: int) -> tuple[bool, list[EnvyVerdict]]:
     violations = [
-        EnvyVerdict(i, j, *_strongest(own_val, envy))
+        EnvyVerdict(i, j, *_strongest(inst.valuations[i],
+                                      alloc.bundles[j].mask, own_val, envy))
         for i, j, own_val, envy in _envious(inst, alloc)
         if own_val < envy[k + 1]
     ]
@@ -195,7 +195,7 @@ def certificate(inst: Instance, alloc: PartialAllocation) -> dict:
     for i, j, own_val, envy in _envious(inst, alloc):
         # _strongest unrolled, with the flags: a call per pair costs about
         # a seventh of a certificate.
-        _, ef1_at, efl_at, efx_at, ef_at, _, _ = envy
+        _, ef1_at, efl_at, efx_at, ef_at = envy
         witness = None
         if own_val < ef1_at:
             kind = "EF1"
@@ -204,7 +204,8 @@ def certificate(inst: Instance, alloc: PartialAllocation) -> dict:
             kind = "EFL"
         elif own_val < efx_at:
             kind = "EFX"
-            witness = _witness(own_val, envy)
+            witness = _witness(inst.valuations[i], alloc.bundles[j].mask,
+                               own_val)
         else:  # _envious kept the pair, so own_val < ef_at
             kind = "EF"
         if own_val < efl_at:

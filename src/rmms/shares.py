@@ -28,10 +28,11 @@ Two searches and one lattice kernel do the work.
 Every per-item pass over an array indexed by all 2^m masks (the record's
 weights, MXS's g, the signs, the maximal-removal mark and the transforms)
 takes its views from ``core._item_pairs``, which owns that layout, and
-``core._subset_sums`` builds the record's weight sums and popcounts. The transforms are m in-place passes over an int64 array, one
-per item i, each adding (zeta) or subtracting (Moebius) the masks without
-i into the same masks with i. The Moebius value of zeta(F)^k at X counts
-the k-tuples of members whose union is X, at most (2^k - 1)^m. int64
+``core._subset_sums`` builds the record's weight sums and popcounts. The
+transforms are m in-place passes over an int64 array, one per item i,
+each adding (zeta) or subtracting (Moebius) the masks without i into the
+same masks with i. The Moebius value of zeta(F)^k at X counts the
+k-tuples of members whose union is X, at most (2^k - 1)^m. int64
 arithmetic is exact modulo 2^64, so that count is read exactly while it
 stays below 2^63, even where the power itself wraps: up to
 ``_exact_factors(m)`` factors, 5 at m = 12 and 3 at m = 20. A rung
@@ -40,11 +41,12 @@ as a new base. The ladder runs the transforms in work buffers, zeta(F)
 and the product, 16 bytes per mask, and the base once it rebases, with
 each buffer's (with i, without i) views made once (``core._bit_views``).
 Items 0 to 2 get one 1-D strided view per residue: as pair views of inner
-length 1, 2 or 4 they cost several normal passes each. ``out=`` arguments keep the products in
-the buffers, so a ladder allocates only the boolean rungs it returns. The
-buffers live in the search record: built at the agent's first ladder,
-used by every ladder of its RMMS and MXS, one ladder at a time, and
-gone with the record when the slot moves to the next agent.
+length 1, 2 or 4 they cost several normal passes each. ``out=`` arguments
+keep the products in the buffers, so a ladder allocates only the boolean
+rungs it returns. The buffers live in the search record: built at the
+agent's first ladder, used by every ladder of its RMMS and MXS, one
+ladder at a time, and gone with the record when the slot moves to the
+next agent.
 
 Both searches scan the same way and remember every (mask, q) state that
 failed, keyed by the one int q * 2^m + mask. The pack search also fails a
@@ -173,17 +175,16 @@ n - k bundles, X splits into n - k parts worth >= t, as the items left
 over join any bundle and values are monotone. That is O(n) passes over the
 kept removals' array, and it answers most of them: on the 54 m = 12
 instances of perfbench's shares_large at seeds 1-3 the searches fell from
-39,464 to 8,263. Certified remainders are not written to ``packed``. When
-more than ``VALUE_ORDER_REMOVALS`` are left they are searched in ascending
-order of remainder value, the likeliest to fail first. RMMS needs only
-this yes or no. ``is_residual_feasible`` also returns the first failing
-(k, R) in (k ascending, R ascending) order. The walk's R fails, so the
-first failing R of its rung lies at or before it. The same search
-(``_failing``) then runs again over the rung's removals below the current
-R, taking each failing R it returns as the new current R, until it returns
-None: every removal below the current R then packs, so the current R is
-the first. Each run keeps the maximal-first filter, the certification and
-the value order.
+39,464 to 8,263. Certified remainders are not written to ``packed``. The
+rest are searched in ascending order of remainder value, the likeliest
+to fail first. RMMS needs only this yes or no. ``is_residual_feasible``
+also returns the first failing (k, R) in (k ascending, R ascending)
+order. The walk's R fails, so the first failing R of its rung lies at or
+before it. The same search (``_failing``) then runs again over the
+rung's removals below the current R, taking each failing R it returns as
+the new current R, until it returns None: every removal below the
+current R then packs, so the current R is the first. Each run keeps the
+maximal-first filter, the certification and the value order.
 
 RMMS's checks never search (S, n): the MMS witness splits S into parts
 worth >= MMS, so at every candidate, and where RMMS = MMS it is the RMMS
@@ -729,18 +730,6 @@ def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareRe
 # against 136.3, 133.4, 133.6. A cutoff of 256 read within 1.5% of 128 on
 # every set, either way.
 MAXIMAL_FIRST_REMOVALS = 128
-# The yes/no walk sorts the removals it searches by remainder value only
-# when more than this many are left: below it the sort costs more than the
-# searches it saves. Each yes/no call timed both ways from the same memo
-# (best of 5), summed, over MMS then RMMS of every agent of 720 generated
-# instances shaped like pipeline_small (n 3-4, m 6-8, seeds 0-39): always
-# sorting 323.9 ms, never 324.2, with this cutoff 317.7, with 8, 24 or 48
-# 318.2, 317.2, 316.9; the 12 m = 12 instances of seeds 1-2: 22.5 always,
-# 23.0 never, 22.2 with this cutoff and with 8, 24 or 48; the same with
-# item values up to 1,000 74.2, 77.7, 73.5, and 73.6, 73.7, 74.0. Since
-# the certification answers most removals, few are left to sort and the
-# cutoffs within 8-48 read alike.
-VALUE_ORDER_REMOVALS = 16
 
 
 def _certified(
@@ -783,9 +772,8 @@ def _failing(
     kept. ``parts`` are masks of a partition of smask, each worth >= t, or
     empty: the kept removals that leave q of them, or unions of them, worth
     >= t are certified (``_certified``) and not searched. The others are
-    searched in ascending order of remainder value when more than
-    ``VALUE_ORDER_REMOVALS`` are left, so that likely failures come first,
-    and the first failure answers."""
+    searched in ascending order of remainder value, a stable sort, so that
+    likely failures come first, and the first failure answers."""
     removals = waiting
     if waiting.size > MAXIMAL_FIRST_REMOVALS:
         marked = np.zeros(rec.values.size, dtype=bool)
@@ -797,9 +785,8 @@ def _failing(
             np.logical_or(below_without, marked_with, out=below_without)
         removals = waiting[~below[waiting]]
     removals = removals[~_certified(rec, smask, q, t, removals, parts)]
-    if removals.size > VALUE_ORDER_REMOVALS:
-        removals = removals[np.argsort(rec.values[smask ^ removals],
-                                       kind="stable")]
+    removals = removals[np.argsort(rec.values[smask ^ removals],
+                                   kind="stable")]
     return next((R for R in removals.tolist()
                  if not _packs(rec, smask ^ R, q, t)), None)
 

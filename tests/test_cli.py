@@ -844,12 +844,16 @@ def test_bench_starts_at_most_one_worker_per_trial(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
     out = tmp_path / "bench.csv"
-    for trials, jobs in ((1, 64), (3, 64), (3, 2)):
+    # Never more workers than CPUs either, and one worker runs in this
+    # process, with no pool.
+    for cpus, trials, jobs in ((8, 1, 64), (8, 3, 64), (8, 3, 2), (2, 3, 64),
+                               (None, 3, 64)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, _ = run(["bench", "--agents", "2", "--items", "3", "--trials",
                        str(trials), "--jobs", str(jobs), "-o", str(out)])
         assert code == 0
         assert out.read_text().count("\n") == trials + 1
-    assert sizes == [1, 3, 2]
+    assert sizes == [3, 2, 2]
 
 
 FUZZ_INSTANCES = [

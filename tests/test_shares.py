@@ -1096,15 +1096,18 @@ def test_bound_probes_stay_logarithmic(monkeypatch, n):
 
 # _pack calls, recursive ones included, for MMS + RMMS of every agent of
 # generate_instance(1, index, n, 10, kind, 10) for every kind and n 3-4,
-# each agent on a fresh record: 2,311 as measured with the residual check
-# certifying removals against the MMS witness after the maximal filter,
-# against 2,479 certifying them before it and 6,638 with no certification.
+# each agent on a fresh record: 2,266 as measured with the residual check
+# searching every uncertified removal in remainder-value order, against
+# 2,311 sorting only more than 16 of them and 2,317 never sorting. With the
+# cutoff of 16: 2,311 certifying removals against the MMS witness after
+# the maximal filter, against 2,479 certifying them before it and 6,638
+# with no certification.
 # Without certification: 6,638 with the scans' jumps and the part-size
 # bound, against 7,072 without them (6,953 without the pack jump alone,
 # 6,737 without the size bound alone), and 16,499 with largest-marginal
 # table weights, the first counterexample sought in every RMMS check and
 # packs remembered at the t searched.
-PACK_CALLS_AT_M_10 = 2_311
+PACK_CALLS_AT_M_10 = 2_266
 # _pack calls for MMS of every agent of generate_instance(2, index, n, 12,
 # "table", 10), n 3-4, index < 3, each agent on a fresh record: 10,612 as
 # measured, against 18,414 without the jumps and the size bound, 14,822
