@@ -186,6 +186,14 @@ the new current R, until it returns None: every removal below the
 current R then packs, so the current R is the first. Each run keeps the
 maximal-first filter, the certification and the value order.
 
+At k = n - 1 a removal fails only by leaving a remainder worth < t, with
+no search, and then S splits into n parts worth < t: t > mFS (below).
+Where mFS >= t is already proven, the walk stops at rung n - 2: in every RMMS check of an
+additive or capped valuation, and of a table whose bound was probed. At
+n = 3 such a check reads rung 1 alone, F itself, with no transform, and at
+n = 2 it reads none and builds no ladder. ``is_residual_feasible`` answers
+for any t, so it reads every rung.
+
 RMMS's checks never search (S, n): the MMS witness splits S into parts
 worth >= MMS, so at every candidate, and where RMMS = MMS it is the RMMS
 witness.
@@ -211,15 +219,20 @@ below it: O(log C) ladders and no pack search. On generated tables RMMS
 mostly equals mFS or lies one candidate below, so one or two checks
 remain, where the gallop from MMS made about 8 at m = 12. The ladder at
 candidates[i - 1] is the residual check's at candidates[i], so the last
-probe that fails to split hands a copy of its zeta(F) to the first check.
+probe that fails to split hands a copy of its zeta(F) to the first check
+when that check reads a transformed rung: at n >= 4, as the probes prove
+mFS >= t for every check and so the walks stop at rung n - 2. Tables
+below ``RMMS_BOUND_ITEMS`` have no probe, and their checks read rung
+n - 1: there it can fail at a threshold up to MMS.
 Additive and capped valuations always have
 mFS >= MMS, so they are not probed: n parts worth <= c < MMS <= cap hold
 items summing to < n * MMS, and the items of S sum to at least n * MMS.
+So every RMMS check of theirs, at t <= MMS, stops at rung n - 2.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import accumulate
@@ -275,7 +288,8 @@ class _Record(NamedTuple):
     known to fail; ``packed`` maps (mask, q) to the greatest t at which it
     is known to pack: the worst part of the partition found. ``most[s]`` is
     the most any s items are worth. ``workspace`` is the cover ladders'
-    (see ``_CoverLadder``), empty until the first ladder."""
+    (see ``_CoverLadder``): their exact-factor limit and work buffers,
+    empty until the first ladder."""
 
     table: tuple[int, ...]
     values: np.ndarray
@@ -371,11 +385,14 @@ def _fewest(rec: _Record, t: int) -> int:
 
 @_on_valuation
 def _candidate_values(v: Valuation, smask: int) -> tuple[int, ...]:
-    """Distinct subset values of smask, ascending. Always contains 0."""
-    masks = np.arange(1 << v.m)
-    values = np.sort(_record(v).values[(masks | smask) == smask])
-    # Values are >= 0, so the first one always differs from -1.
-    return tuple(values[np.diff(values, prepend=-1) != 0].tolist())
+    """Distinct subset values of smask, ascending. Always contains 0 for a
+    valid valuation."""
+    values = _record(v).values
+    if smask != values.size - 1:
+        values = values[(np.arange(values.size) | smask) == smask]
+    values = np.sort(values)
+    # The least value, then each value above the one before it.
+    return (int(values[0]), *values[1:][values[1:] != values[:-1]].tolist())
 
 
 # The pack and cover steps are module functions, not closures: a recursive
@@ -569,9 +586,10 @@ class _CoverLadder:
 
     The transforms run in ``workspace``: int64 buffers over all masks, each
     with its ``_bit_views``, for zeta(F), the product and, once the ladder
-    rebases, zeta(B). Each buffer is built at its first use. The search
-    record keeps one workspace for every ladder of its agent, and a ladder
-    given none makes its own. ``zeta``, if given, is zeta(F) made already,
+    rebases, zeta(B). Each buffer is built at its first use, and the
+    exact-factor limit at the first ladder. The search record keeps one
+    workspace for every ladder of its agent, and a ladder given none makes
+    its own. ``zeta``, if given, is zeta(F) made already,
     copied in instead of transformed. One ladder at a time uses a
     workspace: a ladder that finds another's zeta(F) there makes its own
     again, and its base with it. Each rung is a new array, so it stays
@@ -581,12 +599,14 @@ class _CoverLadder:
     def __init__(self, family: np.ndarray, workspace: Optional[dict] = None,
                  zeta: Optional[np.ndarray] = None):
         self.family = family
-        self._workspace = {} if workspace is None else workspace
+        workspace = {} if workspace is None else workspace
+        if "limit" not in workspace:  # once per record
+            workspace["limit"] = _exact_factors(family.size.bit_length() - 1)
+        self._workspace, self._limit = workspace, workspace["limit"]
         self._zeta = zeta  # zeta(F) made elsewhere, until it is copied in
         # Marks the workspace as this ladder's. The ladder itself would make
         # a cycle, and the buffers would outlive the record until collected.
         self._token = object()
-        self._limit = _exact_factors(family.size.bit_length() - 1)
         self._at = 1  # the rung whose zeta is the base; 1 is zeta(F)
         self._last = 1, family  # the last rung computed, and its k
 
@@ -713,7 +733,8 @@ def _mms(v: Valuation, smask: int, n: int) -> ShareReport:
 def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareReport:
     """Maximin share of S under v for n agents, with a witness partition."""
     _check_query(v, S, n, agent)
-    return replace(_mms(v, S.mask, n), agent=agent)
+    kept = _mms(v, S.mask, n)
+    return ShareReport("MMS", kept.value, kept.witness, agent, n)
 
 
 # The residual check keeps only the maximal waiting removals, before it
@@ -801,6 +822,7 @@ def _parts_within(rec: _Record, smask: int, bound: int) -> np.ndarray:
 def _residual_failure(
     rec: _Record, smask: int, n: int, t: int,
     parts: Optional[Sequence[int]], zeta: Optional[np.ndarray] = None,
+    mfs_floor: int = 0,
 ) -> Optional[tuple[int, np.ndarray, int]]:
     """(k, removals, R) at which threshold t fails the residual check of
     (S, n), or None if t is residual feasible. k is the least failing k,
@@ -810,13 +832,19 @@ def _residual_failure(
     failure found answers. ``parts`` are masks of an n-partition of S with
     every part worth >= t, or None when S has none; ``_failing`` certifies
     removals against them. ``zeta``, if given for t > 0, is zeta(F) of the
-    parts inside S worth < t, and the walk's ladder starts from it."""
-    if t == 0:
-        # (S, {}, ..., {}) is acceptable, and no bundle has value < 0, so no
-        # removals qualify for any k >= 1.
-        return None
+    parts inside S worth < t, and the walk's ladder starts from it.
+    ``mfs_floor`` is a value known to be at most mFS, the least c such that
+    S splits into at most n parts worth <= c. At k = n - 1 a removal fails
+    only by leaving a remainder worth < t, a split of S into n parts worth
+    < t, so at t <= mfs_floor none does and the walk stops at rung n - 2."""
     if parts is None:
         return 0, np.zeros(1, dtype=np.int64), 0
+    last = n - 1 if t > mfs_floor else n - 2
+    if t == 0 or last < 1:
+        # At t = 0, (S, {}, ..., {}) is acceptable, and no bundle has value
+        # < 0, so no removals qualify for any k >= 1. Otherwise no rung is
+        # left to read: n = 1, or n = 2 at t <= mfs_floor.
+        return None
     # The removals split into parts inside S worth < t, that is <= t - 1:
     # values are integers. Rung k minus rung k - 1 holds the removals whose
     # binding k is k; rung 0 is R = 0 alone, checked above.
@@ -824,12 +852,12 @@ def _residual_failure(
                           zeta)
     values = rec.values
     fewer = np.arange(values.size) == 0
-    for k in range(1, n):
+    for k in range(1, last + 1):
         rung = ladder.rung(k)
-        removals = np.flatnonzero(rung & ~fewer)
+        removals = (rung & ~fewer).nonzero()[0]
         # A remainder worth < t has no part worth >= t, so it fails without
         # a search, and with one part left no other remainder can fail.
-        short = np.flatnonzero(values[smask ^ removals] < t)
+        short = (values[smask ^ removals] < t).nonzero()[0]
         if short.size:
             return k, removals, int(removals[short[0]])
         if n - k > 1:
@@ -872,13 +900,14 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
 
 def _split_probe(
     rec: _Record, smask: int, n: int, c: int, signs: np.ndarray,
-) -> Optional[np.ndarray]:
-    """None if S splits into at most n parts worth <= c, and otherwise a
-    copy of zeta(F) for the parts F inside S worth <= c. S splits so iff it
-    lies in rung n of their ladder, read at S alone through ``signs``, the
+) -> Optional[_CoverLadder]:
+    """None if S splits into at most n parts worth <= c, and otherwise the
+    probe's ladder of the parts F inside S worth <= c, whose zeta(F) stays
+    in the workspace until another ladder uses it. S splits so iff it lies
+    in rung n of that ladder, read at S alone through ``signs``, the
     ``_moebius_signs`` of S."""
     ladder = _CoverLadder(_parts_within(rec, smask, c), rec.workspace)
-    return None if ladder.holds(n, signs) else ladder.zeta().copy()
+    return None if ladder.holds(n, signs) else ladder
 
 
 # RMMS of a table is bounded by the min-max split from this many items up.
@@ -904,30 +933,44 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     candidates = [c for c in _candidate_values(v, smask) if c <= ceiling]
     rec = _record(v)
     top, zeta = len(candidates) - 1, None
+    # A check at t <= mfs_floor <= mFS stops at rung n - 2. Additive and
+    # capped valuations have mFS >= MMS, so every check does. A table's
+    # floor is its probed bound, and a table with no probe keeps every rung.
+    mfs_floor = 0 if v.kind == "table" else ceiling
 
     # The bound (see the module docstring): one probe just below MMS and,
     # if it splits S, a bisection below it for mFS. The probe at
     # candidates[i - 1] makes zeta(F) of the check at candidates[i], as the
     # parts worth <= candidates[i - 1] are those worth < candidates[i]. So
     # the last probe that does not split, at top - 1, hands its zeta(F) to
-    # the first check, at top.
+    # the first check, at top, when that check reads a transformed rung:
+    # at n >= 4, as the check stops at rung n - 2 and rung 1 is F itself.
     if (n > 1 and top > 0 and v.kind == "table"
             and v.m >= RMMS_BOUND_ITEMS):
         signs = _moebius_signs(smask, v.m)
-        zeta = _split_probe(rec, smask, n, candidates[top - 1], signs)
-        if zeta is None:
+
+        def splits(i: int) -> bool:
+            nonlocal zeta
+            ladder = _split_probe(rec, smask, n, candidates[i], signs)
+            if ladder is not None and n >= 4:
+                zeta = ladder.zeta().copy()
+            return ladder is None
+
+        if splits(top - 1):
             lo, top = 0, top - 1
             while lo < top:
                 mid = (lo + top) // 2
-                probed = _split_probe(rec, smask, n, candidates[mid], signs)
-                if probed is None:
+                if splits(mid):
                     top = mid
                 else:
-                    lo, zeta = mid + 1, probed
+                    lo = mid + 1
+        # S does not split at candidates[top - 1], if top > 0, so mFS, a
+        # subset value of S, is at least candidates[top].
+        mfs_floor = candidates[top]
 
     def feasible(i: int, zeta: Optional[np.ndarray] = None) -> bool:
         return _residual_failure(rec, smask, n, candidates[i], parts,
-                                 zeta) is None
+                                 zeta, mfs_floor) is None
 
     # Feasibility is monotone in t: for t' < t, every removal that qualifies
     # at t' (parts worth < t') also qualifies at t, and a pack at t is also a
@@ -964,7 +1007,8 @@ def rmms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareR
     distinct subset values suffices.
     """
     _check_query(v, S, n, agent)
-    return replace(_rmms(v, S.mask, n), agent=agent)
+    kept = _rmms(v, S.mask, n)
+    return ShareReport("RMMS", kept.value, kept.witness, agent, n)
 
 
 # MXS scans thresholds on the cover ladder from this many items up. Below

@@ -338,6 +338,26 @@ def test_residual_feasible_thresholds_form_a_down_set(kind, m, n, seed, drop):
     assert candidates[count - 1] == rmms(v, Bundle(smask), n).value
 
 
+def test_candidate_values_of_all_items_match_the_masked_scan():
+    # All items sort the whole value array; a proper subset S first keeps
+    # the masks inside it. Both give the ascending distinct values over the
+    # subsets of S: for every kind at m 1-10, and for an unchecked table
+    # with v({}) != 0 whose least value is -1.
+    from rmms.cli import generate_instance
+
+    cases = [(generate_instance(41, m, 1, m, kind, 10).valuations[0], m)
+             for m, kind in itertools.product(range(1, 11), ("additive",
+                                              "capped_additive", "table"))]
+    cases.append((Table((2, -1, 4, 3), validate=False), 2))
+    for v, m in cases:
+        everything = (1 << m) - 1
+        for smask in {everything, everything ^ (1 << (m // 2))}:
+            want = tuple(sorted({v.value_of(X) for X in range(everything + 1)
+                                 if X | smask == smask}))
+            assert shares._candidate_values(v, smask) == want, (v, smask)
+    assert shares._candidate_values(cases[-1][0], 1) == (-1, 2)
+
+
 def generate_instance_valuation(m, kind, max_value):
     from rmms.cli import generate_instance
 
@@ -990,9 +1010,10 @@ def min_max_split(table, smask, n):
 
 def test_split_probe_matches_a_brute_force_min_max_split():
     # At every candidate c the probe splits S iff mFS <= c. A probe that
-    # does not split returns zeta(F) of the parts worth <= c, and the
-    # residual check at the next candidate, handed it, walks as one that
-    # makes its own ladder. RMMS never exceeds mFS. At m = 8 a product of
+    # does not split returns its ladder, with zeta(F) of the parts worth
+    # <= c, and the residual check at the next candidate t, handed a copy,
+    # walks as one that makes its own ladder, with or without stopping at
+    # rung n - 2, as mFS >= t. RMMS never exceeds mFS. At m = 8 a product of
     # more than 7 zeta factors is not exact, so at n = 9 the probe's ladder
     # climbs to a lower rung first and reads rung 9 from there.
     from rmms.cli import generate_instance
@@ -1016,10 +1037,11 @@ def test_split_probe_matches_a_brute_force_min_max_split():
             candidates = shares._candidate_values(v, smask)
             signs = shares._moebius_signs(smask, v.m)
             for i, c in enumerate(candidates):
-                zeta = shares._split_probe(rec, smask, n, c, signs)
-                assert (zeta is None) == (split <= c), (v, smask, n, c)
-                if zeta is None:
+                ladder = shares._split_probe(rec, smask, n, c, signs)
+                assert (ladder is None) == (split <= c), (v, smask, n, c)
+                if ladder is None:
                     continue
+                zeta = ladder.zeta().copy()
                 family = shares._parts_within(rec, smask, c).astype(np.int64)
                 assert np.array_equal(zeta, plain_transform(family, 1))
                 handed += 1
@@ -1027,12 +1049,9 @@ def test_split_probe_matches_a_brute_force_min_max_split():
                     t = candidates[i + 1]
                     parts = split_masks(rec, smask, n, t)
                     fresh = shares._residual_failure(rec, smask, n, t, parts)
-                    walk = shares._residual_failure(rec, smask, n, t, parts,
-                                                    zeta)
-                    assert (fresh is None) == (walk is None)
-                    if fresh is not None:
-                        assert fresh[::2] == walk[::2]
-                        assert np.array_equal(fresh[1], walk[1])
+                    for floor in (0, t):
+                        assert_same_failure(shares._residual_failure(
+                            rec, smask, n, t, parts, zeta, floor), fresh)
             forget(v)
             value = rmms(v, Bundle(smask), n).value
             assert value <= split, (v, smask, n)
@@ -1064,6 +1083,117 @@ def test_table_rmms_at_the_min_max_split_takes_one_check(monkeypatch):
             value = rmms(v, inst.all_items, n).value
             assert split < ceiling and value == split
             assert calls == [split], n
+
+
+def assert_same_failure(got, want):
+    """Two ``_residual_failure`` results agree: both None, or the same k,
+    removals and R."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[::2] == want[::2]
+        assert np.array_equal(got[1], want[1])
+
+
+# The walk itself, for spies that stand in for it.
+WALK = shares._residual_failure
+
+
+def full_walk(*args):
+    """``_residual_failure`` without its ``mfs_floor``: every rung read."""
+    return WALK(*args[:6])
+
+
+def assert_last_rung_never_fails(monkeypatch, v, S, n, floor):
+    """floor <= mFS, as S has no split into n parts worth < floor. At
+    every candidate t in (0, floor] the walk that reads rung n - 1 fails,
+    if at all, below it, and the walk that stops at rung n - 2 answers
+    alike; RMMS is the same with and without the stop. Returns the
+    thresholds checked."""
+    rec = shares._record(v)
+    if floor > 0:
+        signs = shares._moebius_signs(S.mask, v.m)
+        assert shares._split_probe(rec, S.mask, n, floor - 1,
+                                   signs) is not None, (v, n)
+    checked = [t for t in shares._candidate_values(v, S.mask)[1:]
+               if t <= floor]
+    for t in checked:
+        parts = split_masks(rec, S.mask, n, t)
+        whole = WALK(rec, S.mask, n, t, parts)
+        assert whole is None or whole[0] < n - 1, (v, n, t)
+        assert_same_failure(WALK(rec, S.mask, n, t, parts, None, floor),
+                            whole)
+    report = rmms(v, S, n)
+    forget(v)
+    with monkeypatch.context() as patch:
+        patch.setattr(shares, "_residual_failure", full_walk)
+        assert rmms(v, S, n) == report, (v, n)
+    return checked
+
+
+@pytest.mark.parametrize("kind", ["additive", "capped_additive"])
+def test_additive_checks_up_to_mms_never_fail_at_the_last_rung(monkeypatch,
+                                                               kind):
+    # Additive and capped valuations have mFS >= MMS, so at every t <= MMS
+    # S has no split into n parts worth < t, and no removal fails at
+    # k = n - 1: RMMS stops its walks at rung n - 2.
+    from rmms.cli import generate_instance
+
+    checked = 0
+    for m, index in itertools.product(range(1, 9), range(2)):
+        v = generate_instance(29, index, 1, m, kind, 10).valuations[0]
+        for n in range(2, 6):
+            ceiling = mms(v, full(m), n).value
+            checked += len(assert_last_rung_never_fails(monkeypatch, v,
+                                                        full(m), n, ceiling))
+    assert checked
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_table_checks_up_to_the_probed_bound_never_fail_at_the_last_rung(
+        monkeypatch, n):
+    # The probe proves mFS >= candidates[top], the bound RMMS starts from,
+    # so every check, at or below it, stops its walk at rung n - 2.
+    from rmms.cli import generate_instance
+
+    floors = set()
+
+    def spy(rec, smask, n, t, parts, zeta, mfs_floor):
+        assert t <= mfs_floor
+        floors.add(mfs_floor)
+        return WALK(rec, smask, n, t, parts, zeta, mfs_floor)
+
+    for m, index in itertools.product((10, 11, 12), range(2)):
+        inst = generate_instance(3, index, n, m, "table", 10)
+        S = inst.all_items
+        for v in inst.valuations:
+            mms(v, S, n)
+            floors.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(shares, "_residual_failure", spy)
+                rmms(v, S, n)
+            floor, = floors
+            forget(v)
+            assert assert_last_rung_never_fails(monkeypatch, v, S, n, floor)
+
+
+def test_an_unprobed_table_fails_at_the_last_rung_below_mms():
+    # Tables have no bound on mFS below RMMS_BOUND_ITEMS, and there the last
+    # rung can fail at a threshold up to MMS: this agent's S splits into
+    # three parts worth < 27 <= MMS = 28, so t = 27 fails at k = 2 alone,
+    # and a walk stopped at rung 1 would pass it.
+    from rmms.cli import generate_instance
+
+    v = generate_instance(0, 0, 3, 7, "table", 10).valuations[1]
+    S = full(7)
+    assert v.m < shares.RMMS_BOUND_ITEMS
+    assert mms(v, S, 3).value == 28 and rmms(v, S, 3).value == 26
+    rec = shares._record(v)
+    assert min_max_split(rec.table, S.mask, 3) < 27
+    parts = split_masks(rec, S.mask, 3, 27)
+    assert shares._residual_failure(rec, S.mask, 3, 27, parts)[0] == 2
+    assert shares._residual_failure(rec, S.mask, 3, 27, parts, None,
+                                    27) is None
+    assert is_residual_feasible(v, S, 3, 27) == (False, 2, Bundle(62))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1492,10 +1622,11 @@ def test_mxs_ladder_rungs_stay_within_measured_work(monkeypatch):
 
 
 # Zeta and Moebius transforms for MMS, RMMS and MXS of every agent of the
-# instances above: 287 when this gate was set, against 488 when each rung
-# past the second took a zeta and a Moebius transform, the split probes
-# built rung n - 1 and MXS built every rung up to n - 1.
-TRANSFORMS_AT_M_12 = 287
+# instances above: 260 with RMMS's checks stopping at rung n - 2 where
+# mFS >= t is proven, against 287 reading rung n - 1 in every check, and
+# 488 when each rung past the second took a zeta and a Moebius transform,
+# the split probes built rung n - 1 and MXS built every rung up to n - 1.
+TRANSFORMS_AT_M_12 = 260
 # ``_bit_views`` builds for the same: 42, two buffers per agent, since the
 # buffers live in the search record, against 98 when each RMMS and each MXS
 # built its own.
