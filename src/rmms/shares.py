@@ -188,11 +188,10 @@ maximal-first filter, the certification and the value order.
 
 At k = n - 1 a removal fails only by leaving a remainder worth < t, with
 no search, and then S splits into n parts worth < t: t > mFS (below).
-Where mFS >= t is already proven, the walk stops at rung n - 2: in every RMMS check of an
-additive or capped valuation, and of a table whose bound was probed. At
-n = 3 such a check reads rung 1 alone, F itself, with no transform, and at
+Every RMMS check lies at or below a proven mFS, so its walk stops at rung
+n - 2. At n = 3 it reads rung 1 alone, F itself, with no transform, and at
 n = 2 it reads none and builds no ladder. ``is_residual_feasible`` answers
-for any t, so it reads every rung.
+for any t, so it reads every rung up to n - 1.
 
 RMMS's checks never search (S, n): the MMS witness splits S into parts
 worth >= MMS, so at every candidate, and where RMMS = MMS it is the RMMS
@@ -205,29 +204,26 @@ largest feasible candidate in O(log C) checks for C candidates, however far
 RMMS lies below the bound, and the packs found at one threshold answer the
 same remainders at every threshold below it.
 
-The bound is MMS, and for tables from ``RMMS_BOUND_ITEMS`` items up
-min(MMS, mFS). mFS, the min-max fair share (Bouveret and Lemaitre 2016), is
-the least c such that S splits into at most n parts worth <= c. Every
-t > mFS fails the residual check at k = n - 1: removing n - 1 of those
-parts, each worth < t, leaves one worth < t. S splits so iff S lies in
-rung n of the ladder of the parts inside S worth <= c (``_split_probe``):
-the Moebius value of zeta(F)^n at S alone, one zeta transform and one
-signed sum over the subsets of S, with the signs built once per RMMS.
-Past the exact limit the ladder climbs to a lower rung first. That test
-runs once at the candidate just below MMS and, if it holds there, bisects
-below it: O(log C) ladders and no pack search. On generated tables RMMS
-mostly equals mFS or lies one candidate below, so one or two checks
-remain, where the gallop from MMS made about 8 at m = 12. The ladder at
-candidates[i - 1] is the residual check's at candidates[i], so the last
-probe that fails to split hands a copy of its zeta(F) to the first check
-when that check reads a transformed rung: at n >= 4, as the probes prove
-mFS >= t for every check and so the walks stop at rung n - 2. Tables
-below ``RMMS_BOUND_ITEMS`` have no probe, and their checks read rung
-n - 1: there it can fail at a threshold up to MMS.
-Additive and capped valuations always have
-mFS >= MMS, so they are not probed: n parts worth <= c < MMS <= cap hold
-items summing to < n * MMS, and the items of S sum to at least n * MMS.
-So every RMMS check of theirs, at t <= MMS, stops at rung n - 2.
+The bound is min(MMS, mFS). mFS, the min-max fair share (Bouveret and
+Lemaitre 2016), is the least c such that S splits into at most n parts
+worth <= c. Every t > mFS fails the residual check at k = n - 1: removing
+n - 1 of those parts, each worth < t, leaves one worth < t. Additive and
+capped valuations always have mFS >= MMS, so their bound is MMS, with no
+probe: n parts worth <= c < MMS <= cap hold items summing to < n * MMS,
+and the items of S sum to at least n * MMS. A table's bound is probed, at
+every m. S splits so iff S lies in rung n of the ladder of the parts
+inside S worth <= c (``_split_probe``): the Moebius value of zeta(F)^n at
+S alone, one zeta transform and one signed sum over the subsets of S,
+with the signs built once per RMMS. Past the exact limit the ladder
+climbs to a lower rung first. That test runs once at the candidate just
+below MMS and, if it holds there, bisects below it: O(log C) ladders and
+no pack search. On generated tables RMMS mostly equals mFS or lies one
+candidate below, so one or two checks remain, where the gallop from MMS
+made about 8 at m = 12. So for every kind each RMMS check, at or below
+the bound, lies at or below a proven mFS and stops at rung n - 2. The
+ladder at candidates[i - 1] is the residual check's at candidates[i], so
+the last probe that fails to split hands a copy of its zeta(F) to the
+first check when that check reads a transformed rung: at n >= 4.
 """
 from __future__ import annotations
 
@@ -821,8 +817,8 @@ def _parts_within(rec: _Record, smask: int, bound: int) -> np.ndarray:
 
 def _residual_failure(
     rec: _Record, smask: int, n: int, t: int,
-    parts: Optional[Sequence[int]], zeta: Optional[np.ndarray] = None,
-    mfs_floor: int = 0,
+    parts: Optional[Sequence[int]], last: int,
+    zeta: Optional[np.ndarray] = None,
 ) -> Optional[tuple[int, np.ndarray, int]]:
     """(k, removals, R) at which threshold t fails the residual check of
     (S, n), or None if t is residual feasible. k is the least failing k,
@@ -831,19 +827,17 @@ def _residual_failure(
     with a remainder worth < t fails without a search, and the first
     failure found answers. ``parts`` are masks of an n-partition of S with
     every part worth >= t, or None when S has none; ``_failing`` certifies
-    removals against them. ``zeta``, if given for t > 0, is zeta(F) of the
-    parts inside S worth < t, and the walk's ladder starts from it.
-    ``mfs_floor`` is a value known to be at most mFS, the least c such that
-    S splits into at most n parts worth <= c. At k = n - 1 a removal fails
-    only by leaving a remainder worth < t, a split of S into n parts worth
-    < t, so at t <= mfs_floor none does and the walk stops at rung n - 2."""
+    removals against them. The walk reads rungs 1 to ``last``: n - 1 for
+    the whole check, or n - 2 where t <= mFS is known, as at k = n - 1 a
+    removal fails only by leaving a remainder worth < t, a split of S into
+    n parts worth < t. ``zeta``, if given for t > 0, is zeta(F) of the
+    parts inside S worth < t, and the walk's ladder starts from it."""
     if parts is None:
         return 0, np.zeros(1, dtype=np.int64), 0
-    last = n - 1 if t > mfs_floor else n - 2
     if t == 0 or last < 1:
         # At t = 0, (S, {}, ..., {}) is acceptable, and no bundle has value
         # < 0, so no removals qualify for any k >= 1. Otherwise no rung is
-        # left to read: n = 1, or n = 2 at t <= mfs_floor.
+        # left to read.
         return None
     # The removals split into parts inside S worth < t, that is <= t - 1:
     # values are integers. Rung k minus rung k - 1 holds the removals whose
@@ -880,7 +874,7 @@ def is_residual_feasible(v: Valuation, S: Bundle, n: int, t: int) -> ResidualChe
     rec = _record(v)
     partition = _partition(rec, S.mask, n, t)
     parts = None if partition is None else [p.mask for p in partition]
-    failure = _residual_failure(rec, S.mask, n, t, parts)
+    failure = _residual_failure(rec, S.mask, n, t, parts, n - 1)
     if failure is None:
         return ResidualCheck(True)
     # The walk's k is the least failing k. A search of the removals below
@@ -910,19 +904,6 @@ def _split_probe(
     return None if ladder.holds(n, signs) else ladder
 
 
-# RMMS of a table is bounded by the min-max split from this many items up.
-# Below it the ladder probes cost more than the checks they save. All
-# agents of generate_instance(1, idx, n, m, "table", 10), n 3-4, idx < 9,
-# MMS first, RMMS CPU s without against with the bound, best of 7: m = 8
-# 0.0240 against 0.0275, m = 9 0.0486 against 0.0519, m = 10 0.0836
-# against 0.0656, m = 12 0.324 against 0.213; with item values up to 1,000
-# (seed 2) m = 9 0.067 against 0.070, m = 10 0.111 against 0.091.
-# Additive and capped valuations are never probed: their bound is never
-# below MMS, and probing them changed their RMMS time at m 10-14 by -6% to
-# +21% (+7% in the median of ten points like those above).
-RMMS_BOUND_ITEMS = 10
-
-
 @_on_valuation
 def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     maximin = _mms(v, smask, n)
@@ -933,20 +914,17 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     candidates = [c for c in _candidate_values(v, smask) if c <= ceiling]
     rec = _record(v)
     top, zeta = len(candidates) - 1, None
-    # A check at t <= mfs_floor <= mFS stops at rung n - 2. Additive and
-    # capped valuations have mFS >= MMS, so every check does. A table's
-    # floor is its probed bound, and a table with no probe keeps every rung.
-    mfs_floor = 0 if v.kind == "table" else ceiling
 
-    # The bound (see the module docstring): one probe just below MMS and,
-    # if it splits S, a bisection below it for mFS. The probe at
+    # The bound (see the module docstring): MMS for additive and capped
+    # valuations, which have mFS >= MMS; probing them changed their RMMS
+    # time at m 10-14 by -6% to +21%. A table gets one probe just below MMS
+    # and, if it splits S, a bisection below it for mFS. The probe at
     # candidates[i - 1] makes zeta(F) of the check at candidates[i], as the
     # parts worth <= candidates[i - 1] are those worth < candidates[i]. So
     # the last probe that does not split, at top - 1, hands its zeta(F) to
     # the first check, at top, when that check reads a transformed rung:
     # at n >= 4, as the check stops at rung n - 2 and rung 1 is F itself.
-    if (n > 1 and top > 0 and v.kind == "table"
-            and v.m >= RMMS_BOUND_ITEMS):
+    if n > 1 and top > 0 and v.kind == "table":
         signs = _moebius_signs(smask, v.m)
 
         def splits(i: int) -> bool:
@@ -964,13 +942,14 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
                     top = mid
                 else:
                     lo = mid + 1
-        # S does not split at candidates[top - 1], if top > 0, so mFS, a
-        # subset value of S, is at least candidates[top].
-        mfs_floor = candidates[top]
 
+    # mFS >= candidates[top]: that is MMS for additive and capped
+    # valuations, and a table's S does not split at candidates[top - 1], if
+    # top > 0, while mFS is a subset value of S. So every check, at or
+    # below candidates[top], stops at rung n - 2.
     def feasible(i: int, zeta: Optional[np.ndarray] = None) -> bool:
-        return _residual_failure(rec, smask, n, candidates[i], parts,
-                                 zeta, mfs_floor) is None
+        return _residual_failure(rec, smask, n, candidates[i], parts, n - 2,
+                                 zeta) is None
 
     # Feasibility is monotone in t: for t' < t, every removal that qualifies
     # at t' (parts worth < t') also qualifies at t, and a pack at t is also a

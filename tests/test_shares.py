@@ -774,7 +774,8 @@ def test_yes_no_residual_walk_matches_the_check():
             parts = split_masks(rec, S.mask, n, t)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(shares, "_failing", spy)
-                walk = shares._residual_failure(rec, S.mask, n, t, parts)
+                walk = shares._residual_failure(rec, S.mask, n, t, parts,
+                                                n - 1)
             fresh_record()
             check = is_residual_feasible(v, S, n, t)
             assert (walk is None) == check.feasible, (m, kind, n, t)
@@ -1012,10 +1013,11 @@ def test_split_probe_matches_a_brute_force_min_max_split():
     # At every candidate c the probe splits S iff mFS <= c. A probe that
     # does not split returns its ladder, with zeta(F) of the parts worth
     # <= c, and the residual check at the next candidate t, handed a copy,
-    # walks as one that makes its own ladder, with or without stopping at
-    # rung n - 2, as mFS >= t. RMMS never exceeds mFS. At m = 8 a product of
-    # more than 7 zeta factors is not exact, so at n = 9 the probe's ladder
-    # climbs to a lower rung first and reads rung 9 from there.
+    # walks as one that makes its own ladder, whether it reads rung n - 1
+    # or stops at rung n - 2, as mFS >= t. RMMS never exceeds mFS. At m = 8
+    # a product of more than 7 zeta factors is not exact, so at n = 9 the
+    # probe's ladder climbs to a lower rung first and reads rung 9 from
+    # there.
     from rmms.cli import generate_instance
 
     rng = random.Random(23)
@@ -1048,10 +1050,11 @@ def test_split_probe_matches_a_brute_force_min_max_split():
                 if i + 1 < len(candidates):
                     t = candidates[i + 1]
                     parts = split_masks(rec, smask, n, t)
-                    fresh = shares._residual_failure(rec, smask, n, t, parts)
-                    for floor in (0, t):
+                    fresh = shares._residual_failure(rec, smask, n, t, parts,
+                                                     n - 1)
+                    for last in (n - 1, n - 2):
                         assert_same_failure(shares._residual_failure(
-                            rec, smask, n, t, parts, zeta, floor), fresh)
+                            rec, smask, n, t, parts, last, zeta), fresh)
             forget(v)
             value = rmms(v, Bundle(smask), n).value
             assert value <= split, (v, smask, n)
@@ -1074,7 +1077,7 @@ def test_table_rmms_at_the_min_max_split_takes_one_check(monkeypatch):
 
     monkeypatch.setattr(shares, "_residual_failure", spy)
     for n in (3, 4):
-        inst = generate_instance(1, 2, n, shares.RMMS_BOUND_ITEMS, "table", 10)
+        inst = generate_instance(1, 2, n, 10, "table", 10)
         for v in inst.valuations:
             ceiling = mms(v, inst.all_items, n).value
             split = min_max_split(shares._record(v).table,
@@ -1098,9 +1101,10 @@ def assert_same_failure(got, want):
 WALK = shares._residual_failure
 
 
-def full_walk(*args):
-    """``_residual_failure`` without its ``mfs_floor``: every rung read."""
-    return WALK(*args[:6])
+def full_walk(rec, smask, n, t, parts, last, zeta=None):
+    """``_residual_failure`` reading every rung up to n - 1, whatever
+    ``last`` it is given."""
+    return WALK(rec, smask, n, t, parts, n - 1, zeta)
 
 
 def assert_last_rung_never_fails(monkeypatch, v, S, n, floor):
@@ -1118,10 +1122,9 @@ def assert_last_rung_never_fails(monkeypatch, v, S, n, floor):
                if t <= floor]
     for t in checked:
         parts = split_masks(rec, S.mask, n, t)
-        whole = WALK(rec, S.mask, n, t, parts)
+        whole = WALK(rec, S.mask, n, t, parts, n - 1)
         assert whole is None or whole[0] < n - 1, (v, n, t)
-        assert_same_failure(WALK(rec, S.mask, n, t, parts, None, floor),
-                            whole)
+        assert_same_failure(WALK(rec, S.mask, n, t, parts, n - 2), whole)
     report = rmms(v, S, n)
     forget(v)
     with monkeypatch.context() as patch:
@@ -1151,49 +1154,61 @@ def test_additive_checks_up_to_mms_never_fail_at_the_last_rung(monkeypatch,
 @pytest.mark.parametrize("n", [3, 4])
 def test_table_checks_up_to_the_probed_bound_never_fail_at_the_last_rung(
         monkeypatch, n):
-    # The probe proves mFS >= candidates[top], the bound RMMS starts from,
-    # so every check, at or below it, stops its walk at rung n - 2.
+    # At every m the probe proves mFS >= candidates[top], the bound RMMS
+    # starts from and its first check, so every check, at or below it,
+    # stops its walk at rung n - 2.
     from rmms.cli import generate_instance
 
-    floors = set()
+    checked = []
 
-    def spy(rec, smask, n, t, parts, zeta, mfs_floor):
-        assert t <= mfs_floor
-        floors.add(mfs_floor)
-        return WALK(rec, smask, n, t, parts, zeta, mfs_floor)
+    def spy(rec, smask, n, t, parts, last, zeta):
+        assert last == n - 2
+        checked.append(t)
+        return WALK(rec, smask, n, t, parts, last, zeta)
 
-    for m, index in itertools.product((10, 11, 12), range(2)):
+    for m, index in itertools.product(range(6, 13), range(2)):
         inst = generate_instance(3, index, n, m, "table", 10)
         S = inst.all_items
         for v in inst.valuations:
             mms(v, S, n)
-            floors.clear()
+            checked.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(shares, "_residual_failure", spy)
                 rmms(v, S, n)
-            floor, = floors
+            floor = checked[0]
+            assert max(checked) == floor
             forget(v)
             assert assert_last_rung_never_fails(monkeypatch, v, S, n, floor)
 
 
-def test_an_unprobed_table_fails_at_the_last_rung_below_mms():
-    # Tables have no bound on mFS below RMMS_BOUND_ITEMS, and there the last
-    # rung can fail at a threshold up to MMS: this agent's S splits into
-    # three parts worth < 27 <= MMS = 28, so t = 27 fails at k = 2 alone,
-    # and a walk stopped at rung 1 would pass it.
+def test_a_check_above_mfs_fails_at_the_last_rung_alone(monkeypatch):
+    # Above mFS the last rung can fail at a threshold up to MMS: this
+    # agent's S splits into three parts worth < 27 <= MMS = 28, so t = 27
+    # fails at k = 2 alone, and a walk stopped at rung 1 would pass it.
+    # RMMS's probe keeps its stopped walks at or below mFS, never at 27;
+    # ``is_residual_feasible`` answers for any t, so it reads rung n - 1.
     from rmms.cli import generate_instance
 
     v = generate_instance(0, 0, 3, 7, "table", 10).valuations[1]
     S = full(7)
-    assert v.m < shares.RMMS_BOUND_ITEMS
     assert mms(v, S, 3).value == 28 and rmms(v, S, 3).value == 26
     rec = shares._record(v)
     assert min_max_split(rec.table, S.mask, 3) < 27
     parts = split_masks(rec, S.mask, 3, 27)
-    assert shares._residual_failure(rec, S.mask, 3, 27, parts)[0] == 2
-    assert shares._residual_failure(rec, S.mask, 3, 27, parts, None,
-                                    27) is None
+    assert shares._residual_failure(rec, S.mask, 3, 27, parts, 2)[0] == 2
+    assert shares._residual_failure(rec, S.mask, 3, 27, parts, 1) is None
     assert is_residual_feasible(v, S, 3, 27) == (False, 2, Bundle(62))
+    checked = []
+
+    def spy(rec, smask, n, t, *args):
+        checked.append(t)
+        return WALK(rec, smask, n, t, *args)
+
+    forget(v)
+    with monkeypatch.context() as patch:
+        patch.setattr(shares, "_residual_failure", spy)
+        assert rmms(v, S, 3).value == 26
+    assert checked and max(checked) <= 26
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1210,8 +1225,7 @@ def test_bound_probes_stay_logarithmic(monkeypatch, n):
         return probe(rec, smask, n, c, *args)
 
     for index in range(3):
-        inst = generate_instance(7, index, n, shares.RMMS_BOUND_ITEMS,
-                                 "table", 100_000)
+        inst = generate_instance(7, index, n, 10, "table", 100_000)
         for v in inst.valuations:
             S = inst.all_items
             ceiling = mms(v, S, n).value
@@ -1633,21 +1647,27 @@ TRANSFORMS_AT_M_12 = 260
 BIT_VIEWS_AT_M_12 = 42
 
 
-def test_ladder_transforms_stay_within_measured_work(monkeypatch):
-    from rmms.cli import generate_instance
-
-    calls = dict.fromkeys(("_zeta", "_moebius", "_bit_views"), 0)
+def count_calls(monkeypatch, *names):
+    """From here on, count the calls of each named ``shares`` function."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         fn = getattr(shares, name)
 
-        def spy(a):
+        def spy(*args):
             calls[name] += 1
-            return fn(a)
+            return fn(*args)
         return spy
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(shares, name, counted(name))
+    return calls
+
+
+def test_ladder_transforms_stay_within_measured_work(monkeypatch):
+    from rmms.cli import generate_instance
+
+    calls = count_calls(monkeypatch, "_zeta", "_moebius", "_bit_views")
     for kind, n in itertools.product(("additive", "capped_additive", "table"),
                                      (3, 4)):
         inst = generate_instance(1, n, n, 12, kind, 10)
@@ -1657,6 +1677,30 @@ def test_ladder_transforms_stay_within_measured_work(monkeypatch):
             mxs(inst, agent)
     assert 0 < calls["_zeta"] + calls["_moebius"] <= TRANSFORMS_AT_M_12
     assert 0 < calls["_bit_views"] <= BIT_VIEWS_AT_M_12
+
+
+# Residual checks, and zeta and Moebius transforms, for MMS then RMMS of
+# every agent of generate_instance(1, index, n, m, "table", 10), index < 3,
+# n 3-4 and m 6-8, the table sizes of perfbench's pipeline_small: 115 checks
+# and 209 transforms (166 zeta, 43 Moebius) with every table's min-max split
+# probed, so that every check stops at rung n - 2, against 171 checks and
+# 229 transforms (93 zeta, 136 Moebius) when tables below 10 items had no
+# probe and their checks read rung n - 1.
+SMALL_TABLE_CHECKS = 115
+SMALL_TABLE_TRANSFORMS = 209
+
+
+def test_small_table_checks_stay_within_measured_work(monkeypatch):
+    from rmms.cli import generate_instance
+
+    calls = count_calls(monkeypatch, "_zeta", "_moebius", "_residual_failure")
+    for m, n, index in itertools.product((6, 7, 8), (3, 4), range(3)):
+        inst = generate_instance(1, index, n, m, "table", 10)
+        for v in inst.valuations:
+            mms(v, inst.all_items, n)
+            rmms(v, inst.all_items, n)
+    assert 0 < calls["_residual_failure"] <= SMALL_TABLE_CHECKS
+    assert 0 < calls["_zeta"] + calls["_moebius"] <= SMALL_TABLE_TRANSFORMS
 
 
 def naive_mxs(inst, agent):
