@@ -622,5 +622,10 @@ def dump_json(obj: dict, path) -> None:
 
 
 def load_json(path) -> dict:
+    """The JSON in ``path``. Nesting too deep for the decoder is refused as
+    a ValueError, as malformed input is, not left a RecursionError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None

@@ -26,12 +26,13 @@ Two searches and one lattice kernel do the work.
   of its rungs at S alone.
 
 Every per-item pass over an array indexed by all 2^m masks (the record's
-weights, MXS's g, the signs, the maximal-removal mark and the transforms)
-takes its views from ``core._item_pairs``, which owns that layout, and
-``core._subset_sums`` builds the record's weight sums and popcounts. The
-transforms are m in-place passes over an int64 array, one per item i,
-each adding (zeta) or subtracting (Moebius) the masks without i into the
-same masks with i. The Moebius value of zeta(F)^k at X counts the
+weights, MXS's g, the maximal-removal mark and the transforms) takes its
+views from ``core._item_pairs``, which owns that layout. Arrays built
+from nothing double once per item instead: ``core._subset_sums`` builds
+the record's weight sums and popcounts, and ``_moebius_signs`` the
+signs. The transforms are m in-place passes over an int64 array, one per
+item i, each adding (zeta) or subtracting (Moebius) the masks without i
+into the same masks with i. The Moebius value of zeta(F)^k at X counts the
 k-tuples of members whose union is X, at most (2^k - 1)^m. int64
 arithmetic is exact modulo 2^64, so that count is read exactly while it
 stays below 2^63, even where the power itself wraps: up to
@@ -158,13 +159,17 @@ not in rung k - 1. This is exact. If S minus R splits into n - k0 parts
 worth >= t, merging parts gives a split into n - k parts for every
 k >= k0, so a larger k fails only where k0 already fails. One walk
 (``_residual_failure``) visits the rungs in ascending k and stops at the
-first rung with a failure, so its k is the least failing k. A rung with a
-remainder worth < t fails without a search, and none is needed when
-n - k = 1. Otherwise the walk searches the rung's removals until a
-remainder fails to pack. A remainder that packs has supersets that pack,
-so when many removals wait (``MAXIMAL_FIRST_REMOVALS``) only those with no
-waiting removal one item larger are kept: if they all pack, every waiting
-removal does, usually after far fewer searches. The walk holds an
+first rung with a failure, so its k is the least failing k. Each rung is
+one search (``_failing``) of its removals, until a remainder fails to
+pack. A remainder worth < t needs no test of its own: no certification
+passes it, it comes first in the value order below, and ``_pack`` fails
+it at its first test. With one part left, n - k = 1, the certification
+passes exactly the remainders worth >= t, so the search fails the others
+at once. A remainder that packs has supersets that pack, so when many
+removals wait (``MAXIMAL_FIRST_REMOVALS``) and more than one part is
+left, only those with no waiting removal one item larger are kept: if
+they all pack, every waiting removal does, usually after far fewer
+searches. The walk holds an
 n-partition P_1..P_n of S with every part worth >= t (the MMS witness in
 RMMS, the partition found at t in ``is_residual_feasible``), and a removal
 R usually damages few of its parts. So each kept R is first certified
@@ -186,12 +191,14 @@ the new current R, until it returns None: every removal below the
 current R then packs, so the current R is the first. Each run keeps the
 maximal-first filter, the certification and the value order.
 
-At k = n - 1 a removal fails only by leaving a remainder worth < t, with
-no search, and then S splits into n parts worth < t: t > mFS (below).
-Every RMMS check lies at or below a proven mFS, so its walk stops at rung
-n - 2. At n = 3 it reads rung 1 alone, F itself, with no transform, and at
-n = 2 it reads none and builds no ladder. ``is_residual_feasible`` answers
-for any t, so it reads every rung up to n - 1.
+At k = n - 1 a removal fails only by leaving a remainder worth < t, and
+then S splits into n parts worth < t: t > mFS (below). Every RMMS check
+lies at or below a proven mFS, so its walk stops at rung n - 2, and no
+removal it meets leaves a remainder worth < t: with its k <= n - 2 parts
+that would split S into at most n - 1 parts worth < t. At n = 3 it reads
+rung 1 alone, F itself, with no transform, and at n = 2 it reads none and
+builds no ladder. ``is_residual_feasible`` answers for any t, so it reads
+every rung up to n - 1.
 
 RMMS's checks never search (S, n): the MMS witness splits S into parts
 worth >= MMS, so at every candidate, and where RMMS = MMS it is the RMMS
@@ -223,7 +230,8 @@ made about 8 at m = 12. So for every kind each RMMS check, at or below
 the bound, lies at or below a proven mFS and stops at rung n - 2. The
 ladder at candidates[i - 1] is the residual check's at candidates[i], so
 the last probe that fails to split hands a copy of its zeta(F) to the
-first check when that check reads a transformed rung: at n >= 4.
+first check wherever that check can read a transformed rung, at n >= 4,
+and the check's ladder copies it into the workspace when it is built.
 """
 from __future__ import annotations
 
@@ -547,13 +555,13 @@ def _exact_factors(m: int) -> int:
 def _moebius_signs(smask: int, m: int) -> np.ndarray:
     """(-1)^|S - Y| at every mask Y inside S = smask and 0 elsewhere, over
     all 2^m masks: the dot product of these signs with an array is the
-    Moebius transform of that array at S alone."""
-    signs = np.ones(1 << m, dtype=np.int64)
-    for i, (with_item, without) in enumerate(_item_pairs(signs)):
-        if smask >> i & 1:
-            np.negative(without, out=without)
-        else:
-            with_item.fill(0)
+    Moebius transform of that array at S alone. Item i doubles the array,
+    as in ``core._subset_sums``: for i in S the masks without it flip sign,
+    and for i outside S the masks with it are 0."""
+    signs = np.ones(1, dtype=np.int64)
+    for i in range(m):
+        signs = np.concatenate((-signs, signs) if smask >> i & 1
+                               else (signs, 0 * signs))
     return signs
 
 
@@ -584,27 +592,28 @@ class _CoverLadder:
     with its ``_bit_views``, for zeta(F), the product and, once the ladder
     rebases, zeta(B). Each buffer is built at its first use, and the
     exact-factor limit at the first ladder. The search record keeps one
-    workspace for every ladder of its agent, and a ladder given none makes
-    its own. ``zeta``, if given, is zeta(F) made already,
-    copied in instead of transformed. One ladder at a time uses a
-    workspace: a ladder that finds another's zeta(F) there makes its own
-    again, and its base with it. Each rung is a new array, so it stays
-    valid after the ladder moves on.
+    workspace for every ladder of its agent. ``zeta``, if given, is zeta(F)
+    made already, copied into the workspace when the ladder is built in
+    place of a transform. One ladder at a time uses a workspace: a ladder
+    that finds another's zeta(F) there makes its own again, and its base
+    with it. Each rung is a new array, so it stays valid after the ladder
+    moves on.
     """
 
-    def __init__(self, family: np.ndarray, workspace: Optional[dict] = None,
+    def __init__(self, family: np.ndarray, workspace: dict,
                  zeta: Optional[np.ndarray] = None):
         self.family = family
-        workspace = {} if workspace is None else workspace
         if "limit" not in workspace:  # once per record
             workspace["limit"] = _exact_factors(family.size.bit_length() - 1)
         self._workspace, self._limit = workspace, workspace["limit"]
-        self._zeta = zeta  # zeta(F) made elsewhere, until it is copied in
         # Marks the workspace as this ladder's. The ladder itself would make
         # a cycle, and the buffers would outlive the record until collected.
         self._token = object()
         self._at = 1  # the rung whose zeta is the base; 1 is zeta(F)
         self._last = 1, family  # the last rung computed, and its k
+        if zeta is not None:
+            np.copyto(self._buffer("zeta")[0], zeta)
+            workspace["owner"] = self._token
 
     def _buffer(self, name: str) -> tuple[np.ndarray, list]:
         """The workspace's buffer ``name`` and its views."""
@@ -617,12 +626,9 @@ class _CoverLadder:
         """zeta(F), in the workspace until another ladder uses it."""
         members, views = self._buffer("zeta")
         if self._workspace.get("owner") is not self._token:
-            if self._zeta is None:
-                np.copyto(members, self.family)
-                _zeta(views)
-            else:
-                np.copyto(members, self._zeta)
-            self._zeta, self._at = None, 1
+            np.copyto(members, self.family)
+            _zeta(views)
+            self._at = 1
             self._workspace["owner"] = self._token
         return members
 
@@ -745,7 +751,8 @@ def mms(v: Valuation, S: Bundle, n: int, agent: Optional[int] = None) -> ShareRe
 # with values up to 1,000 91.5 ms against 78.7, 77.0, 75.8; seeds 2-3,
 # 44.2 ms against 38.5, 36.4, 36.1, and with values up to 1,000 170.6 ms
 # against 136.3, 133.4, 133.6. A cutoff of 256 read within 1.5% of 128 on
-# every set, either way.
+# every set, either way. With one part left the certification decides every
+# removal, so filtering first would only add its m passes.
 MAXIMAL_FIRST_REMOVALS = 128
 
 
@@ -785,14 +792,19 @@ def _failing(
 
     A remainder that packs has supersets that pack, so if R is inside R'
     and smask ^ R' packs, so does smask ^ R. Every waiting R lies under a
-    waiting R' with no waiting R' + e: with many waiting, only those are
-    kept. ``parts`` are masks of a partition of smask, each worth >= t, or
-    empty: the kept removals that leave q of them, or unions of them, worth
-    >= t are certified (``_certified``) and not searched. The others are
-    searched in ascending order of remainder value, a stable sort, so that
-    likely failures come first, and the first failure answers."""
+    waiting R' with no waiting R' + e: with many waiting and q > 1, only
+    those are kept. ``parts`` are masks of a partition of smask, each worth
+    >= t, or empty: the kept removals that leave q of them, or unions of
+    them, worth >= t are certified (``_certified``) and not searched. The
+    others are searched in ascending order of remainder value, a stable
+    sort, so that likely failures come first, and the first failure
+    answers. A remainder worth < t is never certified, and ``_pack`` fails
+    it at its first test. At q = 1 the filter is skipped: with a partition
+    the certification passes exactly the remainders worth >= t, as their
+    damaged pieces pile into one union, which closes at the latest at the
+    last part, and without one each search answers at its first test."""
     removals = waiting
-    if waiting.size > MAXIMAL_FIRST_REMOVALS:
+    if q > 1 and waiting.size > MAXIMAL_FIRST_REMOVALS:
         marked = np.zeros(rec.values.size, dtype=bool)
         marked[waiting] = True
         # below[X]: some waiting removal is X plus one item.
@@ -823,15 +835,16 @@ def _residual_failure(
     """(k, removals, R) at which threshold t fails the residual check of
     (S, n), or None if t is residual feasible. k is the least failing k,
     removals the ascending removals whose binding k is k, and R one of them
-    whose remainder fails; (0, [0], 0) when S itself does not split. A rung
-    with a remainder worth < t fails without a search, and the first
-    failure found answers. ``parts`` are masks of an n-partition of S with
-    every part worth >= t, or None when S has none; ``_failing`` certifies
-    removals against them. The walk reads rungs 1 to ``last``: n - 1 for
-    the whole check, or n - 2 where t <= mFS is known, as at k = n - 1 a
-    removal fails only by leaving a remainder worth < t, a split of S into
-    n parts worth < t. ``zeta``, if given for t > 0, is zeta(F) of the
-    parts inside S worth < t, and the walk's ladder starts from it."""
+    whose remainder fails; (0, [0], 0) when S itself does not split. Each
+    rung is one search, ``_failing``, and the first failure found answers:
+    a remainder worth < t needs no test of its own. ``parts`` are masks of
+    an n-partition of S with every part worth >= t, or None when S has
+    none; ``_failing`` certifies removals against them. The walk reads
+    rungs 1 to ``last``: n - 1 for the whole check, or n - 2 where t <= mFS
+    is known, as at k = n - 1 a removal fails only by leaving a remainder
+    worth < t, a split of S into n parts worth < t. ``zeta``, if given for
+    t > 0, is zeta(F) of the parts inside S worth < t, copied into the
+    walk's ladder when it is built."""
     if parts is None:
         return 0, np.zeros(1, dtype=np.int64), 0
     if t == 0 or last < 1:
@@ -844,20 +857,13 @@ def _residual_failure(
     # binding k is k; rung 0 is R = 0 alone, checked above.
     ladder = _CoverLadder(_parts_within(rec, smask, t - 1), rec.workspace,
                           zeta)
-    values = rec.values
-    fewer = np.arange(values.size) == 0
+    fewer = np.arange(rec.values.size) == 0
     for k in range(1, last + 1):
         rung = ladder.rung(k)
         removals = (rung & ~fewer).nonzero()[0]
-        # A remainder worth < t has no part worth >= t, so it fails without
-        # a search, and with one part left no other remainder can fail.
-        short = (values[smask ^ removals] < t).nonzero()[0]
-        if short.size:
-            return k, removals, int(removals[short[0]])
-        if n - k > 1:
-            R = _failing(rec, smask, n - k, t, removals, parts)
-            if R is not None:
-                return k, removals, R
+        R = _failing(rec, smask, n - k, t, removals, parts)
+        if R is not None:
+            return k, removals, R
         fewer = rung
     return None
 
@@ -921,9 +927,10 @@ def _rmms(v: Valuation, smask: int, n: int) -> ShareReport:
     # and, if it splits S, a bisection below it for mFS. The probe at
     # candidates[i - 1] makes zeta(F) of the check at candidates[i], as the
     # parts worth <= candidates[i - 1] are those worth < candidates[i]. So
-    # the last probe that does not split, at top - 1, hands its zeta(F) to
-    # the first check, at top, when that check reads a transformed rung:
-    # at n >= 4, as the check stops at rung n - 2 and rung 1 is F itself.
+    # the last probe that does not split, at top - 1, hands a copy of its
+    # zeta(F) to the first check, at top, wherever that check can read a
+    # transformed rung: at n >= 4, as the check stops at rung n - 2 and
+    # rung 1 is F itself. The check's ladder copies it in when built.
     if n > 1 and top > 0 and v.kind == "table":
         signs = _moebius_signs(smask, v.m)
 

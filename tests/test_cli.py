@@ -674,6 +674,26 @@ def test_malformed_allocation_exits_2(tmp_path, capsys, case):
     assert_one_line_error(["check", path, str(alloc_path)], capsys)
 
 
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+@pytest.mark.parametrize("kind", ["instance", "allocation"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, kind, depth):
+    # Past the decoder's recursion limit json.load raises RecursionError,
+    # which once escaped as a traceback. The text is written directly, as
+    # dump_json would itself recurse that deep.
+    nested = "[" * depth + "]" * depth
+    path = write_instance(tmp_path, SMALL)
+    if kind == "instance":
+        deep = tmp_path / "deep.json"
+        deep.write_text(f'{{"m": 3, "n": 2, "valuations": {nested}}}')
+        argv = ["shares", str(deep)]
+    else:
+        deep = tmp_path / "alloc.json"
+        deep.write_text(f'{{"pool": [], "bundles": {nested}}}')
+        argv = ["check", path, str(deep)]
+    err = assert_one_line_error(argv, capsys)
+    assert "nested too deeply" in err
+
+
 BAD_RUNS = {
     # Generated table values reach 2 * m * max-value, past the cap.
     "gen_table_past_max_value": [

@@ -666,7 +666,7 @@ def plain_residual_scan(rec, smask, n, t):
         return False, 0, 0
     masks = np.arange(rec.values.size)
     low = (rec.values < t) & ((masks | smask) == smask)
-    ladder = shares._CoverLadder(low)
+    ladder = shares._CoverLadder(low, {})
     for k in range(1, n):
         for R in np.flatnonzero(ladder.rung(k)).tolist():
             if R and not shares._packs(rec, smask ^ R, n - k, t):
@@ -836,7 +836,8 @@ def test_failing_answers_alike_with_and_without_the_partition(monkeypatch,
     monkeypatch.setattr(shares, "MAXIMAL_FIRST_REMOVALS", cutoff)
     answers = set()
     for v, rec, smask, n, t, parts in certification_cases():
-        ladder = shares._CoverLadder(shares._parts_within(rec, smask, t - 1))
+        ladder = shares._CoverLadder(shares._parts_within(rec, smask, t - 1),
+                                     {})
         fewer = np.arange(1 << v.m) == 0
         for k in range(1, n):
             rung = ladder.rung(k)
@@ -851,6 +852,33 @@ def test_failing_answers_alike_with_and_without_the_partition(monkeypatch,
                                                    n - k, t)
             answers.add(R is None)
     assert answers == {True, False}
+
+
+
+def test_failing_with_one_part_left_finds_a_short_remainder(monkeypatch):
+    # With one part left a removal fails iff its remainder is worth < t:
+    # the search returns one of those, or None when there are none, with
+    # waiting removals both below and above MAXIMAL_FIRST_REMOVALS, and
+    # never runs the maximal filter, the one _item_pairs pass of _failing.
+    item_pairs = shares._item_pairs
+
+    def spy(a):
+        raise AssertionError("the maximal filter ran at q = 1")
+
+    sizes, answers = set(), set()
+    for v, rec, smask, n, t, parts in certification_cases():
+        everything = np.flatnonzero((np.arange(1 << v.m) | smask) == smask)
+        for waiting in (everything, everything[::3]):
+            short = {R for R in waiting.tolist() if rec.table[smask ^ R] < t}
+            for given in (parts, ()):
+                monkeypatch.setattr(shares, "_item_pairs", spy)
+                R = shares._failing(rec, smask, 1, t, waiting, given)
+                monkeypatch.setattr(shares, "_item_pairs", item_pairs)
+                assert (R is None) == (not short), (v, n, t, given)
+                assert R is None or R in short, (v, n, t, given, R)
+            sizes.add(waiting.size > shares.MAXIMAL_FIRST_REMOVALS)
+            answers.add(bool(short))
+    assert sizes == answers == {True, False}
 
 
 def test_counterexamples_above_rmms_do_not_depend_on_the_partition(
@@ -1211,6 +1239,87 @@ def test_a_check_above_mfs_fails_at_the_last_rung_alone(monkeypatch):
     assert checked and max(checked) <= 26
 
 
+
+def probed_min_max_split(rec, smask, n, candidates):
+    """mFS, the least candidate at which S splits into at most n parts
+    worth <= it, bisected with the split probe; S always splits at the
+    last candidate, S's own value."""
+    signs = shares._moebius_signs(smask, rec.values.size.bit_length() - 1)
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if shares._split_probe(rec, smask, n, candidates[mid], signs) is None:
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates[lo]
+
+
+def test_last_rung_counterexample_is_the_least_short_remainder():
+    # Above mFS a threshold can fail at k = n - 1 alone. The counterexample
+    # there is the lowest removal of rung n - 1, not of rung n - 2, whose
+    # remainder is worth < t: the rule of a walk that tested remainder
+    # values before any search.
+    from rmms.cli import generate_instance
+
+    last_rung = 0
+    for m, n in itertools.product(range(9, 13), (3, 4)):
+        inst = generate_instance(37, m, n, m, "table", 10)
+        S = inst.all_items
+        for v in inst.valuations:
+            rec = shares._record(v)
+            ceiling = mms(v, S, n).value
+            candidates = shares._candidate_values(v, S.mask)
+            split = probed_min_max_split(rec, S.mask, n, candidates)
+            for t in candidates:
+                if not split < t <= ceiling:
+                    continue
+                check = is_residual_feasible(v, S, n, t)
+                assert not check.feasible, (v, n, t)
+                if check.k != n - 1:
+                    continue
+                family = shares._parts_within(rec, S.mask, t - 1)
+                ladder = shares._CoverLadder(family, {})
+                fewer = (ladder.rung(n - 2) if n > 2
+                         else np.arange(1 << m) == 0)
+                removals = np.flatnonzero(ladder.rung(n - 1) & ~fewer)
+                first = next(R for R in removals.tolist()
+                             if rec.table[S.mask ^ R] < t)
+                assert check.removed == Bundle(first), (v, n, t)
+                last_rung += 1
+    assert last_rung
+
+
+def test_rmms_walks_never_meet_a_short_remainder(monkeypatch):
+    # Every RMMS check lies at or below a proven mFS and stops at rung
+    # n - 2, so its searches always have two or more parts left, and no
+    # removal they return leaves a remainder worth < t: with its k <= n - 2
+    # parts that would split S into at most n - 1 parts worth < t.
+    from rmms.cli import generate_instance
+
+    failing = shares._failing
+    searches, failures = 0, 0
+
+    def spy(rec, smask, q, t, waiting, parts):
+        nonlocal searches, failures
+        assert q >= 2, (smask, q, t)
+        R = failing(rec, smask, q, t, waiting, parts)
+        searches += 1
+        if R is not None:
+            failures += 1
+            assert rec.table[smask ^ R] >= t, (smask, q, t, R)
+        return R
+
+    monkeypatch.setattr(shares, "_failing", spy)
+    for kind, m, n in itertools.product(("additive", "table"), range(6, 13),
+                                        (3, 4, 5)):
+        inst = generate_instance(41, m, n, m, kind, 10)
+        for v in inst.valuations:
+            mms(v, inst.all_items, n)
+            rmms(v, inst.all_items, n)
+    assert searches and failures
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bound_probes_stay_logarithmic(monkeypatch, n):
     # One probe just below MMS, then a bisection below it: at most
@@ -1479,14 +1588,14 @@ def test_cover_ladder_matches_cover():
     grows = {4: False, 8: False}
     for table, bound, top in cover_ladder_families(random.Random(13)):
         family = np.array(table) <= bound
-        ladder = shares._CoverLadder(family)
+        ladder = shares._CoverLadder(family, {})
         rungs = [None] + [ladder.rung(k) for k in range(1, top + 1)]
         failed = set()
         for k in range(1, top + 1):
             expected = [shares._cover(table, bound, failed, X, k) is not None
                         for X in range(len(table))]
             assert rungs[k].tolist() == expected, (table, bound, k)
-        downward = shares._CoverLadder(family)
+        downward = shares._CoverLadder(family, {})
         m = len(table).bit_length() - 1
         for k in reversed(range(1, top + 1)):
             assert np.array_equal(downward.rung(k), rungs[k]), (table, k)
@@ -1554,7 +1663,7 @@ def test_ladders_sharing_a_workspace_yield_their_own_rungs(monkeypatch):
         fresh_record()
         rec = shares._record(v)
         families = [np.array(rec.table) <= bound for bound in bounds]
-        expected = [[shares._CoverLadder(f).rung(k)
+        expected = [[shares._CoverLadder(f, {}).rung(k)
                      for k in range(1, top + 1)] for f in families]
         # The first ladder still grows at the top, and they differ at every
         # rung.
@@ -1577,6 +1686,58 @@ def test_ladders_sharing_a_workspace_yield_their_own_rungs(monkeypatch):
         for rungs, want in zip(got, expected + expected[:1]):
             assert [r.tolist() for r in rungs] == [w.tolist() for w in want]
         assert builds == buffers, (v, top)
+
+
+
+def test_moebius_signs_are_the_subset_signs():
+    # (-1)^|S - Y| on every Y inside S and 0 elsewhere: every S at m <= 6,
+    # and sampled S up to m = 14.
+    rng = random.Random(19)
+    for m in range(15):
+        masks = range(1 << m)
+        if m <= 6:
+            sets = masks
+        else:
+            sets = [0, (1 << m) - 1] + rng.sample(masks, 6)
+        for smask in sets:
+            want = [(-1) ** (smask ^ Y).bit_count() if Y | smask == smask
+                    else 0 for Y in masks]
+            got = shares._moebius_signs(smask, m)
+            assert got.dtype == np.int64 and got.tolist() == want, (m, smask)
+
+
+def test_ladder_given_zeta_reads_the_rungs_of_a_fresh_one(monkeypatch):
+    # A ladder handed zeta(F) copies it into its workspace when it is
+    # built: it runs no zeta transform for its first product and yields
+    # the rungs of a ladder that makes its own, read upward or downward.
+    # After another ladder takes the workspace it makes zeta(F) again.
+    zeta = shares._zeta
+    runs = 0
+
+    def spy(views):
+        nonlocal runs
+        runs += 1
+        zeta(views)
+
+    for table, bound, top in cover_ladder_families(random.Random(17)):
+        family = np.array(table) <= bound
+        fresh = shares._CoverLadder(family, {})
+        want = [fresh.rung(k).tolist() for k in range(1, top + 1)]
+        made = shares._CoverLadder(family, {}).zeta().copy()
+        for order in (range(1, top + 1), range(top, 0, -1)):
+            workspace = {}
+            ladder = shares._CoverLadder(family, workspace, made)
+            monkeypatch.setattr(shares, "_zeta", spy)
+            runs = 0
+            ladder.rung(2)
+            assert runs == 0, (table, bound)
+            monkeypatch.setattr(shares, "_zeta", zeta)
+            for k in order:
+                assert ladder.rung(k).tolist() == want[k - 1], (table, k)
+            other = shares._CoverLadder(np.arange(family.size) == 0,
+                                        workspace)
+            other.zeta()
+            assert ladder.rung(top).tolist() == want[top - 1], (table, top)
 
 
 def test_mxs_bracket_keeps_value_and_witness(monkeypatch):
